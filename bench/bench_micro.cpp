@@ -155,6 +155,28 @@ void BM_CommLinkBusyProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_CommLinkBusyProbe);
 
+// The FLB exact scan's pricing: one arrivals() row per query source prices
+// the message to all 32 processors by one walk of the source's route tree
+// (31 link visits), where per-destination probes would walk 32 routes.
+// One item = one row; compare Time with 32 x BM_CommLinkBusyProbe's
+// per-query cost.
+void BM_CommLinkBusyArrivals(benchmark::State& state) {
+  platform::CostModel model = platform::CostModel::link_busy(pricing_mesh());
+  const auto& qs = pricing_queries();
+  for (std::size_t i = 0; i < kQueries; i += 2)
+    model.commit(qs[i].src, qs[i].dst, qs[i].bytes, qs[i].depart);
+  std::vector<Cost> row(kPricingProcs);
+  for (auto _ : state)
+    for (const Query& q : qs) {
+      model.arrivals(q.src, q.bytes, q.depart, row);
+      benchmark::DoNotOptimize(row.data());
+      benchmark::ClobberMemory();
+    }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kQueries));
+}
+BENCHMARK(BM_CommLinkBusyArrivals);
+
 void BM_CommLinkBusyCommit(benchmark::State& state) {
   platform::CostModel model = platform::CostModel::link_busy(pricing_mesh());
   const auto& qs = pricing_queries();

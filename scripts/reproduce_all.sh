@@ -92,6 +92,7 @@ echo "== bench_micro (platform pricing hot path)"
   echo "Platform cost-model pricing hot path (bench_micro --benchmark_filter=BM_Comm)"
   echo "P = 32; routed/link-busy over a 4x8 mesh; 4096 pre-generated remote queries per iteration."
   echo "Per-query cost = Time / 4096 (items_per_second counts individual queries)."
+  echo "BM_CommLinkBusyArrivals: one query = one arrivals() row pricing all 32 destinations."
   echo
   "$build/bench/bench_micro" --benchmark_filter='BM_Comm' \
     --benchmark_min_time=0.5 2>/dev/null | sed -n '/^---/,$p'

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "flb/core/scratch.hpp"
@@ -43,8 +45,7 @@ class Engine {
         s_(prepared(scratch, g.num_tasks(), sched.num_procs())),
         num_procs_(sched.num_procs()),
         sched_(sched),
-        model_(make_model(num_procs_, std::move(alive), release, degraded,
-                          scratch.arena())) {
+        model_(make_model(num_procs_, std::move(alive), release, degraded)) {
     // Routed or cold-cache pricing makes EST destination-dependent beyond
     // the clique model, so candidate selection switches to exact pricing.
     exact_mode_ = model_.exact_pricing();
@@ -67,8 +68,8 @@ class Engine {
   }
 
  private:
-  // Re-dimension the scratch before any other member needs it (the cost
-  // model borrows its arena, so this must run first in the init order).
+  // Re-dimension the scratch before any other member reads it (s_ is
+  // initialized first, so this runs first in the init order).
   static core::Scratch& prepared(core::Scratch& s, TaskId num_tasks,
                                  ProcId num_procs) {
     s.prepare(num_tasks, num_procs);
@@ -99,19 +100,17 @@ class Engine {
   // paper's clique on a fresh run, routed hop counts or store-and-forward
   // link reservations when the resume context carries a topology, plus the
   // context's availability windows and degraded execution parameters. The
-  // topology-backed models carve their route caches out of the scratch
-  // arena (the borrowed-scratch path), so they share the engine's
-  // reset-between-runs allocation discipline.
+  // topology-backed models borrow the topology's routing tables, so
+  // building one copies nothing per run.
   static platform::CostModel make_model(ProcId procs, std::vector<bool> alive,
                                         Cost release,
-                                        const FlbResumeContext* ctx,
-                                        Arena& arena) {
+                                        const FlbResumeContext* ctx) {
     const Topology* topo = ctx != nullptr ? ctx->topology : nullptr;
     platform::CostModel m =
         topo == nullptr
             ? platform::CostModel::clique(procs)
-            : (ctx->link_busy ? platform::CostModel::link_busy(*topo, &arena)
-                              : platform::CostModel::routed(*topo, &arena));
+            : (ctx->link_busy ? platform::CostModel::link_busy(*topo)
+                              : platform::CostModel::routed(*topo));
     platform::Availability a;
     a.release = release;
     a.alive = std::move(alive);
@@ -149,6 +148,31 @@ class Engine {
     for (const Adj& in : g_.predecessors(t))
       est = std::max(est, arrival_at(in, p));
     return est;
+  }
+
+  // The alive processor with the least exact EST of t (the smaller id on a
+  // tie) and that EST; kInvalidProc if none starts before kInfiniteTime.
+  // exact_est(t, p) for every p at once: each predecessor's output is
+  // priced to all processors by one arrivals() row, and the rows are
+  // folded into est[p] in predecessor order with the same max().
+  std::pair<ProcId, Cost> exact_min_est(TaskId t) {
+    const std::span<Cost> est = s_.proc_est;
+    const std::span<Cost> row = s_.proc_arrival;
+    for (ProcId p = 0; p < num_procs_; ++p) est[p] = prt(p);
+    for (const Adj& in : g_.predecessors(t)) {
+      model_.arrivals(sched_.proc(in.node), in.comm, sched_.finish(in.node),
+                      row);
+      for (ProcId p = 0; p < num_procs_; ++p)
+        est[p] = std::max(est[p], row[p]);
+    }
+    ProcId best = kInvalidProc;
+    Cost best_est = kInfiniteTime;
+    for (ProcId p = 0; p < num_procs_; ++p)
+      if (model_.alive(p) && est[p] < best_est) {
+        best_est = est[p];
+        best = p;
+      }
+    return {best, best_est};
   }
 
   // Wall-time cost of running t on p: the platform model's exec pricing —
@@ -201,14 +225,7 @@ class Engine {
     if (have_non_ep) {
       t2 = static_cast<TaskId>(s_.non_ep.top());
       if (exact_mode_) {
-        for (ProcId p = 0; p < num_procs_; ++p) {
-          if (!model_.alive(p)) continue;
-          const Cost est = exact_est(t2, p);
-          if (est < est2) {
-            est2 = est;
-            p2 = p;
-          }
-        }
+        std::tie(p2, est2) = exact_min_est(t2);
       } else {
         p2 = static_cast<ProcId>(s_.all_procs.top());
         est2 = std::max(s_.lmt[t2], prt(p2));

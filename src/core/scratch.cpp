@@ -23,6 +23,8 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   lmt_ep_heap.reset(arena_, v, p);
   active_procs.bind(arena_, p);
   all_procs.bind(arena_, p);
+  proc_est = arena_.alloc<Cost>(p);
+  proc_arrival = arena_.alloc<Cost>(p);
 }
 
 }  // namespace flb::core

@@ -62,11 +62,6 @@ class Scratch {
   [[nodiscard]] TaskId num_tasks() const { return tasks_; }
   [[nodiscard]] ProcId num_procs() const { return procs_; }
 
-  /// The backing arena — also borrowed by per-run platform::CostModel
-  /// pricing caches (routed hop costs, link-busy route tables), so the
-  /// whole run draws from one reset-between-runs pool.
-  [[nodiscard]] Arena& arena() { return arena_; }
-
   // -- SoA ready-task state (parallel arrays indexed by task id) ----------
   std::span<Cost> tie;        ///< tie-break priority (bottom level et al.)
   std::span<Cost> lmt;        ///< last message arrival time
@@ -77,6 +72,10 @@ class Scratch {
   // -- Temporaries for the tie-priority sweep -----------------------------
   std::span<TaskId> topo_order;     ///< topological order workspace
   std::span<std::uint32_t> degree;  ///< in-degree workspace
+
+  // -- Exact-pricing rows (parallel arrays indexed by processor id) -------
+  std::span<Cost> proc_est;      ///< EST of the scanned task on each proc
+  std::span<Cost> proc_arrival;  ///< one predecessor's arrival on each proc
 
   // -- The paper's task and processor lists as indexed d-ary heaps --------
   DaryIndexedHeap<TaskKey> non_ep;          ///< non-EP ready tasks, by LMT

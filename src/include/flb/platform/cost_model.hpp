@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "flb/graph/task_graph.hpp"
 #include "flb/platform/speed_profile.hpp"
 #include "flb/sim/topology.hpp"
-#include "flb/util/arena.hpp"
 #include "flb/util/types.hpp"
 
 /// \file cost_model.hpp
@@ -34,6 +32,9 @@
 ///      same route, claims the links, and logs a LinkOccupancy per hop so
 ///      schedules can be audited against link exclusivity
 ///      (validate_link_occupancies).
+///    `arrivals(src, bytes, finish, out)` prices one message to every
+///    destination at once — in link-busy mode by one walk of the source's
+///    route tree (Topology::route_tree) instead of P route probes.
 ///  * **Execution** — `exec(g, t, p, start)`: per-task work overrides
 ///    (checkpoint-resumed remainders), related-machines speed factors,
 ///    per-task additive wall time (checkpoint writes), or full segment-
@@ -117,21 +118,15 @@ class CostModel {
  public:
   /// P fully connected processors, contention-free — the paper's machine.
   static CostModel clique(ProcId num_procs);
-  /// Hop-count pricing over `topology` (not owned; must outlive the model).
-  /// Per-pair hop costs are cached at construction so comm() never chases
-  /// back into the Topology (BM_CommRouted was 2x the clique price at P=32
-  /// before this cache). With `scratch` set, the cache is carved out of
-  /// that arena instead of the heap — the borrowed-scratch path used by the
-  /// FLB engine so per-run model construction allocates nothing; the model
-  /// (and any copy of it) must then not outlive the arena's next reset().
-  /// Without `scratch` the cache is heap-owned and shared across copies.
-  static CostModel routed(const Topology& topology, Arena* scratch = nullptr);
-  /// Store-and-forward link reservations over `topology` (not owned). The
-  /// per-pair link routes are cached in CSR form at construction, so
-  /// probing and committing walk a flat span instead of materializing a
-  /// route vector per query. `scratch` as in routed().
-  static CostModel link_busy(const Topology& topology,
-                             Arena* scratch = nullptr);
+  /// Hop-count pricing over `topology` (not owned; must outlive the model
+  /// and every copy of it). comm() reads the topology's hop table through
+  /// a span the model keeps, so a query costs one lookup and no pointer
+  /// chase; the model copies nothing of it.
+  static CostModel routed(const Topology& topology);
+  /// Store-and-forward link reservations over `topology` (not owned, as in
+  /// routed()). Probes and commits walk the topology's CSR routes;
+  /// arrivals() walks its route trees.
+  static CostModel link_busy(const Topology& topology);
 
   [[nodiscard]] ProcId num_procs() const { return procs_; }
   [[nodiscard]] CommMode mode() const { return mode_; }
@@ -222,8 +217,7 @@ class CostModel {
     if (src == dst) return depart;
     if (mode_ == CommMode::kClique) return depart + message_cost(bytes);
     if (mode_ == CommMode::kRoutedHops)
-      return depart + message_cost(bytes) *
-                          hop_cost_[std::size_t{src} * procs_ + dst];
+      return depart + message_cost(bytes) * routed_hops(src, dst);
     return probe_route(src, dst, bytes, depart);
   }
 
@@ -241,6 +235,14 @@ class CostModel {
     }
     return comm(src, dst, bytes, finish);
   }
+
+  /// arrival(src, p, bytes, finish) for every processor p, written to
+  /// `out[p]` (`out` holds num_procs() entries). Bit-identical to the P
+  /// separate calls in every mode; in link-busy mode one walk of src's
+  /// route tree visits P - 1 links where P probes would visit the sum of
+  /// all hop counts.
+  void arrivals(ProcId src, Cost bytes, Cost finish,
+                std::span<Cost> out) const;
 
   /// As comm(), but in link-busy mode the route's links are reserved: each
   /// hop is logged as a LinkOccupancy and extends that link's free time.
@@ -265,42 +267,19 @@ class CostModel {
   [[nodiscard]] Cost total_link_busy() const;
 
  private:
-  CostModel(CommMode mode, ProcId procs, const Topology* topo, Arena* scratch);
+  CostModel(CommMode mode, ProcId procs, const Topology* topo);
 
-  /// Fill the per-pair pricing caches from topo_: hop costs for routed
-  /// mode, CSR link routes for link-busy. Storage comes from `scratch` when
-  /// given (the borrowed-scratch path — zero heap allocation), else from a
-  /// heap block shared across copies of this model.
-  void build_route_cache(Arena* scratch);
+  [[nodiscard]] Cost routed_hops(ProcId src, ProcId dst) const {
+    return static_cast<Cost>(hops_[std::size_t{src} * procs_ + dst]);
+  }
 
   [[nodiscard]] Cost probe_route(ProcId src, ProcId dst, Cost bytes,
                                  Cost depart) const;
 
-  /// The cached route of (src, dst) as a flat span of dense link indices.
-  [[nodiscard]] std::span<const std::size_t> route_span(ProcId src,
-                                                        ProcId dst) const {
-    const std::size_t pair = std::size_t{src} * procs_ + dst;
-    return route_links_.subspan(route_offsets_[pair],
-                                route_offsets_[pair + 1] -
-                                    route_offsets_[pair]);
-  }
-
-  /// Heap backing for the pricing caches (null when arena-backed). Copies
-  /// of a model share it, so the spans below stay valid across copies.
-  struct RouteCacheStorage {
-    std::vector<Cost> hop_cost;
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> links;
-  };
-
   CommMode mode_;
   ProcId procs_;
-  const Topology* topo_;  // null in clique mode
-
-  std::shared_ptr<const RouteCacheStorage> cache_owner_;
-  std::span<const Cost> hop_cost_;             // routed: [src * P + dst]
-  std::span<const std::size_t> route_offsets_; // link-busy: CSR offsets
-  std::span<const std::size_t> route_links_;   // link-busy: CSR payload
+  const Topology* topo_;              // null in clique mode
+  std::span<const std::size_t> hops_;  // topo_->hop_table(), borrowed
 
   Availability avail_;
 

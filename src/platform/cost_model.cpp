@@ -26,89 +26,26 @@ Availability Availability::recovery(Cost release,
   return a;
 }
 
-CostModel::CostModel(CommMode mode, ProcId procs, const Topology* topo,
-                     Arena* scratch)
+CostModel::CostModel(CommMode mode, ProcId procs, const Topology* topo)
     : mode_(mode), procs_(procs), topo_(topo) {
+  if (topo_ != nullptr) hops_ = topo_->hop_table();
   if (mode_ == CommMode::kLinkBusy) {
     link_free_.assign(topo_->num_links(), 0.0);
     link_busy_.assign(topo_->num_links(), 0.0);
   }
-  if (topo_ != nullptr) build_route_cache(scratch);
 }
 
 CostModel CostModel::clique(ProcId num_procs) {
   FLB_REQUIRE(num_procs >= 1, "CostModel: at least one processor required");
-  return CostModel(CommMode::kClique, num_procs, nullptr, nullptr);
+  return CostModel(CommMode::kClique, num_procs, nullptr);
 }
 
-CostModel CostModel::routed(const Topology& topology, Arena* scratch) {
-  return CostModel(CommMode::kRoutedHops, topology.num_nodes(), &topology,
-                   scratch);
+CostModel CostModel::routed(const Topology& topology) {
+  return CostModel(CommMode::kRoutedHops, topology.num_nodes(), &topology);
 }
 
-CostModel CostModel::link_busy(const Topology& topology, Arena* scratch) {
-  return CostModel(CommMode::kLinkBusy, topology.num_nodes(), &topology,
-                   scratch);
-}
-
-void CostModel::build_route_cache(Arena* scratch) {
-  const std::size_t pairs = std::size_t{procs_} * procs_;
-  std::shared_ptr<RouteCacheStorage> owned;
-  if (scratch == nullptr) owned = std::make_shared<RouteCacheStorage>();
-
-  if (mode_ == CommMode::kRoutedHops) {
-    // comm() multiplies by the hop count on every remote query; caching the
-    // already-cast Cost keeps the arithmetic identical to calling
-    // topo_->hops() while removing the per-query indirection.
-    std::span<Cost> hop;
-    if (scratch != nullptr) {
-      hop = scratch->alloc<Cost>(pairs);
-    } else {
-      owned->hop_cost.resize(pairs);
-      hop = owned->hop_cost;
-    }
-    for (ProcId src = 0; src < procs_; ++src)
-      for (ProcId dst = 0; dst < procs_; ++dst)
-        hop[std::size_t{src} * procs_ + dst] =
-            static_cast<Cost>(topo_->hops(src, dst));
-    hop_cost_ = hop;
-  }
-
-  if (mode_ == CommMode::kLinkBusy) {
-    // Probe/commit walk a route per query; the CSR cache flattens every
-    // route once so the hot path never materializes a vector.
-    std::span<std::size_t> offsets;
-    if (scratch != nullptr) {
-      offsets = scratch->alloc<std::size_t>(pairs + 1);
-    } else {
-      owned->offsets.resize(pairs + 1);
-      offsets = owned->offsets;
-    }
-    offsets[0] = 0;
-    for (std::size_t pair = 0; pair < pairs; ++pair) {
-      const ProcId src = static_cast<ProcId>(pair / procs_);
-      const ProcId dst = static_cast<ProcId>(pair % procs_);
-      offsets[pair + 1] = offsets[pair] + topo_->hops(src, dst);
-    }
-    std::span<std::size_t> links;
-    if (scratch != nullptr) {
-      links = scratch->alloc<std::size_t>(offsets[pairs]);
-    } else {
-      owned->links.resize(offsets[pairs]);
-      links = owned->links;
-    }
-    for (ProcId src = 0; src < procs_; ++src)
-      for (ProcId dst = 0; dst < procs_; ++dst) {
-        const std::size_t pair = std::size_t{src} * procs_ + dst;
-        topo_->route_into(src, dst,
-                          links.subspan(offsets[pair],
-                                        offsets[pair + 1] - offsets[pair]));
-      }
-    route_offsets_ = offsets;
-    route_links_ = links;
-  }
-
-  cache_owner_ = std::move(owned);
+CostModel CostModel::link_busy(const Topology& topology) {
+  return CostModel(CommMode::kLinkBusy, topology.num_nodes(), &topology);
 }
 
 void CostModel::set_availability(Availability a) {
@@ -156,11 +93,35 @@ Cost CostModel::probe_route(ProcId src, ProcId dst, Cost bytes,
                             Cost depart) const {
   const Cost hop_time = message_cost(bytes);
   Cost clock = depart;
-  for (std::size_t link : route_span(src, dst)) {
+  for (std::size_t link : topo_->route(src, dst)) {
     const Cost begin = std::max(clock, link_free_[link]);
     clock = begin + hop_time;
   }
   return clock;
+}
+
+void CostModel::arrivals(ProcId src, Cost bytes, Cost finish,
+                         std::span<Cost> out) const {
+  FLB_ASSERT(out.size() == procs_);
+  const Cost hop_time = message_cost(bytes);
+  switch (mode_) {
+    case CommMode::kClique:
+      std::fill(out.begin(), out.end(), finish + hop_time);
+      break;
+    case CommMode::kRoutedHops:
+      for (ProcId p = 0; p < procs_; ++p)
+        out[p] = finish + hop_time * routed_hops(src, p);
+      break;
+    case CommMode::kLinkBusy:
+      // Prefix closure: the route to e.node is the route to e.parent plus
+      // e.link, and the tree lists parents first, so out[e.parent] already
+      // holds the clock probe_route() would carry into that last hop.
+      out[src] = finish;
+      for (const Topology::TreeEdge& e : topo_->route_tree(src))
+        out[e.node] = std::max(out[e.parent], link_free_[e.link]) + hop_time;
+      break;
+  }
+  out[src] = arrival(src, src, bytes, finish);
 }
 
 Cost CostModel::commit(ProcId src, ProcId dst, Cost bytes, Cost depart) {
@@ -172,7 +133,7 @@ Cost CostModel::commit(ProcId src, ProcId dst, Cost bytes, Cost depart) {
   // returns the same instant.
   const Cost hop_time = message_cost(bytes);
   Cost clock = depart;
-  for (std::size_t link : route_span(src, dst)) {
+  for (std::size_t link : topo_->route(src, dst)) {
     const Cost begin = std::max(clock, link_free_[link]);
     link_free_[link] = begin + hop_time;
     link_busy_[link] += hop_time;

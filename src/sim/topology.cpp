@@ -74,22 +74,24 @@ Topology Topology::from_links(ProcId nodes,
   std::sort(links.begin(), links.end());
   links.erase(std::unique(links.begin(), links.end()), links.end());
   t.links_ = std::move(links);
-  t.neighbours_.assign(nodes, {});
+  std::vector<std::vector<ProcId>> neighbours(nodes);
   for (const auto& [a, b] : t.links_) {
-    t.neighbours_[a].push_back(b);
-    t.neighbours_[b].push_back(a);
+    neighbours[a].push_back(b);
+    neighbours[b].push_back(a);
   }
-  for (auto& nb : t.neighbours_) std::sort(nb.begin(), nb.end());
-  t.build_routes();
+  for (auto& nb : neighbours) std::sort(nb.begin(), nb.end());
+  t.build_routes(neighbours);
   return t;
 }
 
-void Topology::build_routes() {
+void Topology::build_routes(
+    const std::vector<std::vector<ProcId>>& neighbours) {
   const std::size_t n = nodes_;
-  next_hop_.assign(n * n, kInvalidProc);
-  hop_count_.assign(n * n, static_cast<std::size_t>(-1));
+  constexpr auto kUnreached = static_cast<std::size_t>(-1);
+  std::vector<ProcId> next_hop(n * n, kInvalidProc);  // [from * n + to]
+  hop_count_.assign(n * n, kUnreached);
 
-  // BFS from every destination so next_hop_[from][to] is the first step of
+  // BFS from every destination so next_hop[from][to] is the first step of
   // a shortest from->to path; neighbour lists are sorted, giving the
   // smallest-id tie-break.
   for (ProcId dest = 0; dest < nodes_; ++dest) {
@@ -99,23 +101,56 @@ void Topology::build_routes() {
     while (!q.empty()) {
       ProcId cur = q.front();
       q.pop();
-      for (ProcId nb : neighbours_[cur]) {
-        if (hop_count_[nb * n + dest] != static_cast<std::size_t>(-1))
-          continue;
+      for (ProcId nb : neighbours[cur]) {
+        if (hop_count_[nb * n + dest] != kUnreached) continue;
         hop_count_[nb * n + dest] = hop_count_[cur * n + dest] + 1;
-        next_hop_[nb * n + dest] = cur;
+        next_hop[nb * n + dest] = cur;
         q.push(nb);
       }
     }
   }
-  for (ProcId a = 0; a < nodes_; ++a)
-    for (ProcId b = 0; b < nodes_; ++b)
-      FLB_REQUIRE(hop_count_[a * n + b] != static_cast<std::size_t>(-1),
-                  "Topology: the network is not connected");
-}
+  for (std::size_t pair = 0; pair < n * n; ++pair)
+    FLB_REQUIRE(hop_count_[pair] != kUnreached,
+                "Topology: the network is not connected");
 
-std::size_t Topology::hops(ProcId from, ProcId to) const {
-  return hop_count_[from * nodes_ + to];
+  // Every route, flattened: route(from, to) is a span of route_links_.
+  route_offsets_.assign(n * n + 1, 0);
+  for (std::size_t pair = 0; pair < n * n; ++pair)
+    route_offsets_[pair + 1] = route_offsets_[pair] + hop_count_[pair];
+  route_links_.resize(route_offsets_[n * n]);
+  for (ProcId from = 0; from < nodes_; ++from)
+    for (ProcId to = 0; to < nodes_; ++to) {
+      std::size_t at = route_offsets_[from * n + to];
+      for (ProcId cur = from; cur != to;) {
+        const ProcId nxt = next_hop[cur * n + to];
+        route_links_[at++] = link_index(cur, nxt);
+        cur = nxt;
+      }
+    }
+
+  // One route tree per source: each destination hangs off the node its
+  // route reaches last before it. Prefix closure (see topology.hpp) makes
+  // the route to that parent the route to the destination minus its last
+  // link — checked here, since route_tree() callers rely on it.
+  tree_.reserve(n * (n - 1));
+  std::vector<ProcId> order(n);
+  for (ProcId from = 0; from < nodes_; ++from) {
+    for (ProcId to = 0; to < nodes_; ++to) order[to] = to;
+    std::stable_sort(order.begin(), order.end(), [&](ProcId a, ProcId b) {
+      return hops(from, a) < hops(from, b);
+    });
+    for (ProcId to : order) {
+      if (to == from) continue;
+      const std::span<const std::size_t> r = route(from, to);
+      const std::size_t last = r.back();
+      const ProcId parent =
+          links_[last].first == to ? links_[last].second : links_[last].first;
+      const std::span<const std::size_t> head = route(from, parent);
+      FLB_ASSERT(head.size() + 1 == r.size() &&
+                 std::equal(head.begin(), head.end(), r.begin()));
+      tree_.push_back({to, parent, last});
+    }
+  }
 }
 
 std::size_t Topology::link_index(ProcId a, ProcId b) const {
@@ -124,25 +159,6 @@ std::size_t Topology::link_index(ProcId a, ProcId b) const {
                              std::pair<ProcId, ProcId>(a, b));
   FLB_ASSERT(it != links_.end() && *it == std::make_pair(a, b));
   return static_cast<std::size_t>(it - links_.begin());
-}
-
-std::vector<std::size_t> Topology::route(ProcId from, ProcId to) const {
-  std::vector<std::size_t> out(hops(from, to));
-  route_into(from, to, out);
-  return out;
-}
-
-std::size_t Topology::route_into(ProcId from, ProcId to,
-                                 std::span<std::size_t> out) const {
-  std::size_t filled = 0;
-  ProcId cur = from;
-  while (cur != to) {
-    ProcId nxt = next_hop_[cur * nodes_ + to];
-    FLB_ASSERT(filled < out.size());
-    out[filled++] = link_index(cur, nxt);
-    cur = nxt;
-  }
-  return filled;
 }
 
 std::size_t Topology::diameter() const {

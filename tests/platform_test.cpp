@@ -1,5 +1,6 @@
 #include "flb/platform/cost_model.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -17,7 +18,9 @@
 #include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
+#include "flb/util/rng.hpp"
 #include "flb/workloads/paper_example.hpp"
+#include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
 
 namespace flb {
@@ -111,6 +114,132 @@ TEST(PlatformGolden, FuzzCorpusBitIdentical) {
         << "fuzz[" << row.fuzz_index << "] P=" << row.procs << " ("
         << g.name() << ")";
   }
+}
+
+// Exact-scan goldens. Routed, link-busy and cold-cache resumes make EST
+// destination-dependent, so the engine prices the non-EP candidate on
+// every alive processor (the exact scan) instead of by Corollary 2. The
+// digests, makespans and occupancy counts below were captured from the
+// per-processor route-probe scan; any change to how that scan prices or
+// breaks ties shows here.
+
+// Laplace (V~200, CCR 5) on `procs` processors, fresh clique FLB run, cut
+// at 0.3 of its makespan: the kept prefix is every task finished by then.
+struct ExactProblem {
+  TaskGraph g;
+  Schedule prefix;
+  Cost release;
+};
+
+ExactProblem exact_problem(ProcId procs) {
+  WorkloadParams params;
+  params.ccr = 5.0;
+  params.seed = 7;
+  TaskGraph g = make_workload("Laplace", 200, params);
+  Schedule fresh = FlbScheduler().run(g, procs);
+  const Cost release = 0.3 * fresh.makespan();
+  Schedule prefix(procs, g.num_tasks());
+  for (TaskId t = 0; t < g.num_tasks(); ++t)
+    if (fresh.finish(t) <= release)
+      prefix.assign(t, fresh.proc(t), fresh.start(t), fresh.finish(t));
+  return {std::move(g), std::move(prefix), release};
+}
+
+struct ExactGolden {
+  const char* name;
+  double makespan;  // exact bits
+  std::uint64_t digest;
+  std::size_t occupancies;
+};
+
+void expect_golden(const ExactGolden& row, const Schedule& s,
+                   std::size_t occupancies) {
+  EXPECT_EQ(s.makespan(), row.makespan) << row.name;
+  EXPECT_EQ(schedule_digest(s), row.digest) << row.name;
+  EXPECT_EQ(occupancies, row.occupancies) << row.name;
+}
+
+TEST(PlatformGolden, ExactScanResumeBitIdentical) {
+  const Topology mesh = Topology::mesh2d(4, 4);
+  const Topology torus = Topology::torus2d(3, 3);
+  const Topology ring = Topology::ring(6);
+  const Topology star = Topology::star(6);
+  const struct {
+    const Topology* topology;  // null = clique
+    ProcId procs;
+    bool link_busy;
+    bool cold;
+    ExactGolden golden;
+  } kCases[] = {
+      {&mesh, 16, false, false,
+       {"routed mesh2d(4,4)", 0x1.4e5f5c040e4b9p+7, 7544541009401750329ull,
+        0}},
+      {&mesh, 16, true, false,
+       {"link-busy mesh2d(4,4)", 0x1.57c5cc6b4168bp+9,
+        4071136009641348822ull, 522}},
+      {&torus, 9, true, true,
+       {"link-busy torus2d(3,3) + cold", 0x1.eb81efeba2372p+8,
+        17534319478833599949ull, 633}},
+      {&ring, 6, true, false,
+       {"link-busy ring(6)", 0x1.a859ab6770057p+9, 4975385652519757329ull,
+        645}},
+      {&star, 6, true, false,
+       {"link-busy star(6)", 0x1.a5628482f9f48p+9, 14399552044354673513ull,
+        201}},
+      {nullptr, 8, false, true,
+       {"cold clique P=8", 0x1.1b4446f35e571p+7, 15954211974301007238ull,
+        0}},
+  };
+  for (const auto& c : kCases) {
+    ExactProblem pb = exact_problem(c.procs);
+    FlbResumeContext ctx;
+    ctx.alive.assign(c.procs, true);
+    ctx.alive[1] = false;
+    ctx.release = pb.release;
+    if (c.cold) {
+      // Processors 2 and 4 rebooted at the release: admitted from it, and
+      // their memories lost everything they produced before it.
+      ctx.proc_release.assign(c.procs, 0.0);
+      ctx.cold_before.assign(c.procs, 0.0);
+      for (ProcId p : {2u, 4u}) {
+        ctx.proc_release[p] = pb.release;
+        ctx.cold_before[p] = pb.release;
+      }
+    }
+    ctx.topology = c.topology;
+    ctx.link_busy = c.link_busy;
+    std::vector<LinkOccupancy> occ;
+    ctx.occupancy_log = c.link_busy ? &occ : nullptr;
+    Schedule s = FlbScheduler().resume(pb.g, pb.prefix, ctx);
+    ASSERT_TRUE(is_valid_schedule(pb.g, s)) << c.golden.name;
+    expect_golden(c.golden, s, occ.size());
+  }
+}
+
+TEST(PlatformGolden, LinkBusyGiveBackRepairBitIdentical) {
+  const Topology mesh = Topology::mesh2d(4, 4);
+  WorkloadParams params;
+  params.ccr = 5.0;
+  params.seed = 11;
+  TaskGraph g = make_workload("Laplace", 200, params);
+  Schedule nominal = FlbScheduler().run(g, 16);
+  const Cost span = nominal.makespan();
+  FaultPlan plan;
+  plan.failures = {{5, 0.25 * span}};
+  plan.rejoins = {{5, 0.45 * span}};
+  SimOptions sopts;
+  sopts.faults = &plan;
+  SimResult partial = simulate(g, nominal, sopts);
+  RepairOptions ropts;
+  ropts.horizon = plan.failures.front().time;
+  ropts.topology = &mesh;
+  ropts.link_busy = true;
+  RepairResult r = repair_schedule(g, nominal, partial, plan, ropts);
+  EXPECT_EQ(r.used, RepairStrategy::kFlbResume);
+  EXPECT_TRUE(validate_schedule(g, r.schedule, r.durations).empty());
+  expect_golden({"give-back repair link-busy mesh2d(4,4)",
+                 0x1.38c6678c45186p+9, 1358344950865371587ull, 389},
+                r.schedule, r.link_occupancies.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -285,6 +414,45 @@ TEST(CostModelTest, LinkBusyProbeCommitAndLog) {
   EXPECT_TRUE(m.occupancies().empty());
   EXPECT_EQ(m.total_hops(), 0u);
   EXPECT_EQ(m.comm(0, 1, 2.0, 0.0), 2.0);  // reservations gone
+}
+
+// arrivals() is P arrival() calls in one: bit-identical in every mode,
+// cold horizons included, against reservations left by seeded commits.
+TEST(CostModelTest, ArrivalsMatchPerDestinationArrival) {
+  std::uint64_t seed = 0;
+  for (const Topology& topo : test::topology_zoo()) {
+    const ProcId n = topo.num_nodes();
+    for (CommMode mode :
+         {CommMode::kClique, CommMode::kRoutedHops, CommMode::kLinkBusy}) {
+      CostModel m = mode == CommMode::kClique ? CostModel::clique(n)
+                    : mode == CommMode::kRoutedHops
+                        ? CostModel::routed(topo)
+                        : CostModel::link_busy(topo);
+      Rng rng(++seed);
+      m.set_latency_factor(rng.uniform(0.5, 2.0));
+      Availability a;
+      a.cold_before.assign(n, 0.0);
+      for (Cost& c : a.cold_before)
+        if (rng.bernoulli(0.4)) c = rng.uniform(0.0, 20.0);
+      m.set_availability(std::move(a));
+      std::vector<Cost> row(n);
+      for (int round = 0; round < 30; ++round) {
+        const auto src = static_cast<ProcId>(rng.next_below(n));
+        const Cost bytes = rng.uniform(0.0, 5.0);
+        const Cost depart = rng.uniform(0.0, 30.0);
+        (void)m.commit(src, static_cast<ProcId>(rng.next_below(n)), bytes,
+                       depart);
+        const Cost finish = rng.uniform(0.0, 30.0);
+        m.arrivals(src, bytes, finish, row);
+        for (ProcId p = 0; p < n; ++p)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(row[p]),
+                    std::bit_cast<std::uint64_t>(
+                        m.arrival(src, p, bytes, finish)))
+              << "mode " << static_cast<int>(mode) << ", " << n
+              << " nodes, seed " << seed << ": " << src << " -> " << p;
+      }
+    }
+  }
 }
 
 TEST(CostModelTest, ExecutionPricing) {

@@ -1,11 +1,15 @@
 #pragma once
 
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flb/graph/task_graph.hpp"
 #include "flb/sched/schedule.hpp"
 #include "flb/sched/validator.hpp"
+#include "flb/sim/topology.hpp"
+#include "flb/util/rng.hpp"
 #include "flb/workloads/workloads.hpp"
 
 /// \file test_support.hpp
@@ -69,6 +73,42 @@ inline TaskGraph fuzz_graph(std::size_t index) {
     default:
       return diamond_graph(3 + index % 4, params);
   }
+}
+
+/// Seeded random connected interconnect: a random spanning tree over
+/// shuffled node ids (each node links to a random earlier one) plus every
+/// other pair with probability `extra`.
+inline Topology random_topology(std::uint64_t seed, ProcId nodes,
+                                double extra) {
+  Rng rng(seed);
+  std::vector<ProcId> id(nodes);
+  std::iota(id.begin(), id.end(), ProcId{0});
+  rng.shuffle(id);
+  std::vector<std::pair<ProcId, ProcId>> links;
+  for (ProcId i = 1; i < nodes; ++i)
+    links.emplace_back(id[i], id[rng.next_below(i)]);
+  for (ProcId a = 0; a < nodes; ++a)
+    for (ProcId b = a + 1; b < nodes; ++b)
+      if (rng.bernoulli(extra)) links.emplace_back(a, b);
+  return Topology::from_links(nodes, std::move(links));
+}
+
+/// The interconnects routing properties are checked over: every built-in
+/// shape, including degenerate sizes, plus 24 seeded random connected
+/// graphs of 2-20 nodes, from spanning trees to graphs with a quarter of
+/// all node pairs linked.
+inline std::vector<Topology> topology_zoo() {
+  std::vector<Topology> out = {
+      Topology::clique(1),     Topology::clique(5),    Topology::ring(2),
+      Topology::ring(6),       Topology::ring(7),      Topology::mesh2d(1, 4),
+      Topology::mesh2d(3, 3),  Topology::mesh2d(4, 4), Topology::mesh2d(3, 5),
+      Topology::torus2d(2, 3), Topology::torus2d(3, 3),
+      Topology::torus2d(4, 5), Topology::star(2),      Topology::star(6),
+  };
+  for (std::uint64_t seed = 1; seed <= 24; ++seed)
+    out.push_back(random_topology(seed, static_cast<ProcId>(2 + seed % 19),
+                                  0.05 * static_cast<double>(seed % 6)));
+  return out;
 }
 
 }  // namespace flb::test

@@ -1,5 +1,8 @@
 // Tests for interconnect topologies and topology-aware schedule execution.
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "flb/core/flb.hpp"
@@ -80,11 +83,40 @@ TEST(Topology, StarShape) {
   EXPECT_EQ(t.link(r[1]), (std::pair<ProcId, ProcId>(0, 2)));
 }
 
+// Every route has hops(a, b) links and is prefix-closed: dropping its last
+// link (u, b) leaves the route from a to u. route_tree(a) lists exactly
+// those last links, one per other node, each after its parent's.
 TEST(Topology, RoutesAreConsistentWithHopCounts) {
-  Topology t = Topology::mesh2d(3, 3);
-  for (ProcId a = 0; a < 9; ++a)
-    for (ProcId b = 0; b < 9; ++b)
-      EXPECT_EQ(t.route(a, b).size(), t.hops(a, b)) << a << "->" << b;
+  for (const Topology& t : test::topology_zoo()) {
+    const ProcId n = t.num_nodes();
+    for (ProcId a = 0; a < n; ++a) {
+      for (ProcId b = 0; b < n; ++b) {
+        const auto r = t.route(a, b);
+        ASSERT_EQ(r.size(), t.hops(a, b)) << a << "->" << b;
+        if (a == b) continue;
+        const auto [x, y] = t.link(r.back());
+        ASSERT_TRUE(x == b || y == b) << a << "->" << b;
+        const ProcId u = x == b ? y : x;
+        const auto head = t.route(a, u);
+        ASSERT_EQ(head.size() + 1, r.size()) << a << "->" << b;
+        EXPECT_TRUE(std::equal(head.begin(), head.end(), r.begin()))
+            << "route " << a << "->" << b << " is not prefix-closed";
+      }
+      std::vector<bool> seen(n, false);
+      seen[a] = true;
+      const auto tree = t.route_tree(a);
+      ASSERT_EQ(tree.size(), n - 1u);
+      for (const Topology::TreeEdge& e : tree) {
+        ASSERT_LT(e.node, n);
+        EXPECT_FALSE(seen[e.node]) << "node " << e.node << " listed twice";
+        EXPECT_TRUE(seen[e.parent]) << "parent " << e.parent << " of "
+                                    << e.node << " listed after it";
+        seen[e.node] = true;
+        EXPECT_EQ(t.route(a, e.node).back(), e.link);
+        EXPECT_EQ(t.hops(a, e.node), t.hops(a, e.parent) + 1);
+      }
+    }
+  }
 }
 
 TEST(Topology, FromLinksDeduplicatesAndValidates) {
