@@ -9,7 +9,8 @@
 #include "flb/platform/cost_model.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/sim/topology.hpp"
-#include "flb/util/indexed_heap.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/rng.hpp"
 #include "flb/workloads/workloads.hpp"
 
@@ -56,7 +57,8 @@ void BM_HeapPushPop(benchmark::State& state) {
   Rng rng(3);
   std::vector<double> keys(n);
   for (double& k : keys) k = rng.next_double();
-  IndexedMinHeap<std::pair<double, std::size_t>> heap(n);
+  Arena arena;
+  DaryIndexedHeap<std::pair<double, std::size_t>> heap(arena, n);
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) heap.push(i, {keys[i], i});
     while (!heap.empty()) benchmark::DoNotOptimize(heap.pop());
@@ -69,7 +71,8 @@ BENCHMARK(BM_HeapPushPop)->Arg(64)->Arg(2048);
 void BM_HeapUpdate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
-  IndexedMinHeap<std::pair<double, std::size_t>> heap(n);
+  Arena arena;
+  DaryIndexedHeap<std::pair<double, std::size_t>> heap(arena, n);
   for (std::size_t i = 0; i < n; ++i) heap.push(i, {rng.next_double(), i});
   for (auto _ : state) {
     std::size_t id = rng.next_below(n);

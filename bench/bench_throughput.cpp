@@ -17,19 +17,15 @@
 
 #include "bench_common.hpp"
 #include "flb/serve/serve.hpp"
+#include "flb/util/fnv1a.hpp"
 
 namespace {
 
 // Chain per-request digests in input order into one batch fingerprint.
 std::uint64_t chain_digests(const std::vector<flb::serve::ScheduleResult>& rs) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : rs) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (r.digest >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  flb::Fnv1a h;
+  for (const auto& r : rs) h.add_u64(r.digest);
+  return h.value();
 }
 
 double percentile(std::vector<double> v, double p) {
@@ -136,15 +132,10 @@ int main(int argc, char** argv) {
     serve::ServiceStats st = service.stats();
     FLB_REQUIRE(st.completed == dags,
                 "bench_throughput: service lost requests");
-    std::uint64_t chained = 1469598103934665603ull;
-    for (std::size_t id = 0; id < dags; ++id) {
-      const std::uint64_t d = service.result(id).digest;
-      for (int i = 0; i < 8; ++i) {
-        chained ^= (d >> (8 * i)) & 0xff;
-        chained *= 1099511628211ull;
-      }
-    }
-    FLB_REQUIRE(chained == base_digest,
+    Fnv1a chained;
+    for (std::size_t id = 0; id < dags; ++id)
+      chained.add_u64(service.result(id).digest);
+    FLB_REQUIRE(chained.value() == base_digest,
                 "bench_throughput: service digests diverged from the batch");
     service.close();
     std::cout << "smoke: service ok (" << st.completed << " completed, "

@@ -5,8 +5,9 @@
 #include <vector>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -30,7 +31,8 @@ Clustering dsc_cluster(const TaskGraph& g) {
   // sequence runs through the highest-priority free task). tlevel of a free
   // task here is its earliest start on a fresh cluster, i.e. its LMT.
   using Key = std::tuple<Cost, TaskId>;  // (-(tlevel+blevel), id)
-  IndexedMinHeap<Key> free_tasks(n);
+  Arena arena;
+  DaryIndexedHeap<Key> free_tasks(arena, n);
 
   std::vector<std::size_t> unexamined_preds(n);
   std::vector<Cost> lmt(n, 0.0);          // arrival max over clustered preds

@@ -5,8 +5,9 @@
 #include <tuple>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -202,7 +203,8 @@ class DupEngine {
     const TaskId n = g_.num_tasks();
     std::vector<Cost> bl = bottom_levels(g_);
     using Key = std::tuple<Cost, TaskId>;
-    IndexedMinHeap<Key> ready(n);
+    Arena arena;
+    DaryIndexedHeap<Key> ready(arena, n);
     std::vector<std::size_t> unscheduled_preds(n);
     for (TaskId t = 0; t < n; ++t) {
       unscheduled_preds[t] = g_.in_degree(t);

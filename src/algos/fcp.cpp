@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -17,12 +18,13 @@ Schedule FcpScheduler::run(const TaskGraph& g, ProcId num_procs) {
   Schedule sched(num_procs, n);
   std::vector<Cost> bl = bottom_levels(g);
 
+  Arena arena;
   // Ready tasks by descending static priority (bottom level).
   using TaskKey = std::tuple<Cost, TaskId>;  // (-bottom level, id)
-  IndexedMinHeap<TaskKey> ready(n);
+  DaryIndexedHeap<TaskKey> ready(arena, n);
   // Processors by ascending ready time.
   using ProcKey = std::pair<Cost, ProcId>;
-  IndexedMinHeap<ProcKey> procs(num_procs);
+  DaryIndexedHeap<ProcKey> procs(arena, num_procs);
   for (ProcId p = 0; p < num_procs; ++p) procs.push(p, {0.0, p});
 
   std::vector<std::size_t> unscheduled_preds(n);

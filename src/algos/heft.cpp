@@ -4,8 +4,9 @@
 #include <tuple>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -92,7 +93,8 @@ Schedule run_list(const TaskGraph& g, const HeteroMachine& machine,
   const TaskId n = g.num_tasks();
   Schedule sched(machine.num_procs(), n);
   using Key = std::tuple<Cost, TaskId>;  // (-priority, id)
-  IndexedMinHeap<Key> ready(n);
+  Arena arena;
+  DaryIndexedHeap<Key> ready(arena, n);
   std::vector<std::size_t> unscheduled_preds(n);
   for (TaskId t = 0; t < n; ++t) {
     unscheduled_preds[t] = g.in_degree(t);
@@ -135,7 +137,8 @@ Schedule heft(const TaskGraph& g, platform::CostModel& model) {
   std::vector<Cost> priority = upward_ranks(g, model);
   Schedule sched(model.num_procs(), n);
   using Key = std::tuple<Cost, TaskId>;  // (-priority, id)
-  IndexedMinHeap<Key> ready(n);
+  Arena arena;
+  DaryIndexedHeap<Key> ready(arena, n);
   std::vector<std::size_t> unscheduled_preds(n);
   for (TaskId t = 0; t < n; ++t) {
     unscheduled_preds[t] = g.in_degree(t);

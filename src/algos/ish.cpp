@@ -5,8 +5,9 @@
 #include <vector>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -17,7 +18,8 @@ Schedule IshScheduler::run(const TaskGraph& g, ProcId num_procs) {
   std::vector<Cost> sl = computation_bottom_levels(g);
 
   using Key = std::tuple<Cost, TaskId>;  // (-static level, id)
-  IndexedMinHeap<Key> ready(n);
+  Arena arena;
+  DaryIndexedHeap<Key> ready(arena, n);
   std::vector<std::size_t> unscheduled_preds(n);
   for (TaskId t = 0; t < n; ++t) {
     unscheduled_preds[t] = g.in_degree(t);

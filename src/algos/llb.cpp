@@ -7,9 +7,9 @@
 
 #include "flb/graph/properties.hpp"
 #include "flb/sched/tentative.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/heap_forest.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -51,14 +51,16 @@ Schedule llb_map(const TaskGraph& g, const Clustering& clustering,
   using TaskKey = std::tuple<Cost, TaskId>;  // (-bottom level, id)
   using ProcKey = std::pair<Cost, ProcId>;   // (PRT, id)
 
+  Arena arena;
   // Ready tasks whose cluster is mapped, per destination processor. A task
   // is mapped to at most one processor, so one forest of P heaps sharing
   // the task id space suffices (O(V + P) setup).
-  IndexedHeapForest<TaskKey> proc_ready(n, num_procs);
+  DaryHeapForest<TaskKey> proc_ready(arena, n, num_procs);
   // Ready tasks of still-unmapped clusters.
-  IndexedMinHeap<TaskKey> unmapped_ready(n);
+  DaryIndexedHeap<TaskKey> unmapped_ready(arena, n);
   // All processors by ready time; processors with non-empty proc_ready.
-  IndexedMinHeap<ProcKey> procs_all(num_procs), procs_with_ready(num_procs);
+  DaryIndexedHeap<ProcKey> procs_all(arena, num_procs),
+      procs_with_ready(arena, num_procs);
   for (ProcId p = 0; p < num_procs; ++p) procs_all.push(p, {0.0, p});
 
   std::vector<ProcId> cluster_proc(clustering.num_clusters, kInvalidProc);

@@ -6,8 +6,9 @@
 
 #include "flb/graph/properties.hpp"
 #include "flb/sched/tentative.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 #include "flb/util/rng.hpp"
 
 namespace flb {
@@ -24,7 +25,8 @@ Schedule McpScheduler::run(const TaskGraph& g, ProcId num_procs) {
 
   // Ready list keyed by (ALAP, random tie key, id).
   using Key = std::tuple<Cost, double, TaskId>;
-  IndexedMinHeap<Key> ready(n);
+  Arena arena;
+  DaryIndexedHeap<Key> ready(arena, n);
   std::vector<std::size_t> unscheduled_preds(n);
   for (TaskId t = 0; t < n; ++t) {
     unscheduled_preds[t] = g.in_degree(t);

@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -47,7 +48,8 @@ Cost evaluate(const TaskGraph& g, UnionFind& uf, const std::vector<Cost>& bl,
   std::vector<Cost> cluster_ready(n, 0.0);
 
   using Key = std::tuple<Cost, TaskId>;  // (-bottom level, id)
-  IndexedMinHeap<Key> ready(n);
+  Arena arena;
+  DaryIndexedHeap<Key> ready(arena, n);
   std::vector<std::size_t> unscheduled_preds(n);
   for (TaskId t = 0; t < n; ++t) {
     unscheduled_preds[t] = g.in_degree(t);

@@ -12,8 +12,8 @@
 /// \file failure_detector.hpp
 /// Unreliable, heartbeat-based failure detection.
 ///
-/// The perfect-event controller (recovery_runtime.hpp) still trusts the
-/// simulator as a sensor: every SimEvent::kFailure is ground truth,
+/// The controller's oracle liveness source (recovery_runtime.hpp) trusts
+/// the simulator as a sensor: every SimEvent::kFailure is ground truth,
 /// delivered the instant it happens. A real distributed-memory machine has
 /// no such sensor — remote liveness is inferred from heartbeats that are
 /// late, lossy and sometimes wrong. This module models that inference as a

@@ -13,6 +13,7 @@
 #include "flb/sched/schedule.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sim/machine_sim.hpp"
+#include "flb/util/fnv1a.hpp"
 
 /// \file recovery_runtime.hpp
 /// Online, event-driven recovery: closed-loop repair with no fault oracle.
@@ -59,6 +60,14 @@
 ///  * *Graceful degradation*: whenever fewer than `degrade_below`
 ///    processors are observed alive, the repair uses the greedy
 ///    topological min-EST fallback instead of the resumed FLB engine.
+///
+/// **One loop, three liveness sources.** The same controller loop runs in
+/// every mode; only the source of remote-liveness knowledge changes: the
+/// simulator's own failure, rejoin and link events (the oracle default),
+/// observer 0's FailureDetector belief stream (use_detector), or the
+/// gossip quorum aggregate with observer 0's stream as a reachability view
+/// (use_gossip). Without a belief stream the loop reduces to reacting on
+/// observed events alone.
 ///
 /// Every continuation emitted inside the loop is checked with the
 /// durations-aware validator and the linter's feasibility tier before it
@@ -246,8 +255,9 @@ struct RepairInvocation {
   /// The windowed failure-rate MLE behind it (per processor per time unit).
   double failure_rate = 0.0;
   /// Processors excluded from new placements as unreachable-but-alive at
-  /// this reaction (partition-aware repair; 0 outside gossip mode and the
-  /// perfect-event loop's observed partitions).
+  /// this reaction (partition-aware repair): cut off from p0 by the
+  /// observed link outages, or — gossip mode — suspected by observer 0
+  /// while the cluster still trusts them.
   ProcId unreachable = 0;
   /// Self-tuning: the suspect-threshold multiplier in effect at this
   /// reaction (1 when self-tuning is off).
@@ -324,7 +334,8 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
 /// with newlines) — the text the event digest is computed over.
 std::string event_log_text(const std::vector<SimEvent>& events);
 
-/// FNV-1a 64-bit digest of a string (schedule text, event log text).
-std::uint64_t fnv1a_digest(const std::string& text);
+/// FNV-1a 64-bit digest of a string (schedule text, event log text); the
+/// shared implementation in flb/util/fnv1a.hpp.
+using flb::fnv1a_digest;
 
 }  // namespace flb::runtime

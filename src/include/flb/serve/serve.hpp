@@ -45,10 +45,11 @@
 
 namespace flb::serve {
 
-/// FNV-1a digest of a schedule's placements: for every task, the processor
-/// and the exact bit patterns of start and finish. Byte-identical to the
-/// golden-digest arithmetic in tests/platform_test.cpp, so serving-layer
-/// digests are directly comparable to the pinned pre-refactor goldens.
+/// FNV-1a digest (util/fnv1a.hpp) of a schedule's placements: for every
+/// task, the processor and the exact bit patterns of start and finish, each
+/// folded in as eight bytes. The golden-digest tests (platform_test,
+/// golden_test) pin schedules through this function, so serving-layer
+/// digests compare directly against them.
 std::uint64_t schedule_digest(const Schedule& s);
 
 /// One scheduling request: a task graph (not owned — it must outlive the

@@ -9,11 +9,16 @@
 #include "flb/util/error.hpp"
 
 /// \file dary_heap.hpp
-/// Arena-backed indexed d-ary min-heaps — the allocation-free rebuild of
-/// indexed_heap.hpp / heap_forest.hpp for the scheduling-as-a-service hot
-/// path.
+/// Arena-backed addressable d-ary min-heaps over dense integer ids: the one
+/// heap family behind every sorted list in flb — FLB's task and processor
+/// lists (core::Scratch) and the ready lists of every baseline scheduler.
 ///
-/// Two differences from the binary originals:
+/// The paper's list operations Enqueue / Dequeue / RemoveItem / BalanceList
+/// map onto push / pop / erase / update, each O(log n) in the size of the
+/// affected heap; contains, key_of and top are O(1). Tracking every id's
+/// position is what lets an arbitrary item be removed or re-keyed — the
+/// capability std::priority_queue lacks, and what FLB's O(V(log W + log P)
+/// + E) bound rests on.
 ///
 ///  * **Storage is borrowed, not owned.** bind()/reset() carve the heap
 ///    array, the position index and the key table out of a caller-supplied
@@ -27,10 +32,10 @@
 ///    real hardware because sift-up (the push/update direction FLB leans
 ///    on) touches half the cache lines.
 ///
-/// Selection order is identical to the binary heaps for any totally
-/// ordered key — flb keys embed the id as the final tie-break, so every
-/// top() is unique and schedules stay bit-identical regardless of heap
-/// shape. The golden-digest tests in tests/platform_test.cpp pin this.
+/// Pop order depends only on the keys, never on the heap's shape, whenever
+/// the key order is total — flb keys end in the id as the final tie-break,
+/// so every top() is unique. The golden-digest tests (platform_test,
+/// golden_test) pin the schedules that order produces.
 
 namespace flb {
 
@@ -44,6 +49,11 @@ class DaryIndexedHeap {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   DaryIndexedHeap() = default;
+
+  /// A heap bound to `arena` for ids in [0, capacity); see bind().
+  DaryIndexedHeap(Arena& arena, std::size_t capacity) {
+    bind(arena, capacity);
+  }
 
   /// Re-dimension for ids in [0, capacity), borrowing storage from
   /// `arena`. Previous contents are dropped. O(capacity) to clear the
@@ -184,10 +194,11 @@ class DaryIndexedHeap {
 
 /// A family of addressable d-ary min-heaps over one shared id space (each
 /// id in at most one heap at a time), with the shared per-id state —
-/// position, owning heap, key — borrowed from an Arena. The per-heap id
-/// arrays are owned, capacity-retaining vectors: their individual maxima
-/// are workload-dependent, so they warm up over the first runs and then
-/// never allocate again.
+/// position, owning heap, key — borrowed from an Arena. Sharing that state
+/// keeps setup O(V + P) where P separate heaps would cost O(V * P). The
+/// per-heap id arrays are owned, capacity-retaining vectors: their
+/// individual maxima are workload-dependent, so they warm up over the
+/// first runs and then never allocate again.
 template <typename Key, std::size_t Arity = 4>
 class DaryHeapForest {
   static_assert(Arity >= 2, "a heap needs at least two children per node");
@@ -196,6 +207,11 @@ class DaryHeapForest {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   DaryHeapForest() = default;
+
+  /// A forest bound to `arena`; see reset().
+  DaryHeapForest(Arena& arena, std::size_t num_items, std::size_t num_heaps) {
+    reset(arena, num_items, num_heaps);
+  }
 
   /// Re-dimension for `num_items` ids across `num_heaps` heaps. Shared
   /// per-id arrays come from `arena`; per-heap arrays are cleared but
@@ -309,9 +325,11 @@ class DaryHeapForest {
       }
       present += heap.size();
     }
+    // Membership lives in heap_of_: pos_ is only written for ids that
+    // entered a heap, so a never-pushed id's slot is uninitialized.
     std::size_t tracked = 0;
-    for (std::size_t p : pos_)
-      if (p != npos) ++tracked;
+    for (std::size_t h : heap_of_)
+      if (h != npos) ++tracked;
     return tracked == present;
   }
 

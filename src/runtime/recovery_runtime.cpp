@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -119,15 +120,6 @@ ProcId HorizonFaultView::observed_alive() const {
 
 // --- Digests ----------------------------------------------------------------
 
-std::uint64_t fnv1a_digest(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::string event_log_text(const std::vector<SimEvent>& events) {
   std::string text;
   for (const SimEvent& event : events) {
@@ -201,34 +193,95 @@ void check_continuation(const TaskGraph& g, const RepairResult& rep,
                   report.diagnostics.front().message);
 }
 
-/// The unreliable-detector controller: identical skeleton to the
-/// perfect-event loop below, but the simulator's kFailure/kRejoin events
-/// are invisible — remote liveness is *inferred* from the FailureDetector's
-/// belief stream, and the plan handed to each repair lists the controller's
-/// hypotheses (suspicion-to-exoneration windows), not the truth. Slowdowns,
-/// permanent message drops and task-kill telemetry stay directly observable:
-/// throttling is a local counter, a drop is the sender's own retry budget,
-/// and a lost dispatched task surfaces through durable-store lease expiry —
-/// none of them requires knowing whether a remote *processor* is alive.
-RuntimeResult run_detector_recovery(const TaskGraph& g,
-                                    const Schedule& nominal,
-                                    const FaultPlan& world,
-                                    const RuntimeOptions& options) {
+/// Where the controller's knowledge of remote liveness comes from: the only
+/// seam between the runtime's modes. The source decides which simulator
+/// events are sensed, which belief streams are merged into the observation
+/// stream, and whether the lookahead window widens to wait for a belief.
+///  * Oracle (no detector): the simulator is the sensor. Every SimEvent is
+///    observable, failures, rejoins and link cuts included, and no belief
+///    stream exists.
+///  * Detector: kFailure, kRejoin and link events are invisible; remote
+///    liveness is inferred from observer 0's FailureDetector stream, false
+///    positives and all. Slowdowns, permanent message drops and task-kill
+///    telemetry stay observable: throttling is a local counter, a drop is
+///    the sender's own retry budget, and a lost dispatched task surfaces
+///    through durable-store lease expiry — none of them requires knowing
+///    whether a remote *processor* is alive.
+///  * Gossip: the cluster-wide quorum aggregate replaces observer 0's
+///    stream, which rides beside it as the controller's own reachability
+///    view.
+class LivenessSource {
+ public:
+  LivenessSource(const FaultPlan& world, ProcId procs,
+                 const RuntimeOptions& options)
+      : gossip_(options.use_detector && options.use_gossip),
+        quorum_(options.quorum) {
+    if (options.use_detector) detector_.emplace(world, procs);
+  }
+
+  [[nodiscard]] bool has_beliefs() const { return detector_.has_value(); }
+
+  [[nodiscard]] bool senses(SimEventKind kind) const {
+    return !has_beliefs() || (kind != SimEventKind::kFailure &&
+                              kind != SimEventKind::kRejoin &&
+                              kind != SimEventKind::kLinkPartitioned &&
+                              kind != SimEventKind::kLinkHealed);
+  }
+
+  /// The liveness stream the controller acts on, up to `until`.
+  [[nodiscard]] std::vector<BeliefEvent> beliefs(Cost until) const {
+    if (!detector_) return {};
+    return gossip_ ? detector_->quorum_beliefs(quorum_, until)
+                   : detector_->beliefs(until);
+  }
+
+  /// Observer 0's reachability beliefs up to `until` (gossip mode only).
+  [[nodiscard]] std::vector<BeliefEvent> local_view(Cost until) const {
+    if (!gossip_) return {};
+    return detector_->beliefs(until);
+  }
+
+ private:
+  std::optional<FailureDetector> detector_;
+  bool gossip_;
+  ProcId quorum_;
+};
+
+}  // namespace
+
+RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
+                                  const FaultPlan& world,
+                                  const RuntimeOptions& options) {
   const TaskId n = g.num_tasks();
   const ProcId procs = nominal.num_procs();
-  FLB_REQUIRE(world.heartbeat.enabled(),
-              "run_online_recovery: use_detector requires a heartbeat "
-              "section in the world plan (heartbeat.period > 0)");
-  const FailureDetector detector(world, procs);
+  FLB_REQUIRE(nominal.complete(),
+              "run_online_recovery: the nominal schedule must be complete");
+  FLB_REQUIRE(nominal.num_tasks() == n,
+              "run_online_recovery: schedule and graph disagree on the task "
+              "count");
+  FLB_REQUIRE(options.debounce >= 0.0 && options.backoff_base >= 0.0,
+              "run_online_recovery: debounce and backoff_base must be "
+              "non-negative");
+  world.validate(procs);
+  if (options.use_detector) {
+    FLB_REQUIRE(world.heartbeat.enabled(),
+                "run_online_recovery: use_detector requires a heartbeat "
+                "section in the world plan (heartbeat.period > 0)");
+    FLB_REQUIRE(!options.use_gossip || options.quorum >= 1,
+                "run_online_recovery: use_gossip requires a quorum of at "
+                "least one observer");
+    FLB_REQUIRE(!options.self_tune || options.tune_raise > 1.0,
+                "run_online_recovery: self_tune requires tune_raise > 1");
+  }
+  const LivenessSource source(world, procs, options);
   const HeartbeatConfig& hb = world.heartbeat;
-  FLB_REQUIRE(!options.use_gossip || options.quorum >= 1,
-              "run_online_recovery: use_gossip requires a quorum of at "
-              "least one observer");
-  FLB_REQUIRE(!options.self_tune || options.tune_raise > 1.0,
-              "run_online_recovery: self_tune requires tune_raise > 1");
 
   HorizonFaultView view(world, procs);
   Schedule current = nominal;
+  // Effective remaining work per task, fed back to the simulator as
+  // SimOptions::work_override: once a kill with durably checkpointed work is
+  // observed, the re-executed task carries only its unprotected remainder —
+  // the world honors checkpoint resume across repairs.
   std::vector<Cost> remaining(n, kUndefinedTime);
   std::vector<Cost> last_durations;
   std::vector<RepairInvocation> repairs;
@@ -242,7 +295,8 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
   // 2 confirmed dead. open_since is the hypothesized death instant (the
   // suspicion time); closed holds finished hypothesis windows — a
   // confirmed death whose processor was later heard from again is treated
-  // as a reboot with cold caches.
+  // as a reboot with cold caches. Without a belief stream every processor
+  // stays trusted and the view's observed failures carry liveness alone.
   std::vector<int> belief(procs, 0);
   std::vector<Cost> open_since(procs, 0.0);
   std::vector<std::vector<std::pair<Cost, Cost>>> closed(procs);
@@ -254,6 +308,11 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
   std::size_t false_alarms = 0, confirmations = 0, spec_tasks = 0;
   Cost spec_waste = 0.0;
   std::vector<Cost> confirm_times;
+  // A processor is written off (its queue migrates) once confirmed dead —
+  // or, when speculating, from the first suspicion on.
+  auto listed_dead = [&](ProcId p) {
+    return options.speculate ? belief[p] != 0 : belief[p] == 2;
+  };
 
   // Gossip mode: the controller's own (observer-0) view, kept beside the
   // cluster-wide stream. A processor suspected locally while the cluster
@@ -289,11 +348,16 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
   sim_options.work_override = &remaining;
   sim_options.checkpoint_interval = &ckpt_interval;
   sim_options.event_log = &log;
+  // Causal continuation replay: repaired start times encode release
+  // instants and rejoin admissions, so they are hard earliest-start
+  // constraints — and a task that had not started when its processor died
+  // must return to the queue, not count as killed, or give-back after a
+  // rejoin could never execute.
   sim_options.honor_start_times = true;
 
-  // One merged observation: a directly observable SimEvent (src 0), a
-  // liveness belief from the consumed stream (src 1), or — gossip mode —
-  // an observer-0 reachability belief (src 2).
+  // One merged observation: a sensed SimEvent (src 0), a liveness belief
+  // from the source's stream (src 1), or — gossip mode — an observer-0
+  // reachability belief (src 2).
   struct Obs {
     Cost time = 0.0;
     int src = 0;
@@ -301,18 +365,11 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
     BeliefEvent bel{};
   };
 
-  // The liveness stream the controller acts on: the gossip aggregate when
-  // enabled, the legacy observer-0 stream otherwise.
-  auto source = [&](Cost until) {
-    return options.use_gossip
-               ? detector.quorum_beliefs(options.quorum, until)
-               : detector.beliefs(until);
-  };
   // Does the stream exonerate p in (after, by]? Pure lookahead into the
   // prefix-stable belief stream — used by the self-tuned threshold to tell
   // a silence the raised threshold would outlast from a real one.
   auto exonerated_by = [&](ProcId p, Cost after, Cost by) {
-    for (const BeliefEvent& e : source(by))
+    for (const BeliefEvent& e : source.beliefs(by))
       if (e.proc == p && e.time > after)
         return e.kind == BeliefKind::kExonerated && e.time <= by;
     return false;
@@ -326,10 +383,16 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
   std::vector<Obs> batch;
   std::vector<ProcId> newly_suspected;
   std::vector<char> exonerated_now;
+  std::vector<LinkOutage> outages;
   FaultPlan bp;
   RepairOptions repair_options;
   repair_options.flb = options.flb;
   repair_options.dropped_data = DroppedDataPolicy::kReexecuteProducers;
+  // Every iteration observes at least one new event or belief (or breaks),
+  // and the observation space is finite — machine events are fixed by the
+  // plan, task kills are keyed by the plan's finite death instants, message
+  // drops by edge, beliefs by the prefix-stable stream. The cap is a
+  // runaway backstop, far above any real episode.
   const std::size_t cap = 1000 + 32 * (static_cast<std::size_t>(n) +
                                        g.num_edges() + procs);
   for (std::size_t iter = 0;; ++iter) {
@@ -337,29 +400,28 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
                 "run_online_recovery: controller failed to converge");
     sim = simulate(g, current, sim_options);
 
+    // Fresh observations, in time order. Once the execution runs to
+    // completion, anything at or beyond its makespan can no longer affect
+    // anything — a controller that has seen every task finish stops
+    // reacting.
     auto collect = [&](Cost until) {
       fresh.clear();
       for (const SimEvent& event : log) {
-        if (event.kind == SimEventKind::kFailure ||
-            event.kind == SimEventKind::kRejoin ||
-            event.kind == SimEventKind::kLinkPartitioned ||
-            event.kind == SimEventKind::kLinkHealed)
-          continue;  // remote liveness and link state cannot be sensed
+        if (!source.senses(event.kind)) continue;
         if (view.observed(event)) continue;
         if (sim.complete() && event.time >= sim.makespan) continue;
         fresh.push_back({event.time, 0, event, {}});
       }
-      for (const BeliefEvent& b : source(until)) {
+      for (const BeliefEvent& b : source.beliefs(until)) {
         if (belief_seen.count(b.key()) != 0) continue;
         if (sim.complete() && b.time >= sim.makespan) continue;
         fresh.push_back({b.time, 1, {}, b});
       }
-      if (options.use_gossip)
-        for (const BeliefEvent& b : detector.beliefs(until)) {
-          if (local_seen.count(b.key()) != 0) continue;
-          if (sim.complete() && b.time >= sim.makespan) continue;
-          fresh.push_back({b.time, 2, {}, b});
-        }
+      for (const BeliefEvent& b : source.local_view(until)) {
+        if (local_seen.count(b.key()) != 0) continue;
+        if (sim.complete() && b.time >= sim.makespan) continue;
+        fresh.push_back({b.time, 2, {}, b});
+      }
       std::sort(fresh.begin(), fresh.end(), [](const Obs& a, const Obs& b) {
         if (a.time != b.time) return a.time < b.time;
         if (a.src != b.src) return a.src < b.src;
@@ -373,14 +435,15 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
     // cover a full confirm window, and widen geometrically when an
     // incomplete execution is waiting on a belief further out (the rescue
     // confirmation of a silently dead processor, or the exoneration of a
-    // falsely suspected one).
-    const Cost slack =
-        hb.period * (hb.confirm_after + hb.delay_factor + 2.0);
-    Cost ref = std::max(view.horizon(), sim.makespan);
-    if (!log.empty()) ref = std::max(ref, log.back().time);
-    Cost until = ref + slack;
+    // falsely suspected one). Sensed events need no window: the log holds
+    // them all.
+    Cost until = std::max(view.horizon(), sim.makespan);
+    if (!log.empty()) until = std::max(until, log.back().time);
+    if (source.has_beliefs())
+      until += hb.period * (hb.confirm_after + hb.delay_factor + 2.0);
     collect(until);
-    for (int grow = 0; fresh.empty() && !sim.complete() && grow < 60;
+    for (int grow = 0; source.has_beliefs() && fresh.empty() &&
+                       !sim.complete() && grow < 60;
          ++grow) {
       until *= 2.0;
       collect(until);
@@ -483,17 +546,17 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
                                                                   : 2;
     };
 
-    // In confirm-then-repair mode a suspicion (or the exoneration of a
-    // mere suspect) changes nothing the controller would act on: consume
-    // such leading beliefs passively, without a reaction. A suspicion the
-    // self-tuned threshold absorbs is likewise passive knowledge, and so
-    // is a local (observer-0) belief that merely *adds* the subject to the
-    // unreachable set: the controller cannot retract the schedule already
-    // installed behind the cut, so going dark re-plans nothing — the mask
-    // is recorded and constrains whatever belief-driven repair comes next.
-    // Only the belief that *removes* a processor from the set reacts: the
-    // link healed, and a reconciliation repair re-balances whatever fell
-    // behind the partition.
+    // Every sensed event triggers a reaction. In confirm-then-repair mode
+    // a suspicion (or the exoneration of a mere suspect) changes nothing
+    // the controller would act on: consume such leading beliefs passively,
+    // without a reaction. A suspicion the self-tuned threshold absorbs is
+    // likewise passive knowledge, and so is a local (observer-0) belief
+    // that merely *adds* the subject to the unreachable set: the controller
+    // cannot retract the schedule already installed behind the cut, so
+    // going dark re-plans nothing — the mask is recorded and constrains
+    // whatever belief-driven repair comes next. Only the belief that
+    // *removes* a processor from the set reacts: the link healed, and a
+    // reconciliation repair re-balances whatever fell behind the partition.
     auto actionable = [&](const Obs& o) {
       if (o.src == 2) {
         const bool now =
@@ -519,23 +582,32 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
     }
     if (idx == fresh.size()) continue;  // only passive knowledge this round
 
+    // Debounce: coalesce everything within the window opened by the first
+    // actionable observation into one reaction.
     const Cost observed_at = fresh[idx].time;
     const Cost batch_end = observed_at + options.debounce;
     batch.clear();
     for (std::size_t i = idx; i < fresh.size(); ++i)
       if (fresh[i].time <= batch_end) batch.push_back(fresh[i]);
 
-    // Bounded retry, keyed on the detector-mode analog of the perfect
-    // loop's re-strike: a *confirmation* hitting a processor the previous
-    // repair migrated work onto.
+    // Bounded retry: a failure — observed, or confirmed by the stream —
+    // striking a processor the previous repair migrated work onto pushes
+    // the next repair back exponentially; past the retry budget the
+    // optimizing engine is no longer trusted.
     std::size_t attempt = 0;
-    for (const Obs& o : batch)
-      if (o.src == 1 && o.bel.kind == BeliefKind::kConfirmedDead &&
-          repair_targets[o.bel.proc] != 0) {
+    for (const Obs& o : batch) {
+      const bool strike =
+          o.src == 0 ? o.ev.kind == SimEventKind::kFailure &&
+                           repair_targets[o.ev.proc] != 0
+                     : o.src == 1 &&
+                           o.bel.kind == BeliefKind::kConfirmedDead &&
+                           repair_targets[o.bel.proc] != 0;
+      if (strike) {
         attempt = ++retry_attempts;
         if (retry_attempts > options.max_retries) force_greedy = true;
         break;
       }
+    }
     Cost horizon = std::max(view.horizon(), batch_end);
     if (attempt > 0)
       horizon += options.backoff_base *
@@ -589,49 +661,52 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
     inv.promoted = promoted;
     inv.cancelled = cancelled;
     inv.suspect_scale = scale;
-    ProcId usable = 0;
     for (ProcId p = 0; p < procs; ++p) {
       if (belief[p] == 1) ++inv.suspects;
-      const bool listed_dead =
-          options.speculate ? belief[p] != 0 : belief[p] == 2;
-      if (!listed_dead) ++usable;
+      if (!view.observed_dead(p) && !listed_dead(p)) ++inv.survivors;
     }
-    inv.survivors = usable;
 
-    // Partition-aware placement: a processor the controller suspects
-    // locally while the cluster-wide stream still trusts it is unreachable
-    // from the controller, not dead — no new placements go there, its
-    // in-flight task is pinned, and the local exoneration (the heal)
-    // triggers the reconciliation repair that hands its queue back.
+    // Partition-aware placement: a live processor the controller cannot
+    // reach — no path from p0 through the observed link outages at the
+    // horizon, or suspected locally while the cluster-wide stream still
+    // trusts it — is unreachable, not dead. No new placements go there,
+    // its in-flight task is pinned rather than written off, and the heal
+    // (or the local exoneration) triggers the reconciliation repair that
+    // hands its queue back.
     repair_options.unreachable.clear();
-    if (options.use_gossip)
-      for (ProcId p = 1; p < procs; ++p)
-        if (local_level[p] >= 1 && belief[p] == 0)
-          repair_options.unreachable.push_back(p);
+    const bool cut = !view.plan().partitions.empty();
+    if (cut) outages = resolve_partitions(view.plan());
+    for (ProcId p = 1; p < procs; ++p) {
+      if (view.observed_dead(p) || belief[p] != 0) continue;
+      if (local_level[p] >= 1 ||
+          (cut && !path_connected(outages, procs, 0, p, horizon)))
+        repair_options.unreachable.push_back(p);
+    }
     inv.unreachable = static_cast<ProcId>(repair_options.unreachable.size());
 
-    if (usable <= inv.unreachable) {
+    if (inv.survivors <= inv.unreachable) {
+      // Nothing reachable to repair onto: hold the current schedule and
+      // wait for the next observation (a rejoin or heal, if one ever
+      // comes).
       inv.deferred = true;
       repairs.push_back(inv);
       continue;
     }
 
-    // The plan handed to the repair is the controller's *hypothesis*:
-    // observed slowdowns plus one failure window per belief — closed
-    // windows for confirmed-then-exonerated processors (a reboot with cold
-    // caches, as far as the controller can tell), an open failure at the
-    // suspicion instant for everything currently believed dead. In
-    // speculative mode suspects are listed dead too (their queue migrates)
-    // while RepairOptions::suspects pins their in-flight work in place.
+    // The plan handed to the repair is the controller's *hypothesis*: the
+    // observed history plus one failure window per belief — closed windows
+    // for confirmed-then-exonerated processors (a reboot with cold caches,
+    // as far as the controller can tell), an open failure at the suspicion
+    // instant for everything currently written off. Speculating suspects
+    // are listed dead too (their queue migrates) while
+    // RepairOptions::suspects pins their in-flight work in place.
     bp = view.plan();  // copy-assign into the hoisted plan: reuses capacity
     for (ProcId p = 0; p < procs; ++p) {
       for (const auto& w : closed[p]) {
         bp.failures.push_back({p, w.first});
         bp.rejoins.push_back({p, w.second});
       }
-      const bool listed_dead =
-          options.speculate ? belief[p] != 0 : belief[p] == 2;
-      if (listed_dead) bp.failures.push_back({p, open_since[p]});
+      if (listed_dead(p)) bp.failures.push_back({p, open_since[p]});
     }
 
     // Windowed MLE over confirmed kills, re-deriving the Young/Daly
@@ -660,13 +735,13 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
     const SimResult obs =
         observed_slice(g, sim, horizon, remaining, world, view);
     repair_options.strategy =
-        (force_greedy || usable < options.degrade_below)
+        (force_greedy || inv.survivors < options.degrade_below)
             ? RepairStrategy::kGreedy
             : RepairStrategy::kAuto;
     repair_options.horizon = horizon;
     repair_options.suspects.clear();
     repair_options.pin_exclude = nullptr;
-    if (options.speculate) {
+    if (options.speculate && source.has_beliefs()) {
       // Pin in-flight work on every currently suspected processor — and on
       // every processor exonerated in this very batch: the reconciliation
       // repair now knows it is alive, so keeping its running task's
@@ -730,6 +805,8 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
   result.degraded = degraded;
   result.event_digest = fnv1a_digest(event_log_text(result.events));
   result.schedule_digest = fnv1a_digest(to_schedule_text(result.schedule));
+  if (!source.has_beliefs()) return result;
+
   result.beliefs = std::move(consumed);
   result.belief_digest = fnv1a_digest(belief_log_text(result.beliefs));
   result.false_alarms = false_alarms;
@@ -741,213 +818,20 @@ RuntimeResult run_detector_recovery(const TaskGraph& g,
   // Reporting only (never used for control): detection latency against
   // the resolved truth — mean gap between each real death and its first
   // confirmation.
-  {
-    const ResolvedFaults truth = resolve_faults(world);
-    Cost total = 0.0;
-    std::size_t found = 0;
-    for (const ProcFailure& f : truth.failures) {
-      for (const BeliefEvent& b : result.beliefs)
-        if (b.kind == BeliefKind::kConfirmedDead && b.proc == f.proc &&
-            b.time >= f.time) {
-          total += b.time - f.time;
-          ++found;
-          break;
-        }
-    }
-    if (found > 0)
-      result.mean_detection_latency = total / static_cast<Cost>(found);
-  }
-  return result;
-}
-
-}  // namespace
-
-RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
-                                  const FaultPlan& world,
-                                  const RuntimeOptions& options) {
-  const TaskId n = g.num_tasks();
-  const ProcId procs = nominal.num_procs();
-  FLB_REQUIRE(nominal.complete(),
-              "run_online_recovery: the nominal schedule must be complete");
-  FLB_REQUIRE(nominal.num_tasks() == n,
-              "run_online_recovery: schedule and graph disagree on the task "
-              "count");
-  FLB_REQUIRE(options.debounce >= 0.0 && options.backoff_base >= 0.0,
-              "run_online_recovery: debounce and backoff_base must be "
-              "non-negative");
-  world.validate(procs);
-  if (options.use_detector)
-    return run_detector_recovery(g, nominal, world, options);
-
-  HorizonFaultView view(world, procs);
-  Schedule current = nominal;
-  // Effective remaining work per task, fed back to the simulator as
-  // SimOptions::work_override: once a kill with durably checkpointed work is
-  // observed, the re-executed task carries only its unprotected remainder —
-  // the world honors checkpoint resume across repairs.
-  std::vector<Cost> remaining(n, kUndefinedTime);
-  std::vector<Cost> last_durations;
-  std::vector<RepairInvocation> repairs;
-  std::vector<char> repair_targets(procs, 0);
-  std::size_t retry_attempts = 0;
-  bool force_greedy = false;
-  bool degraded = false;
-
-  std::vector<SimEvent> log;
-  SimOptions sim_options;
-  sim_options.network = options.network;
-  sim_options.latency_factor = options.latency_factor;
-  sim_options.faults = &world;
-  sim_options.work_override = &remaining;
-  sim_options.event_log = &log;
-  // Causal continuation replay: repaired start times encode release
-  // instants and rejoin admissions, so they are hard earliest-start
-  // constraints — and a task that had not started when its processor died
-  // must return to the queue, not count as killed, or give-back after a
-  // rejoin could never execute.
-  sim_options.honor_start_times = true;
-
-  SimResult sim;
-  // Per-iteration scratch, hoisted out of the controller loop so repeated
-  // repairs reuse capacity instead of reallocating every round.
-  std::vector<SimEvent> fresh;
-  std::vector<SimEvent> batch;
-  std::vector<LinkOutage> outages;
-  RepairOptions repair_options;
-  repair_options.flb = options.flb;
-  repair_options.dropped_data = DroppedDataPolicy::kReexecuteProducers;
-  // Every iteration observes at least one new event (or breaks), and the
-  // observation space is finite — machine events are fixed by the plan,
-  // task kills are keyed by the plan's finite death instants, message drops
-  // by edge. The cap is a runaway backstop, far above any real episode.
-  const std::size_t cap = 1000 + 32 * (static_cast<std::size_t>(n) +
-                                       g.num_edges() + procs);
-  for (std::size_t iter = 0;; ++iter) {
-    FLB_REQUIRE(iter < cap,
-                "run_online_recovery: controller failed to converge");
-    sim = simulate(g, current, sim_options);
-
-    // Fresh events, in time order. Once the execution runs to completion,
-    // events at or beyond its makespan can no longer affect anything — a
-    // controller that has seen every task finish stops reacting.
-    fresh.clear();
-    for (const SimEvent& event : log) {
-      if (view.observed(event)) continue;
-      if (sim.complete() && event.time >= sim.makespan) continue;
-      fresh.push_back(event);
-    }
-    if (fresh.empty()) break;
-
-    // Debounce: coalesce everything within the window opened by the first
-    // unobserved event into one reaction.
-    const Cost observed_at = fresh.front().time;
-    const Cost batch_end = observed_at + options.debounce;
-    batch.clear();
-    for (const SimEvent& event : fresh)
-      if (event.time <= batch_end) batch.push_back(event);
-
-    // Bounded retry: a failure striking a processor the previous repair
-    // migrated work onto pushes the next repair back exponentially; past
-    // the retry budget the optimizing engine is no longer trusted.
-    std::size_t attempt = 0;
-    for (const SimEvent& event : batch)
-      if (event.kind == SimEventKind::kFailure &&
-          repair_targets[event.proc] != 0) {
-        attempt = ++retry_attempts;
-        if (retry_attempts > options.max_retries) force_greedy = true;
+  const ResolvedFaults truth = resolve_faults(world);
+  Cost total = 0.0;
+  std::size_t found = 0;
+  for (const ProcFailure& f : truth.failures) {
+    for (const BeliefEvent& b : result.beliefs)
+      if (b.kind == BeliefKind::kConfirmedDead && b.proc == f.proc &&
+          b.time >= f.time) {
+        total += b.time - f.time;
+        ++found;
         break;
       }
-    Cost horizon = std::max(view.horizon(), batch_end);
-    if (attempt > 0)
-      horizon += options.backoff_base *
-                 std::ldexp(1.0, static_cast<int>(std::min<std::size_t>(
-                                     attempt - 1, 30)));
-
-    view.advance(horizon);
-    for (const SimEvent& event : batch) {
-      view.observe(event);
-      if (event.kind == SimEventKind::kTaskKilled && event.value > 0.0) {
-        const Cost before = remaining[event.task] != kUndefinedTime
-                                ? remaining[event.task]
-                                : g.comp(event.task) *
-                                      runtime_factor(world, event.task);
-        remaining[event.task] = std::max(0.0, before - event.value);
-      }
-    }
-
-    RepairInvocation inv;
-    inv.observed_at = observed_at;
-    inv.horizon = horizon;
-    inv.events = batch.size();
-    inv.batch = batch;
-    inv.survivors = view.observed_alive();
-    inv.retry_attempt = attempt;
-
-    // Partition-aware repair: a processor with no live path from the
-    // controller (p0) at the horizon cannot receive new placements — but it
-    // is not dead, so its in-flight task is pinned rather than written off
-    // and its queue migrates; the heal event triggers the reconciliation.
-    repair_options.unreachable.clear();
-    if (!view.plan().partitions.empty()) {
-      outages = resolve_partitions(view.plan());
-      for (ProcId p = 1; p < procs; ++p)
-        if (!view.observed_dead(p) &&
-            !path_connected(outages, procs, 0, p, horizon))
-          repair_options.unreachable.push_back(p);
-    }
-    inv.unreachable = static_cast<ProcId>(repair_options.unreachable.size());
-
-    if (inv.survivors <= inv.unreachable) {
-      // Nothing reachable to repair onto: hold the current schedule and
-      // wait for the next observable event (a rejoin or heal, if one ever
-      // comes).
-      inv.deferred = true;
-      repairs.push_back(inv);
-      continue;
-    }
-
-    const SimResult obs =
-        observed_slice(g, sim, horizon, remaining, world, view);
-    repair_options.strategy =
-        (force_greedy || inv.survivors < options.degrade_below)
-            ? RepairStrategy::kGreedy
-            : RepairStrategy::kAuto;
-    repair_options.horizon = horizon;
-    const RepairResult rep =
-        repair_schedule(g, current, obs, view.plan(), repair_options);
-    if (options.validate) check_continuation(g, rep, procs, horizon);
-
-    inv.used = rep.used;
-    inv.migrated = rep.migrated_tasks;
-    inv.reexecuted = rep.reexecuted_tasks;
-    inv.makespan = rep.schedule.makespan();
-    inv.schedule_digest = fnv1a_digest(to_schedule_text(rep.schedule));
-    repairs.push_back(inv);
-    if (rep.used == RepairStrategy::kGreedy) degraded = true;
-
-    repair_targets.assign(procs, 0);
-    for (ProcId p = 0; p < procs; ++p)
-      for (const TaskId t : rep.schedule.tasks_on(p))
-        if (rep.schedule.start(t) >= rep.release_time - 1e-9) {
-          repair_targets[p] = 1;
-          break;
-        }
-
-    current = rep.schedule;
-    last_durations = rep.durations;
   }
-
-  RuntimeResult result(std::move(current));
-  result.durations = std::move(last_durations);
-  result.makespan = sim.makespan;
-  result.complete = sim.complete();
-  result.execution = std::move(sim);
-  result.events = std::move(log);
-  result.repairs = std::move(repairs);
-  result.events_observed = view.observed_events();
-  result.degraded = degraded;
-  result.event_digest = fnv1a_digest(event_log_text(result.events));
-  result.schedule_digest = fnv1a_digest(to_schedule_text(result.schedule));
+  if (found > 0)
+    result.mean_detection_latency = total / static_cast<Cost>(found);
   return result;
 }
 

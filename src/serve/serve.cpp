@@ -2,35 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <bit>
 #include <utility>
 
 #include "flb/util/error.hpp"
+#include "flb/util/fnv1a.hpp"
 
 namespace flb::serve {
 
 std::uint64_t schedule_digest(const Schedule& s) {
-  // FNV-1a, byte-identical to the golden-digest arithmetic in
-  // tests/platform_test.cpp so serving digests compare directly against
-  // the pinned pre-refactor goldens.
-  std::uint64_t h = 1469598103934665603ull;  // offset basis
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
+  Fnv1a h;
   for (TaskId t = 0; t < s.num_tasks(); ++t) {
-    mix(s.proc(t));
-    std::uint64_t bits = 0;
-    const double start = s.start(t);
-    const double finish = s.finish(t);
-    std::memcpy(&bits, &start, sizeof bits);
-    mix(bits);
-    std::memcpy(&bits, &finish, sizeof bits);
-    mix(bits);
+    h.add_u64(s.proc(t));
+    h.add_u64(std::bit_cast<std::uint64_t>(s.start(t)));
+    h.add_u64(std::bit_cast<std::uint64_t>(s.finish(t)));
   }
-  return h;
+  return h.value();
 }
 
 namespace {

@@ -1,16 +1,21 @@
 // Arena + d-ary indexed heap tests: the allocation discipline under the
-// scheduling-as-a-service hot path (core::Scratch).
+// scheduling-as-a-service hot path (core::Scratch), and the heaps every
+// scheduler's ready lists run on.
 
 #include "flb/util/arena.hpp"
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flb/util/dary_heap.hpp"
+#include "flb/util/rng.hpp"
 
 namespace flb {
 namespace {
@@ -82,23 +87,58 @@ TEST(ArenaTest, SmallerRunAfterLargerRunReusesBlocks) {
 
 // --- DaryIndexedHeap -------------------------------------------------------
 
+// Heap sort: the drain equals std::sort of the same keys, duplicates
+// included, and equal primaries pop by id (the tie-break every scheduler
+// key ends in).
 TEST(DaryHeapTest, PopsInKeyOrder) {
+  constexpr std::size_t kN = 500;
   Arena a;
-  DaryIndexedHeap<int> h;
-  h.bind(a, 64);
-  std::mt19937 rng(7);
-  std::vector<int> keys(64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    keys[i] = static_cast<int>(rng() % 1000);
+  DaryIndexedHeap<std::pair<int, std::size_t>> h;
+  h.bind(a, kN);
+  Rng rng(11);
+  std::vector<std::pair<int, std::size_t>> keys(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    keys[i] = {static_cast<int>(rng.next_below(50)), i};  // many duplicates
     h.push(i, keys[i]);
   }
   ASSERT_TRUE(h.validate());
   std::sort(keys.begin(), keys.end());
-  for (int expected : keys) {
-    EXPECT_EQ(h.top_key(), expected);
-    h.pop();
+  for (const auto& expected : keys) {
+    ASSERT_EQ(h.top_key(), expected);
+    ASSERT_EQ(h.pop(), expected.second);
   }
   EXPECT_TRUE(h.empty());
+}
+
+TEST(DaryHeapTest, TupleKeysOrderLexicographically) {
+  using Key = std::tuple<double, double, unsigned>;
+  Arena a;
+  DaryIndexedHeap<Key> h;
+  h.bind(a, 4);
+  h.push(0, {1.0, -5.0, 0});
+  h.push(1, {1.0, -9.0, 1});  // same primary, smaller second component
+  h.push(2, {0.5, 0.0, 2});
+  EXPECT_EQ(h.pop(), 2u);  // smallest primary
+  EXPECT_EQ(h.pop(), 1u);  // tie broken by the second component
+  EXPECT_EQ(h.pop(), 0u);
+}
+
+TEST(DaryHeapTest, DecreaseAndIncreaseKey) {
+  Arena a;
+  DaryIndexedHeap<int> h;
+  h.bind(a, 8);
+  for (std::size_t i = 0; i < 8; ++i) h.push(i, 10 * static_cast<int>(i + 1));
+  h.update(7, 1);  // decrease: the last item moves to the front
+  EXPECT_EQ(h.top(), 7u);
+  EXPECT_EQ(h.key_of(7), 1);
+  h.update(7, 100);  // increase: it sinks behind everything else
+  EXPECT_EQ(h.top(), 0u);
+  h.update(0, 55);
+  EXPECT_EQ(h.top(), 1u);
+  ASSERT_TRUE(h.validate());
+  std::vector<std::size_t> order;
+  while (!h.empty()) order.push_back(h.pop());
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 3, 4, 0, 5, 6, 7}));
 }
 
 TEST(DaryHeapTest, EraseAndUpdateKeepHeapValid) {
@@ -121,10 +161,12 @@ TEST(DaryHeapTest, EraseAndUpdateKeepHeapValid) {
   }
 }
 
-TEST(DaryHeapTest, PushOrUpdateAndContains) {
+TEST(DaryHeapTest, PushOrUpdateContainsAndItems) {
   Arena a;
   DaryIndexedHeap<int> h;
   h.bind(a, 8);
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.capacity(), 8u);
   h.push_or_update(3, 30);
   EXPECT_TRUE(h.contains(3));
   EXPECT_EQ(h.key_of(3), 30);
@@ -132,19 +174,67 @@ TEST(DaryHeapTest, PushOrUpdateAndContains) {
   EXPECT_EQ(h.key_of(3), 5);
   EXPECT_EQ(h.size(), 1u);
   EXPECT_FALSE(h.contains(4));
+  h.push(6, 1);
+  // items() lists the members in array order, not key order.
+  std::vector<std::size_t> items(h.items().begin(), h.items().end());
+  std::sort(items.begin(), items.end());
+  EXPECT_EQ(items, (std::vector<std::size_t>{3, 6}));
+  EXPECT_EQ(h.items().front(), h.top());
 }
 
-TEST(DaryHeapTest, RebindDropsContents) {
+TEST(DaryHeapTest, ClearAndRebindDropContents) {
   Arena a;
   DaryIndexedHeap<int> h;
   h.bind(a, 16);
   for (std::size_t i = 0; i < 16; ++i) h.push(i, static_cast<int>(i));
+  h.clear();
+  EXPECT_TRUE(h.empty());
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_FALSE(h.contains(i));
+  h.push(2, 1);  // reusable after clear
+  EXPECT_EQ(h.top(), 2u);
   a.reset();
   h.bind(a, 16);
   EXPECT_TRUE(h.empty());
   EXPECT_FALSE(h.contains(0));
   h.push(0, 42);
   EXPECT_EQ(h.top(), 0u);
+}
+
+// Randomized differential test against a std::map reference.
+TEST(DaryHeapTest, StressAgainstReference) {
+  constexpr std::size_t kIds = 64;
+  Arena a;
+  DaryIndexedHeap<std::pair<int, std::size_t>> h;
+  h.bind(a, kIds);
+  std::map<std::size_t, int> ref;  // id -> key
+  Rng rng(7);
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t id = rng.next_below(kIds);
+    const double action = rng.next_double();
+    if (action < 0.4) {
+      const int k = static_cast<int>(rng.next_below(1000));
+      h.push_or_update(id, {k, id});
+      ref[id] = k;
+    } else if (action < 0.6) {
+      if (ref.erase(id) != 0) h.erase(id);
+    } else if (action < 0.8) {
+      if (!ref.empty()) {
+        auto best = ref.begin();  // reference minimum by (key, id)
+        for (auto it = ref.begin(); it != ref.end(); ++it)
+          if (std::pair(it->second, it->first) <
+              std::pair(best->second, best->first))
+            best = it;
+        ASSERT_EQ(h.pop(), best->first);
+        ref.erase(best);
+      }
+    } else {
+      ASSERT_EQ(h.size(), ref.size());
+      ASSERT_EQ(h.contains(id), ref.count(id) > 0);
+      if (ref.count(id) != 0) ASSERT_EQ(h.key_of(id).first, ref[id]);
+    }
+    if (step % 1000 == 0) ASSERT_TRUE(h.validate());
+  }
+  EXPECT_TRUE(h.validate());
 }
 
 // --- DaryHeapForest --------------------------------------------------------
@@ -157,12 +247,22 @@ TEST(DaryForestTest, ItemsLiveInAtMostOneHeap) {
   for (std::size_t i = 0; i < 32; ++i)
     f.push(i % 4, i, static_cast<int>(rng() % 100));
   ASSERT_TRUE(f.validate());
-  // Move a few items between heaps.
+  // Move a few items between heaps: each leaves its old heap.
   f.move(0, 2, 1);
   f.move(5, 2, 2);
   EXPECT_EQ(f.heap_of(0), 2u);
   EXPECT_EQ(f.heap_of(5), 2u);
+  EXPECT_EQ(f.key_of(5), 2);
+  EXPECT_EQ(f.size(0), 7u);
+  EXPECT_EQ(f.size(1), 7u);
+  EXPECT_EQ(f.size(2), 10u);
   ASSERT_TRUE(f.validate());
+  // items() lists a heap's members in array order, not key order.
+  std::vector<std::size_t> in_2(f.items(2).begin(), f.items(2).end());
+  std::sort(in_2.begin(), in_2.end());
+  EXPECT_EQ(in_2, (std::vector<std::size_t>{0, 2, 5, 6, 10, 14, 18, 22, 26,
+                                            30}));
+  EXPECT_EQ(f.items(2).front(), f.top(2));
   // Per-heap pops come out in key order.
   for (std::size_t h = 0; h < 4; ++h) {
     int prev = -1;
@@ -190,6 +290,58 @@ TEST(DaryForestTest, ResetKeepsPerHeapPoolsAcrossRuns) {
   for (std::size_t i = 0; i < 50; ++i) f.push(i % 4, i, static_cast<int>(50 - i));
   ASSERT_TRUE(f.validate());
   EXPECT_EQ(f.top_key(0), 2);  // id 48 carries key 2
+}
+
+// Differential stress test against per-heap reference maps.
+TEST(DaryForestTest, StressAgainstReference) {
+  constexpr std::size_t kIds = 48, kHeaps = 5;
+  using Forest = DaryHeapForest<std::pair<int, std::size_t>>;
+  Arena a;
+  Forest f;
+  f.reset(a, kIds, kHeaps);
+  std::map<std::size_t, std::pair<std::size_t, int>> ref;  // id->(heap,key)
+  Rng rng(21);
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t id = rng.next_below(kIds);
+    const std::size_t h = rng.next_below(kHeaps);
+    const double action = rng.next_double();
+    if (action < 0.35) {
+      const int k = static_cast<int>(rng.next_below(1000));
+      if (ref.count(id) == 0)
+        f.push(h, id, {k, id});
+      else
+        f.move(id, h, {k, id});
+      ref[id] = {h, k};
+    } else if (action < 0.5) {
+      if (ref.count(id) != 0) {
+        const int k = static_cast<int>(rng.next_below(1000));
+        f.update(id, {k, id});
+        ref[id].second = k;
+      }
+    } else if (action < 0.65) {
+      if (ref.erase(id) != 0) f.erase(id);
+    } else if (action < 0.85) {
+      // The top of heap h against the reference minimum.
+      std::size_t best = Forest::npos;
+      for (const auto& [rid, hk] : ref)
+        if (hk.first == h &&
+            (best == Forest::npos ||
+             std::pair(hk.second, rid) < std::pair(ref[best].second, best)))
+          best = rid;
+      if (best == Forest::npos)
+        ASSERT_TRUE(f.empty(h));
+      else
+        ASSERT_EQ(f.top(h), best);
+    } else {
+      ASSERT_EQ(f.contains(id), ref.count(id) > 0);
+      if (ref.count(id) != 0) {
+        ASSERT_EQ(f.heap_of(id), ref[id].first);
+        ASSERT_EQ(f.key_of(id).first, ref[id].second);
+      }
+    }
+    if (step % 2000 == 0) ASSERT_TRUE(f.validate());
+  }
+  EXPECT_TRUE(f.validate());
 }
 
 }  // namespace

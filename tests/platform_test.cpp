@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +14,7 @@
 #include "flb/sched/hetero.hpp"
 #include "flb/sched/repair.hpp"
 #include "flb/sched/validator.hpp"
+#include "flb/serve/serve.hpp"
 #include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
@@ -40,26 +40,7 @@ using platform::SpeedProfile;
 // A failure here means the CostModel arithmetic drifted from the former
 // private copy (e.g. an added `* 1.0` reordering, a max() flipped).
 
-std::uint64_t schedule_digest(const Schedule& s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (TaskId t = 0; t < s.num_tasks(); ++t) {
-    mix(s.proc(t));
-    std::uint64_t bits = 0;
-    const double start = s.start(t);
-    const double finish = s.finish(t);
-    std::memcpy(&bits, &start, sizeof bits);
-    mix(bits);
-    std::memcpy(&bits, &finish, sizeof bits);
-    mix(bits);
-  }
-  return h;
-}
+using serve::schedule_digest;
 
 TEST(PlatformGolden, PaperExampleBitIdentical) {
   TaskGraph g = paper_example_graph();
