@@ -10,7 +10,8 @@
 
 #include "bench_common.hpp"
 #include "flb/algos/heft.hpp"
-#include "flb/sched/hetero.hpp"
+#include "flb/platform/cost_model.hpp"
+#include "flb/sched/validator.hpp"
 #include "flb/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -55,13 +56,21 @@ int main(int argc, char** argv) {
           s = std::pow(skew, u);
           fastest = std::max(fastest, s);
         }
-        HeteroMachine m(speeds);
+        platform::CostModel m = platform::CostModel::clique(procs);
+        m.set_speeds(speeds);
         Cost solo = g.total_comp() / fastest;  // fastest proc, no comm
+        // Feasible on the related machine: each task takes comp / speed.
+        auto feasible = [&](const Schedule& s) {
+          std::vector<Cost> durations(g.num_tasks());
+          for (TaskId t = 0; t < g.num_tasks(); ++t)
+            durations[t] = g.comp(t) / speeds[s.proc(t)];
+          return is_valid_schedule(g, s, durations);
+        };
 
         Schedule sh = heft(g, m);
-        FLB_REQUIRE(is_valid_hetero_schedule(g, m, sh), "HEFT infeasible");
+        FLB_REQUIRE(feasible(sh), "HEFT infeasible");
         Schedule sc = cpop(g, m);
-        FLB_REQUIRE(is_valid_hetero_schedule(g, m, sc), "CPOP infeasible");
+        FLB_REQUIRE(feasible(sc), "CPOP infeasible");
         heft_norm.push_back(sh.makespan() / solo);
         cpop_norm.push_back(sc.makespan() / solo);
       }

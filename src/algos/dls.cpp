@@ -92,6 +92,7 @@ Schedule DlsScheduler::run(const TaskGraph& g, ProcId num_procs) {
 }
 
 Schedule DlsScheduler::run_on(const TaskGraph& g, platform::CostModel& model) {
+  model.validate(g);
   const ProcId num_procs = model.num_procs();
   const TaskId n = g.num_tasks();
   Schedule sched(num_procs, n);
@@ -154,7 +155,7 @@ Schedule DlsScheduler::run_on(const TaskGraph& g, platform::CostModel& model) {
                          model.commit_arrival(sched.proc(a.node), best_proc,
                                               a.comm, sched.finish(a.node)));
     }
-    sched.assign(t, best_proc, start, start + model.exec(g, t, best_proc, 0.0));
+    sched.assign(t, best_proc, start, start + model.exec(g, t, best_proc));
     ready[best_idx] = ready.back();
     ready.pop_back();
     for (const Adj& a : g.successors(t))

@@ -11,21 +11,8 @@
 namespace flb {
 
 std::vector<Cost> upward_ranks(const TaskGraph& g,
-                               const HeteroMachine& machine) {
-  std::vector<TaskId> order = topological_order(g);
-  std::vector<Cost> rank(g.num_tasks(), 0.0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    TaskId t = *it;
-    Cost best = 0.0;
-    for (const Adj& a : g.successors(t))
-      best = std::max(best, a.comm + rank[a.node]);
-    rank[t] = machine.mean_exec_time(g.comp(t)) + best;
-  }
-  return rank;
-}
-
-std::vector<Cost> upward_ranks(const TaskGraph& g,
                                const platform::CostModel& model) {
+  model.validate(g);
   std::vector<TaskId> order = topological_order(g);
   std::vector<Cost> rank(g.num_tasks(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -39,15 +26,16 @@ std::vector<Cost> upward_ranks(const TaskGraph& g,
 }
 
 std::vector<Cost> downward_ranks(const TaskGraph& g,
-                                 const HeteroMachine& machine) {
+                                 const platform::CostModel& model) {
+  model.validate(g);
   std::vector<TaskId> order = topological_order(g);
   std::vector<Cost> rank(g.num_tasks(), 0.0);
   for (TaskId t : order) {
     Cost best = 0.0;
     for (const Adj& a : g.predecessors(t))
-      best = std::max(best,
-                      rank[a.node] + machine.mean_exec_time(g.comp(a.node)) +
-                          a.comm);
+      best = std::max(best, rank[a.node] +
+                                model.mean_exec_work(model.work_of(g, a.node)) +
+                                model.message_cost(a.comm));
     rank[t] = best;
   }
   return rank;
@@ -56,85 +44,48 @@ std::vector<Cost> downward_ranks(const TaskGraph& g,
 namespace {
 
 /// Earliest finish of t on p against the partial schedule, idle gaps
-/// included: start = earliest gap >= data-ready time, finish = start +
-/// speed-scaled execution time.
-std::pair<Cost, Cost> eft_on(const TaskGraph& g, const HeteroMachine& machine,
+/// included: the data-ready time is the model's cold-aware arrival max
+/// clamped to p's admission instant, the start the earliest gap that fits
+/// the model's execution time from there.
+std::pair<Cost, Cost> eft_on(const TaskGraph& g,
+                             const platform::CostModel& model,
                              const Schedule& s, TaskId t, ProcId p) {
-  Cost ready = 0.0;
-  for (const Adj& a : g.predecessors(t)) {
-    Cost c = s.proc(a.node) == p ? 0.0 : a.comm;
-    ready = std::max(ready, s.finish(a.node) + c);
-  }
-  Cost exec = machine.exec_time(g.comp(t), p);
-  Cost start = s.earliest_gap(p, ready, exec);
-  return {start, start + exec};
-}
-
-/// As eft_on, but priced through the platform cost model: the data-ready
-/// time is the model's cold-aware arrival max clamped to the processor's
-/// admission instant, execution uses the model's speeds/overrides.
-std::pair<Cost, Cost> eft_on_model(const TaskGraph& g,
-                                   const platform::CostModel& model,
-                                   const Schedule& s, TaskId t, ProcId p) {
   Cost ready = model.admission(p);
   for (const Adj& a : g.predecessors(t))
     ready = std::max(ready,
                      model.arrival(s.proc(a.node), p, a.comm, s.finish(a.node)));
-  Cost exec = model.exec(g, t, p, 0.0);
+  Cost exec = model.exec(g, t, p);
   Cost start = s.earliest_gap(p, ready, exec);
   return {start, start + exec};
 }
 
-/// Shared driver: consume ready tasks in descending `priority` order,
-/// placing each with `choose` (returns the processor).
+/// The alive processor that finishes t the earliest (the smaller id on a
+/// tie).
+ProcId min_eft_proc(const TaskGraph& g, const platform::CostModel& model,
+                    const Schedule& s, TaskId t) {
+  ProcId best_p = kInvalidProc;
+  Cost best_eft = kInfiniteTime;
+  for (ProcId p = 0; p < model.num_procs(); ++p) {
+    if (!model.alive(p)) continue;
+    Cost eft = eft_on(g, model, s, t, p).second;
+    if (eft < best_eft || best_p == kInvalidProc) {
+      best_eft = eft;
+      best_p = p;
+    }
+  }
+  return best_p;
+}
+
+/// The list loop HEFT and CPOP share: consume ready tasks in descending
+/// `priority` order, place each on the processor `choose` returns at its
+/// earliest gap. Under link-busy pricing the incoming routes are reserved
+/// first; commits serialize transfers that share a link, so the data-ready
+/// time (and hence the insertion search) is recomputed from the committed
+/// arrivals.
 template <typename ChooseProc>
-Schedule run_list(const TaskGraph& g, const HeteroMachine& machine,
+Schedule run_list(const TaskGraph& g, platform::CostModel& model,
                   const std::vector<Cost>& priority, ChooseProc&& choose) {
   const TaskId n = g.num_tasks();
-  Schedule sched(machine.num_procs(), n);
-  using Key = std::tuple<Cost, TaskId>;  // (-priority, id)
-  Arena arena;
-  DaryIndexedHeap<Key> ready(arena, n);
-  std::vector<std::size_t> unscheduled_preds(n);
-  for (TaskId t = 0; t < n; ++t) {
-    unscheduled_preds[t] = g.in_degree(t);
-    if (unscheduled_preds[t] == 0) ready.push(t, {-priority[t], t});
-  }
-  for (TaskId step = 0; step < n; ++step) {
-    FLB_ASSERT(!ready.empty());
-    TaskId t = static_cast<TaskId>(ready.pop());
-    ProcId p = choose(sched, t);
-    auto [start, finish] = eft_on(g, machine, sched, t, p);
-    sched.assign(t, p, start, finish);
-    for (const Adj& a : g.successors(t))
-      if (--unscheduled_preds[a.node] == 0)
-        ready.push(a.node, {-priority[a.node], a.node});
-  }
-  FLB_ASSERT(sched.complete());
-  return sched;
-}
-
-}  // namespace
-
-Schedule heft(const TaskGraph& g, const HeteroMachine& machine) {
-  std::vector<Cost> rank = upward_ranks(g, machine);
-  return run_list(g, machine, rank, [&](const Schedule& s, TaskId t) {
-    ProcId best_p = 0;
-    Cost best_eft = kInfiniteTime;
-    for (ProcId p = 0; p < machine.num_procs(); ++p) {
-      Cost eft = eft_on(g, machine, s, t, p).second;
-      if (eft < best_eft) {
-        best_eft = eft;
-        best_p = p;
-      }
-    }
-    return best_p;
-  });
-}
-
-Schedule heft(const TaskGraph& g, platform::CostModel& model) {
-  const TaskId n = g.num_tasks();
-  std::vector<Cost> priority = upward_ranks(g, model);
   Schedule sched(model.num_procs(), n);
   using Key = std::tuple<Cost, TaskId>;  // (-priority, id)
   Arena arena;
@@ -147,32 +98,20 @@ Schedule heft(const TaskGraph& g, platform::CostModel& model) {
   for (TaskId step = 0; step < n; ++step) {
     FLB_ASSERT(!ready.empty());
     TaskId t = static_cast<TaskId>(ready.pop());
-    ProcId best_p = kInvalidProc;
-    Cost best_eft = kInfiniteTime;
-    for (ProcId p = 0; p < model.num_procs(); ++p) {
-      if (!model.alive(p)) continue;
-      Cost eft = eft_on_model(g, model, sched, t, p).second;
-      if (eft < best_eft || best_p == kInvalidProc) {
-        best_eft = eft;
-        best_p = p;
-      }
-    }
-    FLB_ASSERT(best_p != kInvalidProc);
-    auto [start, finish] = eft_on_model(g, model, sched, t, best_p);
+    const ProcId p = choose(sched, t);
+    FLB_ASSERT(p != kInvalidProc);
+    auto [start, finish] = eft_on(g, model, sched, t, p);
     if (model.mode() == platform::CommMode::kLinkBusy) {
-      // Reserve the incoming routes; commits serialize transfers that
-      // share a link, so the data-ready time (and hence the insertion
-      // search) is recomputed from the committed arrivals.
-      Cost ready_at = model.admission(best_p);
+      Cost ready_at = model.admission(p);
       for (const Adj& a : g.predecessors(t))
         ready_at = std::max(ready_at,
-                            model.commit_arrival(sched.proc(a.node), best_p,
+                            model.commit_arrival(sched.proc(a.node), p,
                                                  a.comm, sched.finish(a.node)));
-      const Cost exec = model.exec(g, t, best_p, 0.0);
-      start = sched.earliest_gap(best_p, ready_at, exec);
+      const Cost exec = model.exec(g, t, p);
+      start = sched.earliest_gap(p, ready_at, exec);
       finish = start + exec;
     }
-    sched.assign(t, best_p, start, finish);
+    sched.assign(t, p, start, finish);
     for (const Adj& a : g.successors(t))
       if (--unscheduled_preds[a.node] == 0)
         ready.push(a.node, {-priority[a.node], a.node});
@@ -181,9 +120,20 @@ Schedule heft(const TaskGraph& g, platform::CostModel& model) {
   return sched;
 }
 
-Schedule cpop(const TaskGraph& g, const HeteroMachine& machine) {
-  std::vector<Cost> up = upward_ranks(g, machine);
-  std::vector<Cost> down = downward_ranks(g, machine);
+}  // namespace
+
+Schedule heft(const TaskGraph& g, platform::CostModel& model) {
+  model.validate(g);
+  return run_list(g, model, upward_ranks(g, model),
+                  [&](const Schedule& s, TaskId t) {
+                    return min_eft_proc(g, model, s, t);
+                  });
+}
+
+Schedule cpop(const TaskGraph& g, platform::CostModel& model) {
+  model.validate(g);
+  std::vector<Cost> up = upward_ranks(g, model);
+  std::vector<Cost> down = downward_ranks(g, model);
   const TaskId n = g.num_tasks();
   std::vector<Cost> priority(n);
   for (TaskId t = 0; t < n; ++t) priority[t] = up[t] + down[t];
@@ -206,28 +156,20 @@ Schedule cpop(const TaskGraph& g, const HeteroMachine& machine) {
     }
   }
 
-  // The critical-path processor executes the whole path fastest.
-  Cost cp_comp = 0.0;
+  // The critical-path processor: the alive one executing the whole path
+  // fastest (the smaller id on a tie).
+  Cost cp_work = 0.0;
   for (TaskId t = 0; t < n; ++t)
-    if (on_cp[t]) cp_comp += g.comp(t);
-  ProcId cp_proc = 0;
-  for (ProcId p = 1; p < machine.num_procs(); ++p)
-    if (machine.exec_time(cp_comp, p) <
-        machine.exec_time(cp_comp, cp_proc))
+    if (on_cp[t]) cp_work += model.work_of(g, t);
+  ProcId cp_proc = kInvalidProc;
+  for (ProcId p = 0; p < model.num_procs(); ++p)
+    if (model.alive(p) &&
+        (cp_proc == kInvalidProc ||
+         model.exec_work(cp_work, p) < model.exec_work(cp_work, cp_proc)))
       cp_proc = p;
 
-  return run_list(g, machine, priority, [&](const Schedule& s, TaskId t) {
-    if (on_cp[t]) return cp_proc;
-    ProcId best_p = 0;
-    Cost best_eft = kInfiniteTime;
-    for (ProcId p = 0; p < machine.num_procs(); ++p) {
-      Cost eft = eft_on(g, machine, s, t, p).second;
-      if (eft < best_eft) {
-        best_eft = eft;
-        best_p = p;
-      }
-    }
-    return best_p;
+  return run_list(g, model, priority, [&](const Schedule& s, TaskId t) {
+    return on_cp[t] ? cp_proc : min_eft_proc(g, model, s, t);
   });
 }
 

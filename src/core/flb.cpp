@@ -1,7 +1,6 @@
 #include "flb/core/flb.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -36,16 +35,16 @@ using core::TaskKey;
 class Engine {
  public:
   /// Schedule the unplaced tasks of `sched` (empty for a fresh run, a kept
-  /// prefix when resuming) using `scratch` for all working state. `alive`
-  /// may be empty (= all alive, the fresh-run fast path).
+  /// prefix when resuming) on the machine `model` describes, using
+  /// `scratch` for all working state. Link-busy placements commit their
+  /// reservations to `model`.
   Engine(const TaskGraph& g, Schedule& sched, core::Scratch& scratch,
-         std::vector<bool> alive, Cost release, const FlbOptions& opts,
-         const FlbResumeContext* degraded = nullptr)
+         platform::CostModel& model, const FlbOptions& opts)
       : g_(g),
         s_(prepared(scratch, g.num_tasks(), sched.num_procs())),
         num_procs_(sched.num_procs()),
         sched_(sched),
-        model_(make_model(num_procs_, std::move(alive), release, degraded)) {
+        model_(model) {
     // Routed or cold-cache pricing makes EST destination-dependent beyond
     // the clique model, so candidate selection switches to exact pricing.
     exact_mode_ = model_.exact_pricing();
@@ -53,9 +52,6 @@ class Engine {
     init_tie_priorities(opts);
     init_lists();
   }
-
-  /// The platform model priced against (occupancy log, link accounting).
-  [[nodiscard]] const platform::CostModel& model() const { return model_; }
 
   void run(const FlbObserver* observer, FlbStats* stats) {
     const TaskId remaining = g_.num_tasks() - sched_.num_scheduled();
@@ -94,35 +90,6 @@ class Engine {
 
   TaskKey task_key(Cost primary, TaskId t) const {
     return {primary, -s_.tie[t], t};
-  }
-
-  // Build the platform cost model the whole run prices against: the
-  // paper's clique on a fresh run, routed hop counts or store-and-forward
-  // link reservations when the resume context carries a topology, plus the
-  // context's availability windows and degraded execution parameters. The
-  // topology-backed models borrow the topology's routing tables, so
-  // building one copies nothing per run.
-  static platform::CostModel make_model(ProcId procs, std::vector<bool> alive,
-                                        Cost release,
-                                        const FlbResumeContext* ctx) {
-    const Topology* topo = ctx != nullptr ? ctx->topology : nullptr;
-    platform::CostModel m =
-        topo == nullptr
-            ? platform::CostModel::clique(procs)
-            : (ctx->link_busy ? platform::CostModel::link_busy(*topo)
-                              : platform::CostModel::routed(*topo));
-    platform::Availability a;
-    a.release = release;
-    a.alive = std::move(alive);
-    if (ctx != nullptr) {
-      a.proc_release = ctx->proc_release;
-      a.cold_before = ctx->cold_before;
-      m.set_speeds(ctx->speeds);
-      m.set_work(ctx->work);
-      m.set_extra_time(ctx->extra_time);
-    }
-    m.set_availability(std::move(a));
-    return m;
   }
 
   // Processor ready time as seen by the engine: never before the release
@@ -178,9 +145,7 @@ class Engine {
   // Wall-time cost of running t on p: the platform model's exec pricing —
   // (possibly overridden) work scaled by p's speed, plus any additive
   // extra. Degenerates to comp(t) on a fresh run.
-  Cost duration(TaskId t, ProcId p) const {
-    return model_.exec(g_, t, p, 0.0);
-  }
+  Cost duration(TaskId t, ProcId p) const { return model_.exec(g_, t, p); }
 
   void init_lists() {
     for (TaskId t = 0; t < g_.num_tasks(); ++t) {
@@ -407,7 +372,7 @@ class Engine {
   core::Scratch& s_;           // all working state, arena-backed
   ProcId num_procs_;
   Schedule& sched_;            // written in place
-  platform::CostModel model_;  // the machine: comm, exec, availability
+  platform::CostModel& model_;  // the machine: comm, exec, availability
   bool exact_mode_ = false;
   bool link_busy_ = false;
   FlbStats stats_;
@@ -424,10 +389,11 @@ void FlbScheduler::run_into(const TaskGraph& g, ProcId num_procs,
                             Schedule& out) {
   FLB_REQUIRE(num_procs >= 1, "FLB: at least one processor required");
   out.reset(num_procs, g.num_tasks());
-  // The empty alive mask means "everything alive" without allocating a
-  // vector<bool> — with a warmed scratch and a capacity-retaining `out`,
-  // this whole call performs zero heap allocations at steady state.
-  Engine engine(g, out, scratch_, {}, 0.0, options_);
+  // The paper's machine. A fresh clique model holds only empty vectors, so
+  // with a warmed scratch and a capacity-retaining `out` this whole call
+  // performs zero heap allocations at steady state.
+  platform::CostModel model = platform::CostModel::clique(num_procs);
+  Engine engine(g, out, scratch_, model, options_);
   engine.run(nullptr, nullptr);
 }
 
@@ -436,74 +402,26 @@ Schedule FlbScheduler::run_instrumented(const TaskGraph& g, ProcId num_procs,
                                         FlbStats* stats) {
   FLB_REQUIRE(num_procs >= 1, "FLB: at least one processor required");
   Schedule out(num_procs, g.num_tasks());
-  Engine engine(g, out, scratch_, {}, 0.0, options_);
+  platform::CostModel model = platform::CostModel::clique(num_procs);
+  Engine engine(g, out, scratch_, model, options_);
   engine.run(observer, stats);
   return out;
 }
 
 Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
-                              const std::vector<bool>& alive,
-                              Cost release_time) {
+                              platform::CostModel& model) {
   FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
               "FLB resume: prefix was sized for a different graph");
-  FLB_REQUIRE(alive.size() == prefix.num_procs(),
-              "FLB resume: alive mask must cover every processor");
-  FLB_REQUIRE(std::find(alive.begin(), alive.end(), true) != alive.end(),
-              "FLB resume: at least one surviving processor required");
-  FLB_REQUIRE(release_time >= 0.0,
-              "FLB resume: release time must be non-negative");
-  Schedule out = prefix;
-  Engine engine(g, out, scratch_, alive, release_time, options_);
-  engine.run(nullptr, nullptr);
-  return out;
-}
-
-Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
-                              const FlbResumeContext& ctx) {
-  FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
-              "FLB resume: prefix was sized for a different graph");
-  FLB_REQUIRE(ctx.alive.size() == prefix.num_procs(),
-              "FLB resume: alive mask must cover every processor");
-  FLB_REQUIRE(
-      std::find(ctx.alive.begin(), ctx.alive.end(), true) != ctx.alive.end(),
-      "FLB resume: at least one surviving processor required");
-  FLB_REQUIRE(ctx.release >= 0.0,
-              "FLB resume: release time must be non-negative");
-  FLB_REQUIRE(ctx.speeds.empty() || ctx.speeds.size() == prefix.num_procs(),
-              "FLB resume: speeds must cover every processor");
-  for (std::size_t p = 0; p < ctx.speeds.size(); ++p)
-    FLB_REQUIRE(ctx.speeds[p] > 0.0 && ctx.speeds[p] <= 1.0,
+  FLB_REQUIRE(model.num_procs() == prefix.num_procs(),
+              "FLB resume: the model's processor count must match the "
+              "prefix's");
+  for (ProcId p = 0; p < model.num_procs(); ++p)
+    FLB_REQUIRE(model.speed(p) <= 1.0,
                 "FLB resume: speed factors must be in (0, 1]");
-  FLB_REQUIRE(ctx.work.empty() || ctx.work.size() == g.num_tasks(),
-              "FLB resume: work override must cover every task");
-  FLB_REQUIRE(ctx.extra_time.empty() ||
-                  ctx.extra_time.size() == g.num_tasks(),
-              "FLB resume: extra time must cover every task");
-  FLB_REQUIRE(ctx.proc_release.empty() ||
-                  ctx.proc_release.size() == prefix.num_procs(),
-              "FLB resume: per-processor release must cover every processor");
-  for (Cost r : ctx.proc_release)
-    FLB_REQUIRE(std::isfinite(r) && r >= 0.0,
-                "FLB resume: per-processor release times must be finite "
-                "and non-negative");
-  FLB_REQUIRE(ctx.cold_before.empty() ||
-                  ctx.cold_before.size() == prefix.num_procs(),
-              "FLB resume: cold-cache horizon must cover every processor");
-  for (Cost c : ctx.cold_before)
-    FLB_REQUIRE(std::isfinite(c) && c >= 0.0,
-                "FLB resume: cold-cache horizons must be finite and "
-                "non-negative");
-  FLB_REQUIRE(ctx.topology == nullptr ||
-                  ctx.topology->num_nodes() == prefix.num_procs(),
-              "FLB resume: topology node count must match the processor "
-              "count");
-  FLB_REQUIRE(!ctx.link_busy || ctx.topology != nullptr,
-              "FLB resume: link-busy pricing requires a topology");
+  model.validate(g);
   Schedule out = prefix;
-  Engine engine(g, out, scratch_, ctx.alive, ctx.release, options_, &ctx);
+  Engine engine(g, out, scratch_, model, options_);
   engine.run(nullptr, nullptr);
-  if (ctx.occupancy_log != nullptr)
-    *ctx.occupancy_log = engine.model().occupancies();
   return out;
 }
 

@@ -33,7 +33,8 @@ class EtfScheduler final : public Scheduler {
   /// routed hops / link-busy reservations, which are committed for every
   /// placement). On a plain clique model this selects exactly the same
   /// schedule as run() — the regression guard in platform_test relies on
-  /// it. The model is mutated (link reservations) under link-busy pricing.
+  /// it. Throws flb::Error unless the model fits g (CostModel::validate).
+  /// The model is mutated (link reservations) under link-busy pricing.
   [[nodiscard]] Schedule run_on(const TaskGraph& g, platform::CostModel& model);
 };
 

@@ -35,10 +35,8 @@
 
 namespace flb {
 
-class Topology;  // sim/topology.hpp — routed pricing for resume()
-
 namespace platform {
-struct LinkOccupancy;  // platform/cost_model.hpp — link-busy commit log
+class CostModel;  // platform/cost_model.hpp — the machine resume() prices
 }  // namespace platform
 
 /// Tie-breaking rule used inside FLB's task lists when two tasks share the
@@ -84,69 +82,6 @@ struct FlbStep {
 /// before the step's assignment.
 using FlbObserver = std::function<void(const Schedule&, const FlbStep&)>;
 
-/// Everything FlbScheduler::resume needs to know about the degraded machine
-/// it is continuing on. The plain alive/release resume is the special case
-/// with unit speeds and untouched work. The context describes an *observed*
-/// machine state, not a prediction: the online controller
-/// (runtime/recovery_runtime.hpp) rebuilds one from the event stream at
-/// every repair, so a resume never encodes faults that have not happened
-/// yet.
-struct FlbResumeContext {
-  /// Which processors may receive new tasks; must have num_procs entries,
-  /// at least one true.
-  std::vector<bool> alive;
-  /// No new task starts before this instant (the failure / repair horizon).
-  Cost release = 0.0;
-  /// Per-processor speed factors in (0, 1] (empty = all 1.0). A task placed
-  /// on p takes work / speeds[p] wall time — the related-machines model of
-  /// sched/hetero — so EST-minimizing selection naturally drains work away
-  /// from throttled processors whose ready times balloon.
-  std::vector<double> speeds;
-  /// Per-task work override (empty = use the graph's costs). Entries other
-  /// than kUndefinedTime replace comp(t) — used to resume checkpointed
-  /// tasks with only their unprotected remainder.
-  std::vector<Cost> work;
-  /// Per-task additive wall time (empty = none) — e.g. expected checkpoint
-  /// overhead of the re-executed remainder. Added to the duration after
-  /// speed scaling.
-  std::vector<Cost> extra_time;
-  /// Per-processor earliest admission instant (empty = all `release`). A
-  /// processor that rejoins after a reboot becomes usable only from its
-  /// rejoin time: its effective ready time is clamped to
-  /// max(release, proc_release[p]). Entries must be finite and >= 0.
-  std::vector<Cost> proc_release;
-  /// Per-processor cold-cache horizon (empty = none): data produced on p at
-  /// or before this instant was lost with its memory at the reboot, so a
-  /// task placed on p re-fetches such a predecessor output at
-  /// cold_before[p] + comm instead of reading it locally for free. 0 means
-  /// the processor never rebooted. Entries must be finite and >= 0.
-  std::vector<Cost> cold_before;
-  /// Optional routed interconnect (not owned; must outlive the resume
-  /// call). When set, remote communication is priced as comm * hops(from,
-  /// to) — the store-and-forward route length of sim/topology — instead of
-  /// the paper's clique, and the engine switches to exact EST pricing: EMT
-  /// is computed with routed costs at classification, and the non-EP
-  /// candidate's destination is chosen by scanning every alive processor
-  /// for the true minimum EST (O(P * indeg) per step, acceptable on the
-  /// repair path). Routed prices are >= clique prices, so the continuation
-  /// stays clean under the clique validator. Must have num_procs nodes.
-  const Topology* topology = nullptr;
-  /// Price communication with the store-and-forward link-busy variant of
-  /// the platform cost model instead of flat hop counts (requires
-  /// `topology`). Every scheduling step re-prices both candidates against
-  /// the current link reservations and then *commits* the chosen task's
-  /// incoming transfers, so a congested route steers placement — the
-  /// contended link makes a nearer processor look farther than a free
-  /// multi-hop detour. Cached list keys are classification-time prices;
-  /// the fresh candidate re-pricing keeps the selection consistent and
-  /// every placement feasible.
-  bool link_busy = false;
-  /// When set (with link_busy), receives the commit log of the resumed
-  /// run: one LinkOccupancy per reserved hop, auditable with
-  /// validate_link_occupancies. Not owned; overwritten by resume().
-  std::vector<platform::LinkOccupancy>* occupancy_log = nullptr;
-};
-
 /// The FLB scheduler. Carries a reusable, arena-backed core::Scratch that
 /// is reset — not reallocated — between runs, so repeated scheduling
 /// through one FlbScheduler instance is allocation-free at steady state
@@ -184,27 +119,35 @@ class FlbScheduler final : public Scheduler {
                                           FlbStats* stats);
 
   /// The incremental FLB step, exposed for online schedule repair: continue
-  /// from a partial schedule. Every task already placed in `prefix` is kept
-  /// verbatim (it models the executed past, so its times may come from an
-  /// observed run rather than this scheduler); the remaining tasks are
-  /// placed by the same two-candidate rule as run(), restricted to
-  /// processors with alive[p] == true and starting no earlier than
-  /// `release_time`. A ready task whose enabling processor is dead is
-  /// classified non-EP — it pays full communication wherever it lands,
-  /// which keeps every placement feasible. `alive` must have
-  /// prefix.num_procs() entries, at least one of them true.
+  /// from a partial schedule on the machine `model` describes. Every task
+  /// already placed in `prefix` is kept verbatim (it models the executed
+  /// past, so its times may come from an observed run rather than this
+  /// scheduler); the remaining tasks are placed by the same two-candidate
+  /// rule as run(), priced entirely through the model:
+  ///  * availability — only alive processors receive work, none before its
+  ///    admission instant (the release, or a rejoin time), and a task
+  ///    re-fetches a local input that predates its processor's reboot. A
+  ///    ready task whose enabling processor is dead is classified non-EP:
+  ///    it pays full communication wherever it lands, which keeps every
+  ///    placement feasible;
+  ///  * execution — speeds, work overrides and extra time stretch finish
+  ///    times only (a task's EST does not depend on its own duration), which
+  ///    is how the related-machines EST/PRT coupling drains work away from
+  ///    slow processors;
+  ///  * communication — routed, link-busy or cold-cache pricing makes EST
+  ///    destination-dependent, so the non-EP candidate is priced on every
+  ///    alive processor (O(P * indeg) per step, acceptable on the repair
+  ///    path). Under link-busy pricing both candidates are re-priced
+  ///    against the current reservations every step and the chosen task's
+  ///    incoming transfers are committed to the model, so a congested
+  ///    route steers placement; the reservations stay in `model`
+  ///    (model.occupancies() is the run's commit log).
+  ///
+  /// Throws flb::Error unless `prefix` is sized for `g` and for the
+  /// model's processor count, every speed is at most 1, and the model
+  /// fits `g` (CostModel::validate).
   [[nodiscard]] Schedule resume(const TaskGraph& g, const Schedule& prefix,
-                                const std::vector<bool>& alive,
-                                Cost release_time = 0.0);
-
-  /// As resume() above, but on a degraded machine: per-processor speeds,
-  /// per-task work overrides and additive wall time (see FlbResumeContext).
-  /// The EP/non-EP two-candidate selection is unchanged — a task's EST does
-  /// not depend on its own duration — only finish times stretch, which is
-  /// exactly how the related-machines EST/PRT coupling re-balances load
-  /// away from slow processors.
-  [[nodiscard]] Schedule resume(const TaskGraph& g, const Schedule& prefix,
-                                const FlbResumeContext& ctx);
+                                platform::CostModel& model);
 
  private:
   FlbOptions options_;

@@ -6,20 +6,16 @@
 #include <vector>
 
 #include "flb/graph/task_graph.hpp"
-#include "flb/platform/speed_profile.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/types.hpp"
 
 /// \file cost_model.hpp
-/// The unified platform cost model: one pricing engine for every placement
-/// decision in this library.
-///
-/// Before this module, the machine model lived in four divergent copies —
-/// the FLB engine's exact EMT/EST pricing (`core/flb.cpp`), the repair
-/// path's greedy continuation (`sched/repair.cpp`), the machine simulator's
-/// message and re-fetch costs (`sim/machine_sim.cpp`), and the related-
-/// machines speeds (`sched/hetero.cpp`). CostModel owns all of it behind
-/// one interface:
+/// The platform cost model: the one description of the machine that every
+/// placement decision in this library prices against. FLB (fresh runs and
+/// resumes), schedule repair, HEFT/CPOP and the model-priced ETF/DLS take a
+/// caller-built CostModel, and both machine simulators (simulate,
+/// simulate_on_topology) price messages through it. A model answers three
+/// questions:
 ///
 ///  * **Communication** — `comm(src, dst, bytes, depart)` in three modes:
 ///    - kClique: the paper's contention-free clique (Section 2); O(1) per
@@ -35,20 +31,21 @@
 ///    `arrivals(src, bytes, finish, out)` prices one message to every
 ///    destination at once — in link-busy mode by one walk of the source's
 ///    route tree (Topology::route_tree) instead of P route probes.
-///  * **Execution** — `exec(g, t, p, start)`: per-task work overrides
-///    (checkpoint-resumed remainders), related-machines speed factors,
-///    per-task additive wall time (checkpoint writes), or full segment-
-///    based SpeedProfile integration when the speed varies over time.
-///  * **Availability** — kill/rejoin windows (`alive`), admission instants
-///    (global release + per-processor rejoin times) and cold-cache
-///    horizons, folded into `arrival()`: warm local data is free, local
-///    data predating a reboot is re-fetched at `cold + message cost`, and
-///    remote data pays the mode's network price.
+///  * **Execution** — `exec(g, t, p)`: per-task work overrides
+///    (checkpoint-resumed remainders), related-machines speed factors, and
+///    per-task additive wall time (checkpoint writes).
+///  * **Availability** — alive processors, admission instants (global
+///    release + per-processor rejoin times) and cold-cache horizons,
+///    folded into `arrival()`: warm local data is free, local data
+///    predating a reboot is re-fetched at `cold + message cost`, and remote
+///    data pays the mode's network price.
 ///
-/// Arithmetic is kept operation-for-operation identical to the former
-/// private copies (e.g. `work / speed` even for unit speeds, `bytes * 1.0`
-/// latency scaling), so clique-mode FLB schedules are bit-identical to the
-/// pre-refactor engine — guarded by tests/platform_test.cpp.
+/// A fresh model (any factory, nothing else set) has unit speeds, graph
+/// costs and every processor admitted from 0; CostModel::clique(P) is then
+/// exactly the paper's machine. Its arithmetic is the paper's operation
+/// for operation (a message costs `bytes * latency`, latency 1.0 unless
+/// set), so clique-mode FLB schedules are bit-identical to the paper's
+/// pricing — guarded by the golden digests in tests/platform_test.cpp.
 
 namespace flb::platform {
 
@@ -134,7 +131,10 @@ class CostModel {
 
   // -- Availability -------------------------------------------------------
 
-  /// Install the availability windows (sizes validated against num_procs).
+  /// Install the availability windows. Throws flb::Error unless every
+  /// per-processor vector is empty or covers num_procs() entries, and the
+  /// release, per-processor releases and cold-cache horizons are finite and
+  /// non-negative.
   void set_availability(Availability a);
   [[nodiscard]] const Availability& availability() const { return avail_; }
   [[nodiscard]] bool alive(ProcId p) const { return avail_.is_alive(p); }
@@ -154,14 +154,18 @@ class CostModel {
 
   /// Related-machines speed factors, all > 0 (empty = unit speeds).
   void set_speeds(std::vector<double> speeds);
-  /// Segment-based speed profiles; takes precedence over set_speeds for
-  /// exec pricing (empty = static speeds).
-  void set_speed_profiles(std::vector<SpeedProfile> profiles);
   /// Per-task work override (empty = graph costs; kUndefinedTime entries
   /// fall back to the graph) — checkpoint-resumed remainders.
   void set_work(std::vector<Cost> work);
   /// Per-task additive wall time after speed scaling (empty = none).
   void set_extra_time(std::vector<Cost> extra);
+
+  /// Check that this model fits `g` before pricing it: the per-task work
+  /// and extra-time vectors are empty or cover every task of `g`, and at
+  /// least one processor is admitted. Throws flb::Error otherwise. Every
+  /// function that takes a model and a graph (FLB resume, HEFT, CPOP and
+  /// their ranks, ETF/DLS run_on) calls it first.
+  void validate(const TaskGraph& g) const;
 
   [[nodiscard]] double speed(ProcId p) const {
     return speeds_.empty() ? 1.0 : speeds_[p];
@@ -174,20 +178,16 @@ class CostModel {
     return work;
   }
 
-  /// Wall time of `work` units on p starting at `start`: integrated
-  /// through p's speed profile when one is set, else work / speed(p).
-  [[nodiscard]] Cost exec_work(Cost work, ProcId p, Cost start = 0.0) const {
-    if (!profiles_.empty() && !profiles_[p].trivial())
-      return profiles_[p].run(start, work, CheckpointPolicy{}).end - start;
+  /// Wall time of `work` units on p: work / speed(p).
+  [[nodiscard]] Cost exec_work(Cost work, ProcId p) const {
     if (!speeds_.empty()) return work / speeds_[p];
     return work;
   }
 
-  /// Wall time of task t on p starting at `start`: effective work through
-  /// exec_work, plus the task's additive extra time.
-  [[nodiscard]] Cost exec(const TaskGraph& g, TaskId t, ProcId p,
-                          Cost start) const {
-    Cost d = exec_work(work_of(g, t), p, start);
+  /// Wall time of task t on p: effective work through exec_work, plus the
+  /// task's additive extra time.
+  [[nodiscard]] Cost exec(const TaskGraph& g, TaskId t, ProcId p) const {
+    Cost d = exec_work(work_of(g, t), p);
     if (!extra_.empty()) d += extra_[t];
     return d;
   }
@@ -285,7 +285,6 @@ class CostModel {
 
   std::vector<double> speeds_;        // empty = unit speeds
   double mean_inverse_speed_ = 1.0;
-  std::vector<SpeedProfile> profiles_;  // empty = static speeds
   std::vector<Cost> work_;   // empty = graph costs
   std::vector<Cost> extra_;  // empty = none
   Cost latency_ = 1.0;

@@ -26,17 +26,22 @@
 /// placed on surviving processors, no earlier than the repair's release
 /// instant.
 ///
-/// Degraded-but-alive processors are treated as *related machines*
-/// (sched/hetero): a processor throttled to speed s executes remaining work
-/// at comp / s, so the EST/PRT coupling of the resumed FLB engine naturally
-/// drains queued work away from it. Tasks killed mid-execution resume from
-/// their last durable checkpoint: only the unprotected remainder is
-/// re-planned (RepairResult::checkpoint_work_saved accounts the difference).
+/// Degraded-but-alive processors are treated as *related machines* (the
+/// speeds of flb::platform::CostModel): a processor throttled to speed s
+/// executes remaining work at comp / s, so the EST/PRT coupling of the
+/// resumed FLB engine naturally drains queued work away from it. Tasks
+/// killed mid-execution resume from their last durable checkpoint: only
+/// the unprotected remainder is re-planned
+/// (RepairResult::checkpoint_work_saved accounts the difference).
 ///
-/// Two strategies:
+/// Each continuation prices against one platform::CostModel built from the
+/// options (clique, or `topology` priced by hop count or link
+/// reservations), the admission windows, the final speeds, and each
+/// migrated task's remaining work and checkpoint-write time. Two
+/// strategies consume it:
 ///  * kFlbResume re-runs the paper's two-candidate FLB step
 ///    (FlbScheduler::resume) over the survivors, seeded with the executed
-///    prefix and the degraded speeds — the quality path.
+///    prefix — the quality path.
 ///  * kGreedy appends remaining tasks in topological order, each on the
 ///    processor minimizing its earliest start — the graceful-degradation
 ///    path, used automatically when fewer than two processors survive.

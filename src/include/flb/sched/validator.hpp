@@ -71,8 +71,9 @@ bool is_valid_schedule(const TaskGraph& g, const Schedule& s,
                        const std::vector<Cost>& durations,
                        double tolerance = 1e-9);
 
-/// Audit a link-busy commit log (platform::CostModel::occupancies,
-/// FlbResumeContext::occupancy_log, RepairResult::link_occupancies)
+/// Audit a link-busy commit log (platform::CostModel::occupancies — what a
+/// resume, HEFT/CPOP or ETF/DLS run_on on a link-busy model committed — or
+/// RepairResult::link_occupancies)
 /// against the store-and-forward exclusivity rule: a link carries at most
 /// one transfer at any instant. Reports one kLinkBusyViolation per pair of
 /// occupancies sharing positive measure on a link, plus findings for

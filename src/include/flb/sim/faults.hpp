@@ -344,8 +344,8 @@ std::size_t reroute_hops(const std::vector<LinkOutage>& outages,
 /// `resolved` have struck *and every transient one has cleared*: the
 /// per-processor product of the factors of permanent slowdowns (a finite
 /// `until` contributes nothing — the speed comes back). 1.0 for untouched
-/// processors. Bridges the fault model into the related-machines view of
-/// sched/hetero for speed-aware repair.
+/// processors. Bridges the fault model into the related-machines speeds of
+/// platform::CostModel for speed-aware repair.
 std::vector<double> final_speeds(const ResolvedFaults& resolved,
                                  ProcId num_procs);
 

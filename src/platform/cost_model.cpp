@@ -1,5 +1,6 @@
 #include "flb/platform/cost_model.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "flb/util/error.hpp"
@@ -49,12 +50,21 @@ CostModel CostModel::link_busy(const Topology& topology) {
 }
 
 void CostModel::set_availability(Availability a) {
+  auto instant = [](Cost c) { return std::isfinite(c) && c >= 0.0; };
   FLB_REQUIRE(a.alive.empty() || a.alive.size() == procs_,
               "CostModel: alive mask must cover every processor");
   FLB_REQUIRE(a.proc_release.empty() || a.proc_release.size() == procs_,
               "CostModel: per-processor release must cover every processor");
   FLB_REQUIRE(a.cold_before.empty() || a.cold_before.size() == procs_,
               "CostModel: cold-cache horizon must cover every processor");
+  FLB_REQUIRE(instant(a.release),
+              "CostModel: release must be finite and non-negative");
+  for (Cost r : a.proc_release)
+    FLB_REQUIRE(instant(r), "CostModel: per-processor release times must be "
+                            "finite and non-negative");
+  for (Cost c : a.cold_before)
+    FLB_REQUIRE(instant(c), "CostModel: cold-cache horizons must be finite "
+                            "and non-negative");
   avail_ = std::move(a);
 }
 
@@ -71,16 +81,20 @@ void CostModel::set_speeds(std::vector<double> speeds) {
       speeds_.empty() ? 1.0 : inv_sum / static_cast<double>(speeds_.size());
 }
 
-void CostModel::set_speed_profiles(std::vector<SpeedProfile> profiles) {
-  FLB_REQUIRE(profiles.empty() || profiles.size() == procs_,
-              "CostModel: speed profiles must cover every processor");
-  profiles_ = std::move(profiles);
-}
-
 void CostModel::set_work(std::vector<Cost> work) { work_ = std::move(work); }
 
 void CostModel::set_extra_time(std::vector<Cost> extra) {
   extra_ = std::move(extra);
+}
+
+void CostModel::validate(const TaskGraph& g) const {
+  FLB_REQUIRE(work_.empty() || work_.size() == g.num_tasks(),
+              "CostModel: work override must cover every task");
+  FLB_REQUIRE(extra_.empty() || extra_.size() == g.num_tasks(),
+              "CostModel: extra time must cover every task");
+  bool admitted = false;
+  for (ProcId p = 0; p < procs_ && !admitted; ++p) admitted = alive(p);
+  FLB_REQUIRE(admitted, "CostModel: at least one processor must be admitted");
 }
 
 void CostModel::set_latency_factor(Cost factor) {

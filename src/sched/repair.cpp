@@ -1,6 +1,7 @@
 #include "flb/sched/repair.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "flb/graph/properties.hpp"
@@ -47,7 +48,7 @@ void greedy_continuation(const TaskGraph& g, Schedule& s,
                          model.commit_arrival(s.proc(in.node), best, in.comm,
                                               s.finish(in.node)));
     }
-    s.assign(t, best, start, start + model.exec(g, t, best, 0.0));
+    s.assign(t, best, start, start + model.exec(g, t, best));
   }
 }
 
@@ -142,7 +143,6 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
       final_speeds(resolved, nominal.num_procs());
   for (ProcId p = 0; p < nominal.num_procs(); ++p)
     if (alive[p] && speeds[p] < 1.0) ++out.degraded_procs;
-  bool degraded = out.degraded_procs > 0;
 
   // Roll back the producers of permanently dropped messages plus all their
   // transitive successors — every task whose inputs are (directly or
@@ -214,6 +214,24 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
     out.checkpoint_work_saved += saved;
   }
 
+  // The machine every continuation — and the pin probe below — prices
+  // against: the paper's clique, or options.topology priced by hop count
+  // or by link reservations; the given availability; and the degraded
+  // execution of migrated work — final speeds, remaining work, checkpoint-
+  // write time.
+  auto machine = [&](platform::Availability availability) {
+    platform::CostModel model =
+        options.topology == nullptr ? platform::CostModel::clique(procs)
+        : options.link_busy
+            ? platform::CostModel::link_busy(*options.topology)
+            : platform::CostModel::routed(*options.topology);
+    model.set_availability(std::move(availability));
+    model.set_speeds(speeds);
+    model.set_work(work);
+    model.set_extra_time(extra);
+    return model;
+  };
+
   // Speculative hedging: each suspect is listed dead in the plan — its
   // queue migrates below — but the belief may be wrong, so its first
   // still-in-flight task keeps its placement instead of restarting
@@ -239,10 +257,7 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
     FLB_REQUIRE(options.pin_exclude == nullptr ||
                     options.pin_exclude->size() == n,
                 "repair_schedule: pin_exclude must have one entry per task");
-    platform::CostModel probe =
-        options.topology == nullptr
-            ? platform::CostModel::clique(procs)
-            : platform::CostModel::routed(*options.topology);
+    const platform::CostModel probe = machine({});
     for (ProcId sp : hedged) {
       FLB_REQUIRE(sp < procs,
                   "repair_schedule: suspect " + std::to_string(sp) +
@@ -272,8 +287,7 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
                                    out.schedule.finish(in.node)));
         }
         if (!preds_placed) break;
-        out.schedule.assign(t, sp, start,
-                            start + work[t] / speeds[sp] + extra[t]);
+        out.schedule.assign(t, sp, start, start + probe.exec(g, t, sp));
         out.pinned_tasks.push_back(t);
         if (!whole_queue) break;
       }
@@ -283,14 +297,17 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
 
   // One continuation over a given admission mask. `recovery` additionally
   // admits rejoined processors from their rejoin instant with cold caches
-  // (the Availability::recovery rule); both variants price communication
-  // through the platform cost model over options.topology when set,
-  // reservation-aware when options.link_busy.
+  // (the Availability::recovery rule). The FLB step and the greedy fallback
+  // price against the same machine, and link-busy reservations the
+  // continuation commits stay in its model. Both continuations share one
+  // FLB scheduler, so the second reuses the scratch the first sized instead
+  // of allocating (and page-faulting in) a fresh one.
   struct Continuation {
     Schedule schedule;
     RepairStrategy used;
     std::vector<platform::LinkOccupancy> occupancies;
   };
+  FlbScheduler flb(options.flb);
   auto continuation = [&](const std::vector<bool>& mask,
                           bool recovery) -> Continuation {
     ProcId admitted = 0;
@@ -307,37 +324,13 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
       a.release = release;
       a.alive = mask;
     }
+    platform::CostModel model = machine(std::move(a));
     Schedule s = out.schedule;  // the fixed prefix
-    std::vector<platform::LinkOccupancy> occ;
-    if (strategy == RepairStrategy::kFlbResume) {
-      FlbScheduler flb(options.flb);
-      FlbResumeContext ctx;
-      ctx.alive = mask;
-      ctx.release = release;
-      if (degraded) ctx.speeds = speeds;
-      ctx.work = work;
-      ctx.extra_time = extra;
-      ctx.proc_release = a.proc_release;
-      ctx.cold_before = a.cold_before;
-      ctx.topology = options.topology;
-      ctx.link_busy = options.link_busy;
-      ctx.occupancy_log = options.link_busy ? &occ : nullptr;
-      s = flb.resume(g, s, ctx);
-    } else {
-      platform::CostModel model =
-          options.topology == nullptr
-              ? platform::CostModel::clique(procs)
-              : (options.link_busy
-                     ? platform::CostModel::link_busy(*options.topology)
-                     : platform::CostModel::routed(*options.topology));
-      model.set_availability(std::move(a));
-      if (degraded) model.set_speeds(speeds);
-      model.set_work(work);
-      model.set_extra_time(extra);
+    if (strategy == RepairStrategy::kFlbResume)
+      s = flb.resume(g, s, model);
+    else
       greedy_continuation(g, s, model);
-      occ = model.occupancies();
-    }
-    return {std::move(s), strategy, std::move(occ)};
+    return {std::move(s), strategy, model.occupancies()};
   };
 
   if (out.migrated_tasks > 0) {

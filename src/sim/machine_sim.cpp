@@ -10,6 +10,7 @@
 
 #include "flb/graph/properties.hpp"
 #include "flb/platform/cost_model.hpp"
+#include "flb/platform/speed_profile.hpp"
 #include "flb/util/error.hpp"
 #include "flb/util/table.hpp"
 

@@ -459,21 +459,6 @@ TEST(Repair, NoFailuresIsIdentityContinuation) {
   }
 }
 
-// FLB resume with an all-alive mask and empty prefix is exactly run().
-TEST(Repair, ResumeFromEmptyPrefixMatchesRun) {
-  for (std::size_t i = 0; i < 6; ++i) {
-    TaskGraph g = test::fuzz_graph(i);
-    FlbScheduler flb;
-    Schedule fresh = flb.run(g, 3);
-    Schedule resumed =
-        flb.resume(g, Schedule(3, g.num_tasks()), {true, true, true});
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      ASSERT_EQ(fresh.proc(t), resumed.proc(t)) << g.name();
-      ASSERT_DOUBLE_EQ(fresh.start(t), resumed.start(t)) << g.name();
-    }
-  }
-}
-
 // --- Fault-plan validation names the offending entry -------------------------
 
 std::string validation_error(const FaultPlan& plan, ProcId procs) {

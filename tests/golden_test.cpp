@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flb/algos/duplication.hpp"
@@ -23,7 +24,6 @@
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
 #include "flb/runtime/recovery_runtime.hpp"
-#include "flb/sched/hetero.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/serve/serve.hpp"
 #include "flb/sim/faults.hpp"
@@ -41,11 +41,14 @@ using runtime::run_online_recovery;
 
 // --- Baseline schedulers -----------------------------------------------------
 
-/// HEFT/CPOP machine: three speed classes cycled over the processors.
-HeteroMachine mixed_speeds(ProcId procs) {
+/// HEFT/CPOP machine: a clique with three speed classes cycled over the
+/// processors.
+platform::CostModel mixed_speeds(ProcId procs) {
   std::vector<double> speeds;
   for (ProcId p = 0; p < procs; ++p) speeds.push_back(1.0 + 0.25 * (p % 3));
-  return HeteroMachine(speeds);
+  platform::CostModel model = platform::CostModel::clique(procs);
+  model.set_speeds(std::move(speeds));
+  return model;
 }
 
 /// A duplication schedule has no serve digest: hash every instance as one
@@ -66,9 +69,9 @@ struct Outcome {
 };
 
 /// Registry names run through make_scheduler; the rest name the heap users
-/// the registry does not reach (HEFT and CPOP on mixed speeds, HEFT priced
-/// through a clique CostModel, Sarkar clustering with work mapping, and
-/// DSH-style duplication).
+/// the registry does not reach (HEFT and CPOP on a mixed-speed clique
+/// model, HEFT on a unit-speed clique model, Sarkar clustering with work
+/// mapping, and DSH-style duplication).
 Outcome run_baseline(const std::string& algo, const TaskGraph& g,
                      ProcId procs) {
   if (algo == "DUP") {
@@ -76,8 +79,10 @@ Outcome run_baseline(const std::string& algo, const TaskGraph& g,
     return {s.makespan(), dup_digest(s)};
   }
   const Schedule s = [&] {
-    if (algo == "HEFT") return heft(g, mixed_speeds(procs));
-    if (algo == "CPOP") return cpop(g, mixed_speeds(procs));
+    if (algo == "HEFT" || algo == "CPOP") {
+      platform::CostModel model = mixed_speeds(procs);
+      return algo == "HEFT" ? heft(g, model) : cpop(g, model);
+    }
     if (algo == "HEFT-MODEL") {
       platform::CostModel model = platform::CostModel::clique(procs);
       return heft(g, model);

@@ -1,11 +1,14 @@
-// Tests for the heterogeneous machine model, HEFT and CPOP, plus the
-// hetero validator.
+// Tests for the related-machines model (per-processor speed factors of
+// platform::CostModel), HEFT and CPOP, and speed-scaled schedule
+// validation through the durations-aware validator.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "flb/algos/heft.hpp"
 #include "flb/graph/properties.hpp"
-#include "flb/sched/hetero.hpp"
+#include "flb/platform/cost_model.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/util/error.hpp"
 #include "flb/workloads/workloads.hpp"
@@ -14,47 +17,71 @@
 namespace flb {
 namespace {
 
-std::string hetero_violations(const TaskGraph& g, const HeteroMachine& m,
-                              const Schedule& s) {
+using platform::CostModel;
+
+/// A clique of processors with the given speed factors.
+CostModel related(std::vector<double> speeds) {
+  CostModel m = CostModel::clique(static_cast<ProcId>(speeds.size()));
+  m.set_speeds(std::move(speeds));
+  return m;
+}
+
+/// Expected wall time of every placed task: comp / speed of its processor
+/// (kUndefinedTime, i.e. unchecked, for unplaced tasks).
+std::vector<Cost> speed_scaled(const TaskGraph& g, const CostModel& m,
+                               const Schedule& s) {
+  std::vector<Cost> d(g.num_tasks(), kUndefinedTime);
+  for (TaskId t = 0; t < g.num_tasks(); ++t)
+    if (s.is_scheduled(t)) d[t] = g.comp(t) / m.speed(s.proc(t));
+  return d;
+}
+
+std::string speed_violations(const TaskGraph& g, const CostModel& m,
+                             const Schedule& s) {
   std::string out;
-  for (const Violation& v : validate_hetero_schedule(g, m, s)) {
+  for (const Violation& v : validate_schedule(g, s, speed_scaled(g, m, s))) {
     out += to_string(v);
     out += '\n';
   }
   return out.empty() ? "(none)" : out;
 }
 
+bool valid_on(const TaskGraph& g, const CostModel& m, const Schedule& s) {
+  return is_valid_schedule(g, s, speed_scaled(g, m, s));
+}
+
 // --- Machine model ------------------------------------------------------------
 
-TEST(HeteroMachine, ExecTimeScalesWithSpeed) {
-  HeteroMachine m({1.0, 2.0, 0.5});
+TEST(RelatedMachines, ExecTimeScalesWithSpeed) {
+  CostModel m = related({1.0, 2.0, 0.5});
   EXPECT_EQ(m.num_procs(), 3u);
-  EXPECT_DOUBLE_EQ(m.exec_time(4.0, 0), 4.0);
-  EXPECT_DOUBLE_EQ(m.exec_time(4.0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m.exec_time(4.0, 2), 8.0);
-  EXPECT_FALSE(m.is_uniform());
+  EXPECT_DOUBLE_EQ(m.exec_work(4.0, 0), 4.0);
+  EXPECT_DOUBLE_EQ(m.exec_work(4.0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(m.exec_work(4.0, 2), 8.0);
   // mean inverse speed = (1 + 0.5 + 2) / 3.
-  EXPECT_NEAR(m.mean_exec_time(3.0), 3.0 * 3.5 / 3.0, 1e-12);
+  EXPECT_NEAR(m.mean_exec_work(3.0), 3.0 * 3.5 / 3.0, 1e-12);
 }
 
-TEST(HeteroMachine, UniformFactory) {
-  HeteroMachine m = HeteroMachine::uniform(4);
-  EXPECT_TRUE(m.is_uniform());
-  EXPECT_DOUBLE_EQ(m.exec_time(2.5, 3), 2.5);
-  EXPECT_DOUBLE_EQ(m.mean_exec_time(2.5), 2.5);
+TEST(RelatedMachines, UnitSpeedClique) {
+  CostModel m = CostModel::clique(4);
+  EXPECT_DOUBLE_EQ(m.speed(3), 1.0);
+  EXPECT_DOUBLE_EQ(m.exec_work(2.5, 3), 2.5);
+  EXPECT_DOUBLE_EQ(m.mean_exec_work(2.5), 2.5);
 }
 
-TEST(HeteroMachine, RejectsBadSpeeds) {
-  EXPECT_THROW(HeteroMachine({}), Error);
-  EXPECT_THROW(HeteroMachine({1.0, 0.0}), Error);
-  EXPECT_THROW(HeteroMachine({-1.0}), Error);
+TEST(RelatedMachines, RejectsBadSpeeds) {
+  EXPECT_THROW(CostModel::clique(0), Error);  // no processor at all
+  CostModel two = CostModel::clique(2);
+  EXPECT_THROW(two.set_speeds({1.0, 0.0}), Error);
+  CostModel one = CostModel::clique(1);
+  EXPECT_THROW(one.set_speeds({-1.0}), Error);
 }
 
-// --- Hetero validator -----------------------------------------------------------
+// --- Speed-scaled validation ----------------------------------------------------
 
-TEST(HeteroValidator, ChecksSpeedScaledDurations) {
+TEST(SpeedScaledValidation, ChecksSpeedScaledDurations) {
   TaskGraph g = test::small_diamond();
-  HeteroMachine m({1.0, 2.0});
+  CostModel m = related({1.0, 2.0});
   Schedule s(2, 4);
   s.assign(0, 1, 0.0, 0.5);  // comp 1 on speed 2 -> duration 0.5
   s.assign(1, 1, 2.5, 4.0);  // comp 3 -> 1.5 (data from a local at 0.5 +
@@ -62,19 +89,18 @@ TEST(HeteroValidator, ChecksSpeedScaledDurations) {
                              // 2.5 is safely late)
   s.assign(2, 0, 1.5, 3.5);  // comp 2 on speed 1, a remote: 0.5 + 1 = 1.5
   s.assign(3, 0, 7.0, 8.0);  // comp 1; b remote 4+1=5, c local 3.5
-  EXPECT_TRUE(is_valid_hetero_schedule(g, m, s))
-      << hetero_violations(g, m, s);
+  EXPECT_TRUE(valid_on(g, m, s)) << speed_violations(g, m, s);
 
   // The same placements are NOT valid on a uniform machine (durations).
   EXPECT_FALSE(is_valid_schedule(g, s));
 }
 
-TEST(HeteroValidator, CatchesWrongDuration) {
+TEST(SpeedScaledValidation, CatchesWrongDuration) {
   TaskGraph g = test::small_diamond();
-  HeteroMachine m({2.0});
+  CostModel m = related({2.0});
   Schedule s(1, 4);
   s.assign(0, 0, 0.0, 1.0);  // should be 0.5 on speed 2
-  auto v = validate_hetero_schedule(g, m, s);
+  auto v = validate_schedule(g, s, speed_scaled(g, m, s));
   bool found = false;
   for (const auto& violation : v)
     if (violation.kind == Violation::Kind::kWrongDuration &&
@@ -83,11 +109,11 @@ TEST(HeteroValidator, CatchesWrongDuration) {
   EXPECT_TRUE(found);
 }
 
-TEST(HeteroValidator, UniformMachineAgreesWithHomogeneousValidator) {
+TEST(SpeedScaledValidation, UnitSpeedsAgreeWithHomogeneousValidator) {
   TaskGraph g = test::fuzz_graph(1);
-  HeteroMachine m = HeteroMachine::uniform(3);
+  CostModel m = CostModel::clique(3);
   Schedule s = heft(g, m);
-  EXPECT_EQ(is_valid_schedule(g, s), is_valid_hetero_schedule(g, m, s));
+  EXPECT_EQ(is_valid_schedule(g, s), valid_on(g, m, s));
 }
 
 // --- Ranks ----------------------------------------------------------------------
@@ -95,8 +121,7 @@ TEST(HeteroValidator, UniformMachineAgreesWithHomogeneousValidator) {
 TEST(UpwardRanks, UniformMachineEqualsBottomLevels) {
   for (std::size_t i = 0; i < 8; ++i) {
     TaskGraph g = test::fuzz_graph(i);
-    HeteroMachine m = HeteroMachine::uniform(4);
-    auto rank = upward_ranks(g, m);
+    auto rank = upward_ranks(g, CostModel::clique(4));
     auto bl = bottom_levels(g);
     for (TaskId t = 0; t < g.num_tasks(); ++t)
       ASSERT_NEAR(rank[t], bl[t], 1e-9) << g.name() << " t" << t;
@@ -106,8 +131,7 @@ TEST(UpwardRanks, UniformMachineEqualsBottomLevels) {
 TEST(DownwardRanks, UniformMachineEqualsTopLevels) {
   for (std::size_t i = 0; i < 8; ++i) {
     TaskGraph g = test::fuzz_graph(i);
-    HeteroMachine m = HeteroMachine::uniform(4);
-    auto rank = downward_ranks(g, m);
+    auto rank = downward_ranks(g, CostModel::clique(4));
     auto tl = top_levels(g);
     for (TaskId t = 0; t < g.num_tasks(); ++t)
       ASSERT_NEAR(rank[t], tl[t], 1e-9);
@@ -117,8 +141,8 @@ TEST(DownwardRanks, UniformMachineEqualsTopLevels) {
 TEST(UpwardRanks, ScaleWithMachineSpeed) {
   TaskGraph g = test::small_diamond();
   // All processors twice as fast: computation halves, communication stays.
-  auto slow = upward_ranks(g, HeteroMachine({1.0, 1.0}));
-  auto fast = upward_ranks(g, HeteroMachine({2.0, 2.0}));
+  auto slow = upward_ranks(g, related({1.0, 1.0}));
+  auto fast = upward_ranks(g, related({2.0, 2.0}));
   // rank(d) = comp(d)/speed: exactly halves.
   EXPECT_DOUBLE_EQ(fast[3], slow[3] / 2.0);
   EXPECT_LT(fast[0], slow[0]);
@@ -135,10 +159,10 @@ TEST(Heft, ValidOnFuzzCorpusAcrossMachines) {
   for (std::size_t i = 0; i < 14; ++i) {
     TaskGraph g = test::fuzz_graph(i);
     for (const auto& speeds : machines) {
-      HeteroMachine m(speeds);
+      CostModel m = related(speeds);
       Schedule s = heft(g, m);
-      ASSERT_TRUE(is_valid_hetero_schedule(g, m, s))
-          << g.name() << "\n" << hetero_violations(g, m, s);
+      ASSERT_TRUE(valid_on(g, m, s))
+          << g.name() << "\n" << speed_violations(g, m, s);
     }
   }
 }
@@ -148,7 +172,7 @@ TEST(Heft, PrefersFastProcessorWhenFree) {
   TaskGraphBuilder b;
   b.add_task(6.0);
   TaskGraph g = std::move(b).build();
-  HeteroMachine m({1.0, 3.0, 2.0});
+  CostModel m = related({1.0, 3.0, 2.0});
   Schedule s = heft(g, m);
   EXPECT_EQ(s.proc(0), 1u);
   EXPECT_DOUBLE_EQ(s.makespan(), 2.0);
@@ -159,8 +183,10 @@ TEST(Heft, FasterMachineNeverHurtsMuch) {
   WorkloadParams params;
   params.seed = 3;
   TaskGraph g = make_workload("LU", 300, params);
-  Schedule base = heft(g, HeteroMachine({1, 1, 1, 1}));
-  Schedule fast = heft(g, HeteroMachine({2, 2, 2, 2}));
+  CostModel unit = related({1, 1, 1, 1});
+  CostModel doubled = related({2, 2, 2, 2});
+  Schedule base = heft(g, unit);
+  Schedule fast = heft(g, doubled);
   EXPECT_LT(fast.makespan(), base.makespan());
 }
 
@@ -169,7 +195,7 @@ TEST(Heft, UniformMachineCompetitiveWithLibraryAlgorithms) {
   params.seed = 7;
   params.ccr = 1.0;
   TaskGraph g = make_workload("Stencil", 300, params);
-  HeteroMachine m = HeteroMachine::uniform(8);
+  CostModel m = CostModel::clique(8);
   Cost heft_len = heft(g, m).makespan();
   Cost mcp_len = make_scheduler("MCP", 1)->run(g, 8).makespan();
   EXPECT_LT(heft_len, 1.3 * mcp_len);
@@ -186,10 +212,10 @@ TEST(Cpop, ValidOnFuzzCorpusAcrossMachines) {
   for (std::size_t i = 0; i < 14; ++i) {
     TaskGraph g = test::fuzz_graph(i);
     for (const auto& speeds : machines) {
-      HeteroMachine m(speeds);
+      CostModel m = related(speeds);
       Schedule s = cpop(g, m);
-      ASSERT_TRUE(is_valid_hetero_schedule(g, m, s))
-          << g.name() << "\n" << hetero_violations(g, m, s);
+      ASSERT_TRUE(valid_on(g, m, s))
+          << g.name() << "\n" << speed_violations(g, m, s);
     }
   }
 }
@@ -201,18 +227,34 @@ TEST(Cpop, CriticalPathSharesOneProcessor) {
   p.random_weights = false;
   p.ccr = 1.0;
   TaskGraph g = chain_graph(12, p);
-  HeteroMachine m({1.0, 5.0, 2.0});
+  CostModel m = related({1.0, 5.0, 2.0});
   Schedule s = cpop(g, m);
-  ASSERT_TRUE(is_valid_hetero_schedule(g, m, s));
+  ASSERT_TRUE(valid_on(g, m, s));
   for (TaskId t = 0; t < g.num_tasks(); ++t) EXPECT_EQ(s.proc(t), 1u);
   EXPECT_DOUBLE_EQ(s.makespan(), 12.0 / 5.0);
 }
 
+TEST(Cpop, CriticalPathAvoidsDeadProcessors) {
+  // The fastest processor is dead: the chain goes to the fastest alive one.
+  WorkloadParams p;
+  p.random_weights = false;
+  p.ccr = 1.0;
+  TaskGraph g = chain_graph(12, p);
+  CostModel m = related({1.0, 5.0, 2.0});
+  platform::Availability a;
+  a.alive = {true, false, true};
+  m.set_availability(std::move(a));
+  Schedule s = cpop(g, m);
+  ASSERT_TRUE(valid_on(g, m, s));
+  for (TaskId t = 0; t < g.num_tasks(); ++t) EXPECT_EQ(s.proc(t), 2u);
+  EXPECT_DOUBLE_EQ(s.makespan(), 12.0 / 2.0);
+}
+
 TEST(Cpop, HandlesSingleProcessor) {
   TaskGraph g = test::fuzz_graph(4);
-  HeteroMachine m({2.0});
+  CostModel m = related({2.0});
   Schedule s = cpop(g, m);
-  ASSERT_TRUE(is_valid_hetero_schedule(g, m, s));
+  ASSERT_TRUE(valid_on(g, m, s));
   EXPECT_NEAR(s.makespan(), g.total_comp() / 2.0, 1e-9);
 }
 

@@ -1,6 +1,7 @@
 #include "flb/platform/cost_model.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "flb/algos/heft.hpp"
 #include "flb/core/flb.hpp"
 #include "flb/platform/speed_profile.hpp"
-#include "flb/sched/hetero.hpp"
 #include "flb/sched/repair.hpp"
 #include "flb/sched/validator.hpp"
 #include "flb/serve/serve.hpp"
@@ -173,27 +173,27 @@ TEST(PlatformGolden, ExactScanResumeBitIdentical) {
   };
   for (const auto& c : kCases) {
     ExactProblem pb = exact_problem(c.procs);
-    FlbResumeContext ctx;
-    ctx.alive.assign(c.procs, true);
-    ctx.alive[1] = false;
-    ctx.release = pb.release;
+    Availability a;
+    a.alive.assign(c.procs, true);
+    a.alive[1] = false;
+    a.release = pb.release;
     if (c.cold) {
       // Processors 2 and 4 rebooted at the release: admitted from it, and
       // their memories lost everything they produced before it.
-      ctx.proc_release.assign(c.procs, 0.0);
-      ctx.cold_before.assign(c.procs, 0.0);
+      a.proc_release.assign(c.procs, 0.0);
+      a.cold_before.assign(c.procs, 0.0);
       for (ProcId p : {2u, 4u}) {
-        ctx.proc_release[p] = pb.release;
-        ctx.cold_before[p] = pb.release;
+        a.proc_release[p] = pb.release;
+        a.cold_before[p] = pb.release;
       }
     }
-    ctx.topology = c.topology;
-    ctx.link_busy = c.link_busy;
-    std::vector<LinkOccupancy> occ;
-    ctx.occupancy_log = c.link_busy ? &occ : nullptr;
-    Schedule s = FlbScheduler().resume(pb.g, pb.prefix, ctx);
+    CostModel model = c.topology == nullptr ? CostModel::clique(c.procs)
+                      : c.link_busy ? CostModel::link_busy(*c.topology)
+                                    : CostModel::routed(*c.topology);
+    model.set_availability(std::move(a));
+    Schedule s = FlbScheduler().resume(pb.g, pb.prefix, model);
     ASSERT_TRUE(is_valid_schedule(pb.g, s)) << c.golden.name;
-    expect_golden(c.golden, s, occ.size());
+    expect_golden(c.golden, s, model.occupancies().size());
   }
 }
 
@@ -220,6 +220,134 @@ TEST(PlatformGolden, LinkBusyGiveBackRepairBitIdentical) {
   EXPECT_TRUE(validate_schedule(g, r.schedule, r.durations).empty());
   expect_golden({"give-back repair link-busy mesh2d(4,4)",
                  0x1.38c6678c45186p+9, 1358344950865371587ull, 389},
+                r.schedule, r.link_occupancies.size());
+}
+
+// A degraded-machine repair on 16 processors: two processors are throttled
+// for good, every task checkpoints with a write overhead and runs a
+// perturbed amount of work, and processor 5 dies late in one of its tasks
+// (after a durable checkpoint). The continuation therefore prices slowed
+// speeds, perturbed and checkpoint-resumed remainders, and the extra wall
+// time of the re-executed writes.
+struct DegradedEpisode {
+  TaskGraph g;
+  Schedule nominal;
+  FaultPlan plan;
+  SimResult partial;
+};
+
+DegradedEpisode degraded_episode() {
+  WorkloadParams params;
+  params.ccr = 5.0;
+  params.seed = 15;
+  TaskGraph g = make_workload("Laplace", 200, params);
+  Schedule nominal = FlbScheduler().run(g, 16);
+  const Cost span = nominal.makespan();
+  const Cost mean_comp = g.total_comp() / static_cast<Cost>(g.num_tasks());
+  FaultPlan plan;
+  plan.slowdowns = {{6, 0.1 * span, 0.5}, {10, 0.2 * span, 0.75}};
+  plan.checkpoint.interval = 0.25 * mean_comp;
+  plan.checkpoint.overhead = 0.05 * mean_comp;
+  plan.runtime_spread = 0.1;
+  SimOptions sopts;
+  sopts.faults = &plan;
+  // The kill lands at 90% of the first task processor 5 finishes after 0.3
+  // of the nominal makespan; a failure changes nothing before its instant,
+  // so the run without it locates that task.
+  const SimResult healthy = simulate(g, nominal, sopts);
+  Cost at = 0.0;
+  for (TaskId t : nominal.tasks_on(5))
+    if (healthy.finish[t] > 0.3 * span) {
+      at = healthy.start[t] + 0.9 * (healthy.finish[t] - healthy.start[t]);
+      break;
+    }
+  plan.failures = {{5, at}};
+  SimResult partial = simulate(g, nominal, sopts);
+  return {std::move(g), std::move(nominal), std::move(plan),
+          std::move(partial)};
+}
+
+TEST(PlatformGolden, DegradedRepairBitIdentical) {
+  const Topology mesh = Topology::mesh2d(4, 4);
+  const DegradedEpisode ep = degraded_episode();
+  const struct {
+    const Topology* topology;  // null = clique
+    bool link_busy;
+    RepairStrategy strategy;
+    ExactGolden golden;
+  } kCases[] = {
+      {nullptr, false, RepairStrategy::kFlbResume,
+       {"FLB degraded repair, clique", 0x1.19a041241418p+7,
+        10755749203037609721ull, 0}},
+      {&mesh, false, RepairStrategy::kFlbResume,
+       {"FLB degraded repair, routed mesh2d(4,4)", 0x1.4aeb1d9459f17p+7,
+        3297840908354780771ull, 0}},
+      {&mesh, true, RepairStrategy::kFlbResume,
+       {"FLB degraded repair, link-busy mesh2d(4,4)", 0x1.3f4703f839917p+9,
+        8968652292992802445ull, 563}},
+      {&mesh, true, RepairStrategy::kGreedy,
+       {"greedy degraded repair, link-busy mesh2d(4,4)",
+        0x1.149d9b7e7b20ep+9, 3455704675591112820ull, 360}},
+  };
+  for (const auto& c : kCases) {
+    RepairOptions ropts;
+    ropts.strategy = c.strategy;
+    ropts.horizon = ep.plan.failures.front().time;
+    ropts.topology = c.topology;
+    ropts.link_busy = c.link_busy;
+    RepairResult r =
+        repair_schedule(ep.g, ep.nominal, ep.partial, ep.plan, ropts);
+    EXPECT_EQ(r.used, c.strategy) << c.golden.name;
+    EXPECT_EQ(r.degraded_procs, 2u) << c.golden.name;
+    EXPECT_GT(r.checkpoint_work_saved, 0.0) << c.golden.name;
+    for (const Violation& v : validate_schedule(ep.g, r.schedule, r.durations))
+      ADD_FAILURE() << c.golden.name << ": " << to_string(v);
+    expect_golden(c.golden, r.schedule, r.link_occupancies.size());
+  }
+}
+
+// A hedged repair on a routed mesh: suspected processor 3 is listed dead
+// in the plan but keeps its in-flight task, and processor 15 sits behind a
+// partition, so the not-yet-started head of its queue stays in place. The
+// pin starts are lifted against routed (hop-scaled) arrivals.
+TEST(PlatformGolden, HedgedRepairOnRoutedMeshBitIdentical) {
+  const Topology mesh = Topology::mesh2d(4, 4);
+  WorkloadParams params;
+  params.ccr = 5.0;
+  params.seed = 19;
+  TaskGraph g = make_workload("Laplace", 200, params);
+  Schedule nominal = FlbScheduler().run(g, 16);
+  // Suspect processor 3 midway through the first task it finishes after
+  // 0.3 of the makespan, so that task is in flight at the horizon.
+  Cost at = 0.0;
+  for (TaskId t : nominal.tasks_on(3))
+    if (nominal.finish(t) > 0.3 * nominal.makespan()) {
+      at = 0.5 * (nominal.start(t) + nominal.finish(t));
+      break;
+    }
+  FaultPlan plan = FaultPlan::single_failure(3, at);
+  SimOptions sopts;
+  sopts.faults = &plan;
+  SimResult partial = simulate(g, nominal, sopts);
+  RepairOptions ropts;
+  ropts.horizon = at;
+  ropts.topology = &mesh;
+  ropts.suspects = {3};
+  ropts.unreachable = {15};
+  RepairResult r = repair_schedule(g, nominal, partial, plan, ropts);
+  EXPECT_EQ(r.used, RepairStrategy::kFlbResume);
+  EXPECT_EQ(r.unreachable_procs, 1u);
+  std::size_t on_suspect = 0, on_unreachable = 0;
+  for (TaskId t : r.pinned_tasks) {
+    if (r.schedule.proc(t) == 3u) ++on_suspect;
+    if (r.schedule.proc(t) == 15u) ++on_unreachable;
+  }
+  EXPECT_EQ(on_suspect, 1u);
+  EXPECT_EQ(on_unreachable, 10u);
+  for (const Violation& v : validate_schedule(g, r.schedule, r.durations))
+    ADD_FAILURE() << to_string(v);
+  expect_golden({"hedged repair, routed mesh2d(4,4)", 0x1.57511c9099674p+7,
+                 6913049128041571829ull, 0},
                 r.schedule, r.link_occupancies.size());
 }
 
@@ -439,69 +567,125 @@ TEST(CostModelTest, ArrivalsMatchPerDestinationArrival) {
 TEST(CostModelTest, ExecutionPricing) {
   CostModel m = CostModel::clique(2);
   TaskGraph g = test::small_diamond();  // comp: 1, 3, 2, 1
-  EXPECT_EQ(m.exec(g, 1, 0, 0.0), 3.0);
+  EXPECT_EQ(m.exec(g, 1, 0), 3.0);
   m.set_speeds({1.0, 0.5});
   EXPECT_EQ(m.speed(1), 0.5);
-  EXPECT_EQ(m.exec(g, 1, 1, 0.0), 6.0);
+  EXPECT_EQ(m.exec(g, 1, 1), 6.0);
+  EXPECT_EQ(m.exec_work(3.0, 1), 6.0);
   EXPECT_EQ(m.mean_exec_work(2.0), 3.0);  // mean inverse speed = 1.5
   // Work override (checkpoint-resumed remainder) replaces the graph cost.
   m.set_work({kUndefinedTime, 1.0, kUndefinedTime, kUndefinedTime});
   EXPECT_EQ(m.work_of(g, 1), 1.0);
   EXPECT_EQ(m.work_of(g, 2), 2.0);  // kUndefinedTime falls back to comp
-  EXPECT_EQ(m.exec(g, 1, 1, 0.0), 2.0);
+  EXPECT_EQ(m.exec(g, 1, 1), 2.0);
   // Additive extra time lands after speed scaling.
   m.set_extra_time({0.0, 0.25, 0.0, 0.0});
-  EXPECT_EQ(m.exec(g, 1, 1, 0.0), 2.25);
-}
-
-TEST(CostModelTest, SpeedProfilesTakePrecedenceOverStaticSpeeds) {
-  CostModel m = CostModel::clique(2);
-  m.set_speeds({1.0, 1.0});
-  std::vector<SpeedProfile> profiles(2);
-  profiles[1].add(0.0, 0.5);
-  profiles[1].finalize();
-  m.set_speed_profiles(std::move(profiles));
-  EXPECT_EQ(m.exec_work(2.0, 0, 0.0), 2.0);  // trivial profile: static path
-  EXPECT_EQ(m.exec_work(2.0, 1, 0.0), 4.0);  // integrated at half speed
+  EXPECT_EQ(m.exec(g, 1, 1), 2.25);
 }
 
 TEST(CostModelTest, RejectsMalformedConfiguration) {
   CostModel m = CostModel::clique(2);
   EXPECT_THROW(m.set_speeds({1.0}), Error);          // wrong size
   EXPECT_THROW(m.set_speeds({1.0, 0.0}), Error);     // non-positive speed
+  EXPECT_THROW(m.set_speeds({1.0, -1.0}), Error);
   EXPECT_THROW(m.set_latency_factor(-1.0), Error);
-  Availability a;
-  a.alive = {true};
-  EXPECT_THROW(m.set_availability(std::move(a)), Error);
   EXPECT_THROW(CostModel::clique(0), Error);
+  const auto rejects = [&](Availability a) {
+    EXPECT_THROW(m.set_availability(std::move(a)), Error);
+  };
+  Availability a;
+  a.alive = {true};  // wrong size
+  rejects(a);
+  a = {};
+  a.release = -1.0;
+  rejects(a);
+  a.release = kInfiniteTime;
+  rejects(a);
+  a = {};
+  a.proc_release = {0.0};  // wrong size
+  rejects(a);
+  a.proc_release = {0.0, -1.0};
+  rejects(a);
+  a.proc_release = {0.0, kInfiniteTime};
+  rejects(a);
+  a = {};
+  a.cold_before = {0.0};  // wrong size
+  rejects(a);
+  a.cold_before = {-1.0, 0.0};
+  rejects(a);
+  a.cold_before = {std::nan(""), 0.0};
+  rejects(a);
+}
+
+// Every engine that takes a caller-built model checks that it fits the
+// graph first: per-task vectors that do not cover the graph, or a model
+// admitting no processor, throw flb::Error instead of reading out of
+// bounds or tripping an internal invariant.
+TEST(CostModelTest, EntryPointsRejectModelsThatDoNotFitTheGraph) {
+  const TaskGraph g = test::small_diamond();  // 4 tasks
+  const std::vector<void (*)(CostModel&)> misfits = {
+      [](CostModel& m) { m.set_work({1.0, 1.0}); },
+      [](CostModel& m) { m.set_extra_time({0.0}); },
+      [](CostModel& m) {
+        Availability a;
+        a.alive = {false, false};
+        m.set_availability(std::move(a));
+      },
+  };
+  for (std::size_t i = 0; i < misfits.size(); ++i) {
+    CostModel m = CostModel::clique(2);
+    misfits[i](m);
+    EXPECT_THROW((void)FlbScheduler().resume(g, Schedule(2, 4), m), Error)
+        << "resume, misfit " << i;
+    EXPECT_THROW((void)heft(g, m), Error) << "heft, misfit " << i;
+    EXPECT_THROW((void)cpop(g, m), Error) << "cpop, misfit " << i;
+    EXPECT_THROW((void)upward_ranks(g, m), Error) << "upward, misfit " << i;
+    EXPECT_THROW((void)downward_ranks(g, m), Error)
+        << "downward, misfit " << i;
+    EXPECT_THROW((void)EtfScheduler().run_on(g, m), Error)
+        << "ETF run_on, misfit " << i;
+    EXPECT_THROW((void)DlsScheduler().run_on(g, m), Error)
+        << "DLS run_on, misfit " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Resume through the platform layer.
 
+// FLB resume from an empty prefix on a fresh clique model is exactly run().
 TEST(PlatformResume, EmptyPrefixMatchesFreshRun) {
-  for (std::size_t i = 0; i < 6; ++i) {
-    TaskGraph g = test::fuzz_graph(i);
-    FlbScheduler flb;
-    Schedule fresh = flb.run(g, 4);
-    Schedule resumed = flb.resume(g, Schedule(4, g.num_tasks()),
-                                  std::vector<bool>(4, true), 0.0);
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      EXPECT_EQ(resumed.proc(t), fresh.proc(t)) << g.name() << " task " << t;
-      EXPECT_EQ(resumed.start(t), fresh.start(t)) << g.name() << " task " << t;
-      EXPECT_EQ(resumed.finish(t), fresh.finish(t))
-          << g.name() << " task " << t;
+  for (ProcId procs : {3u, 4u}) {
+    for (std::size_t i = 0; i < 6; ++i) {
+      TaskGraph g = test::fuzz_graph(i);
+      FlbScheduler flb;
+      Schedule fresh = flb.run(g, procs);
+      CostModel model = CostModel::clique(procs);
+      Schedule resumed =
+          flb.resume(g, Schedule(procs, g.num_tasks()), model);
+      for (TaskId t = 0; t < g.num_tasks(); ++t) {
+        EXPECT_EQ(resumed.proc(t), fresh.proc(t))
+            << g.name() << " P=" << procs << " task " << t;
+        EXPECT_EQ(resumed.start(t), fresh.start(t))
+            << g.name() << " P=" << procs << " task " << t;
+        EXPECT_EQ(resumed.finish(t), fresh.finish(t))
+            << g.name() << " P=" << procs << " task " << t;
+      }
     }
   }
 }
 
-TEST(PlatformResume, LinkBusyRequiresTopology) {
+TEST(PlatformResume, RejectsMismatchedPrefixAndSpeeds) {
   TaskGraph g = test::small_diamond();
   FlbScheduler flb;
-  FlbResumeContext ctx;
-  ctx.alive = {true, true};
-  ctx.link_busy = true;  // but no topology
-  EXPECT_THROW((void)flb.resume(g, Schedule(2, g.num_tasks()), ctx), Error);
+  CostModel two = CostModel::clique(2);
+  EXPECT_THROW((void)flb.resume(g, Schedule(2, 3), two), Error);  // graph
+  // A topology whose node count differs from the prefix's processors.
+  const Topology three = Topology::ring(3);
+  CostModel routed = CostModel::routed(three);
+  EXPECT_THROW((void)flb.resume(g, Schedule(2, 4), routed), Error);
+  // The resumed engine models throttled processors only.
+  two.set_speeds({1.0, 2.0});
+  EXPECT_THROW((void)flb.resume(g, Schedule(2, 4), two), Error);
 }
 
 // The hand example behind the resume-level link-contention claim.
@@ -539,22 +723,23 @@ TEST(PlatformResume, ContendedLinkSteersPlacement) {
   prefix.assign(0, 0, 0.0, 0.5);  // the producer's executed past
 
   FlbScheduler flb;
-  FlbResumeContext ctx;
-  ctx.alive = {false, true, false, true};
-  ctx.release = 0.5;
-  ctx.topology = &topo;
+  Availability a;
+  a.alive = {false, true, false, true};
+  a.release = 0.5;
+  CostModel routed_model = CostModel::routed(topo);
+  routed_model.set_availability(a);
 
-  Schedule routed = flb.resume(g, prefix, ctx);
+  Schedule routed = flb.resume(g, prefix, routed_model);
   EXPECT_TRUE(is_valid_schedule(g, routed))
       << test::violations_to_string(g, routed);
   for (TaskId t = 1; t <= 3; ++t)
     EXPECT_EQ(routed.proc(t), 1u) << "routed pricing: consumer " << t;
   EXPECT_EQ(routed.makespan(), 6.0);
 
-  std::vector<LinkOccupancy> occ;
-  ctx.link_busy = true;
-  ctx.occupancy_log = &occ;
-  Schedule busy = flb.resume(g, prefix, ctx);
+  CostModel busy_model = CostModel::link_busy(topo);
+  busy_model.set_availability(a);
+  Schedule busy = flb.resume(g, prefix, busy_model);
+  const std::vector<LinkOccupancy>& occ = busy_model.occupancies();
   EXPECT_TRUE(is_valid_schedule(g, busy))
       << test::violations_to_string(g, busy);
   int on_far = 0;
@@ -582,20 +767,17 @@ TEST(PlatformResume, RoutedAndLinkBusySchedulesStayFeasible) {
   for (std::size_t i = 0; i < 8; ++i) {
     TaskGraph g = test::fuzz_graph(i);
     FlbScheduler flb;
-    FlbResumeContext ctx;
-    ctx.alive = std::vector<bool>(4, true);
-    ctx.topology = &topo;
-    Schedule routed = flb.resume(g, Schedule(4, g.num_tasks()), ctx);
+    CostModel routed_model = CostModel::routed(topo);
+    Schedule routed = flb.resume(g, Schedule(4, g.num_tasks()), routed_model);
     EXPECT_TRUE(is_valid_schedule(g, routed))
         << g.name() << "\n" << test::violations_to_string(g, routed);
 
-    std::vector<LinkOccupancy> occ;
-    ctx.link_busy = true;
-    ctx.occupancy_log = &occ;
-    Schedule busy = flb.resume(g, Schedule(4, g.num_tasks()), ctx);
+    CostModel busy_model = CostModel::link_busy(topo);
+    Schedule busy = flb.resume(g, Schedule(4, g.num_tasks()), busy_model);
     EXPECT_TRUE(is_valid_schedule(g, busy))
         << g.name() << "\n" << test::violations_to_string(g, busy);
-    for (const Violation& v : validate_link_occupancies(topo, occ))
+    for (const Violation& v :
+         validate_link_occupancies(topo, busy_model.occupancies()))
       ADD_FAILURE() << g.name() << ": " << to_string(v);
   }
 }
@@ -709,23 +891,6 @@ TEST(AlgoModelOverloads, DlsCliqueSelectionIdentical) {
   }
 }
 
-TEST(AlgoModelOverloads, HeftModelMatchesHeteroMachine) {
-  const std::vector<double> speeds{1.0, 0.5, 0.25, 2.0};
-  for (std::size_t i = 0; i < 7; ++i) {
-    TaskGraph g = test::fuzz_graph(i);
-    HeteroMachine machine(speeds);
-    Schedule base = heft(g, machine);
-    CostModel model = CostModel::clique(4);
-    model.set_speeds(speeds);
-    Schedule via = heft(g, model);
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      EXPECT_EQ(via.proc(t), base.proc(t)) << g.name() << " task " << t;
-      EXPECT_EQ(via.start(t), base.start(t)) << g.name() << " task " << t;
-      EXPECT_EQ(via.finish(t), base.finish(t)) << g.name() << " task " << t;
-    }
-  }
-}
-
 TEST(AlgoModelOverloads, LinkBusySchedulesAreFeasible) {
   Topology topo = Topology::ring(4);
   for (std::size_t i = 0; i < 6; ++i) {
@@ -756,21 +921,15 @@ TEST(AlgoModelOverloads, LinkBusySchedulesAreFeasible) {
       EXPECT_TRUE(validate_link_occupancies(topo, m.occupancies()).empty())
           << "HEFT " << g.name();
     }
+    {
+      CostModel m = CostModel::link_busy(topo);
+      Schedule s = cpop(g, m);
+      EXPECT_TRUE(is_valid_schedule(g, s))
+          << "CPOP " << g.name() << "\n" << test::violations_to_string(g, s);
+      EXPECT_TRUE(validate_link_occupancies(topo, m.occupancies()).empty())
+          << "CPOP " << g.name();
+    }
   }
-}
-
-// ---------------------------------------------------------------------------
-// HeteroMachine is now a thin facade over the model.
-
-TEST(HeteroFacade, DelegatesToCostModel) {
-  HeteroMachine machine({1.0, 0.5});
-  EXPECT_EQ(machine.num_procs(), 2u);
-  EXPECT_EQ(machine.speed(1), 0.5);
-  EXPECT_EQ(machine.exec_time(3.0, 1), 6.0);
-  EXPECT_EQ(machine.mean_exec_time(2.0), 3.0);
-  const CostModel& m = machine.cost_model();
-  EXPECT_EQ(m.mode(), CommMode::kClique);
-  EXPECT_EQ(m.exec_work(3.0, 1), machine.exec_time(3.0, 1));
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "flb/core/flb.hpp"
+#include "flb/platform/cost_model.hpp"
 #include "flb/sched/metrics.hpp"
 #include "flb/sched/repair.hpp"
 #include "flb/sched/validator.hpp"
@@ -260,33 +263,34 @@ TEST(RecoveryResume, ProcReleaseDelaysAdmission) {
   b.add_task(1.0);
   TaskGraph g = std::move(b).build();
   FlbScheduler flb;
+  auto admitted_from = [](std::vector<Cost> proc_release) {
+    platform::CostModel model = platform::CostModel::clique(2);
+    platform::Availability a;
+    a.proc_release = std::move(proc_release);
+    model.set_availability(std::move(a));
+    return model;
+  };
 
-  FlbResumeContext ctx;
-  ctx.alive = {true, true};
-  ctx.proc_release = {0.0, 5.0};
-  Schedule s = flb.resume(g, Schedule(2, 2), ctx);
+  platform::CostModel late = admitted_from({0.0, 5.0});
+  Schedule s = flb.resume(g, Schedule(2, 2), late);
   EXPECT_EQ(s.proc(0), 0u);
   EXPECT_EQ(s.proc(1), 0u);
   EXPECT_DOUBLE_EQ(s.makespan(), 2.0);
 
   // Shrink the admission delay below the queueing delay and the second
   // task moves over.
-  ctx.proc_release = {0.0, 0.5};
-  Schedule t = flb.resume(g, Schedule(2, 2), ctx);
+  platform::CostModel early = admitted_from({0.0, 0.5});
+  Schedule t = flb.resume(g, Schedule(2, 2), early);
   EXPECT_EQ(t.proc(1), 1u);
   EXPECT_DOUBLE_EQ(t.start(1), 0.5);
 
-  // Validation: sizes and finiteness.
-  FlbResumeContext bad = ctx;
-  bad.proc_release = {0.0};
-  EXPECT_THROW((void)flb.resume(g, Schedule(2, 2), bad), Error);
-  bad.proc_release = {0.0, -1.0};
-  EXPECT_THROW((void)flb.resume(g, Schedule(2, 2), bad), Error);
-  FlbResumeContext bad_topo = ctx;
-  Topology three = Topology::ring(3);
-  bad_topo.proc_release.clear();
-  bad_topo.topology = &three;
-  EXPECT_THROW((void)flb.resume(g, Schedule(2, 2), bad_topo), Error);
+  // Validation: sizes and finiteness of the admission instants, and a
+  // topology whose node count differs from the prefix's processors.
+  EXPECT_THROW((void)admitted_from({0.0}), Error);
+  EXPECT_THROW((void)admitted_from({0.0, -1.0}), Error);
+  const Topology three = Topology::ring(3);
+  platform::CostModel routed = platform::CostModel::routed(three);
+  EXPECT_THROW((void)flb.resume(g, Schedule(2, 2), routed), Error);
 }
 
 // --- Repair: opportunistic give-back -----------------------------------------

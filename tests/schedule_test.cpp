@@ -2,23 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "flb/sched/machine.hpp"
 #include "flb/sched/metrics.hpp"
 #include "flb/util/error.hpp"
 #include "test_support.hpp"
 
 namespace flb {
 namespace {
-
-TEST(MachineModel, RequiresPositiveProcs) {
-  EXPECT_THROW(MachineModel(0), Error);
-  EXPECT_EQ(MachineModel(4).num_procs(), 4u);
-}
-
-TEST(MachineModel, CommCostRule) {
-  EXPECT_DOUBLE_EQ(MachineModel::comm_cost(0, 0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(MachineModel::comm_cost(0, 1, 5.0), 5.0);
-}
 
 TEST(Schedule, StartsEmpty) {
   Schedule s(2, 3);
