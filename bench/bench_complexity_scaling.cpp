@@ -9,11 +9,35 @@
 //   DSC-LLB: O((E + V) log V)          -> independent of P
 //
 // Reported as time ratios between successive sizes; a ratio near the size
-// ratio (2.0) indicates linear scaling.
+// ratio (2.0) indicates linear scaling. Each sweep also prints FLB's exact
+// heap operations per task (FlbStats::heap_ops over V): the per-step work
+// behind its O(log W + log P) step, which should stay flat in V and P.
 
 #include <map>
 
 #include "bench_common.hpp"
+#include "flb/core/flb.hpp"
+
+namespace {
+
+// FLB's push, pop, erase and update calls per task on Stencil, mean over
+// the seeds.
+double flb_heap_ops_per_task(std::size_t tasks, flb::ProcId procs,
+                             std::size_t repeats) {
+  double total = 0.0;
+  for (std::size_t seed = 1; seed <= repeats; ++seed) {
+    flb::WorkloadParams params;
+    params.seed = seed;
+    flb::TaskGraph g = flb::make_workload("Stencil", tasks, params);
+    flb::FlbStats stats;
+    (void)flb::FlbScheduler().run_instrumented(g, procs, nullptr, &stats);
+    total += static_cast<double>(stats.heap_ops) /
+             static_cast<double>(g.num_tasks());
+  }
+  return total / static_cast<double>(repeats);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace flb;
@@ -52,6 +76,12 @@ int main(int argc, char** argv) {
       row.push_back(format_fixed(last_ratio, 2));
       table.add_row(row);
     }
+    std::vector<std::string> ops{"FLB heap ops/task"};
+    for (std::int64_t v : sizes)
+      ops.push_back(format_fixed(
+          flb_heap_ops_per_task(static_cast<std::size_t>(v), 8, repeats), 2));
+    ops.emplace_back("-");
+    table.add_row(ops);
     table.print(std::cout);
     std::cout << "(ratio ~2.0 = linear in V; ETF exceeds it because the "
                  "graph width W grows with V)\n";
@@ -82,6 +112,11 @@ int main(int argc, char** argv) {
       row.push_back(format_fixed(t[128] / t[2], 2));
       table.add_row(row);
     }
+    std::vector<std::string> ops{"FLB heap ops/task"};
+    for (ProcId p : procs)
+      ops.push_back(format_fixed(flb_heap_ops_per_task(2000, p, repeats), 2));
+    ops.emplace_back("-");
+    table.add_row(ops);
     table.print(std::cout);
     std::cout << "(FLB/FCP/DSC-LLB should stay near 1.0x; MCP and "
                  "especially ETF grow with P)\n";

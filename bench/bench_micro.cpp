@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks: per-algorithm scheduling throughput on
-// a fixed paper-scale instance, the addressable-heap operations FLB's inner
-// loop is built from, and the platform cost-model pricing hot path every
-// scheduling decision now routes through.
+// a fixed paper-scale instance (plus FLB's warm serving path), the
+// addressable-heap operations FLB's inner loop is built from, and the
+// platform cost-model pricing hot path every scheduling decision now routes
+// through.
 
 #include <benchmark/benchmark.h>
 
@@ -47,6 +48,24 @@ void BM_DSCLLB(benchmark::State& state) { BM_Scheduler(state, "DSC-LLB"); }
 void BM_ETF(benchmark::State& state) { BM_Scheduler(state, "ETF"); }
 
 BENCHMARK(BM_FLB)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// FLB on the serving path: run_into on a warmed scheduler with a reused
+// Schedule, so the time is the engine's steps alone, with no allocation
+// and no result copy. BM_FLB above pays both on every run.
+void BM_FLBWarm(benchmark::State& state) {
+  const TaskGraph& g = shared_graph();
+  const auto procs = static_cast<ProcId>(state.range(0));
+  FlbScheduler flb;
+  Schedule s(procs, g.num_tasks());
+  flb.run_into(g, procs, s);
+  for (auto _ : state) {
+    flb.run_into(g, procs, s);
+    benchmark::DoNotOptimize(s.makespan());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          g.num_tasks());
+}
+BENCHMARK(BM_FLBWarm)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FCP)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MCP)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DSCLLB)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);

@@ -25,6 +25,14 @@ using core::TaskKey;
 /// time), so setup is O(V + P) and the whole run matches the paper's
 /// O(V(log W + log P) + E) bound operation-for-operation.
 ///
+/// A newly ready EP task is not filed into those heaps right away. It waits
+/// on its enabling processor's unfiled list until that processor next
+/// receives a task — the only event that can demote it — and the list's
+/// minimum stands in for it when candidate (a) is chosen. Most EP tasks are
+/// demoted at that first flush, and those go straight to the non-EP heap
+/// without ever entering the EP heaps. Every list keeps the same members and
+/// the same minimum as with eager filing, so every decision is unchanged.
+///
 /// All working state — the SoA ready-task arrays and the five heaps — lives
 /// in a caller-owned core::Scratch whose arena is reset (not reallocated)
 /// between runs, and the output Schedule is written in place. On the fresh
@@ -60,6 +68,10 @@ class Engine {
     }
     FLB_ASSERT(sched_.complete());
     stats_.iterations = remaining;
+    stats_.heap_ops = s_.non_ep.operations() + s_.emt_ep_heap.operations() +
+                      s_.lmt_ep_heap.operations() +
+                      s_.active_procs.operations() +
+                      s_.all_procs.operations();
     if (stats) *stats = stats_;
   }
 
@@ -171,7 +183,7 @@ class Engine {
     if (have_ep) {
       p1 = static_cast<ProcId>(s_.active_procs.top());
       est1 = s_.active_procs.top_key().first;
-      t1 = static_cast<TaskId>(s_.emt_ep_heap.top(p1));
+      t1 = ep_head(p1);
       // Link reservations committed since t1 was classified may have
       // pushed its true arrival past the cached key, so under link-busy
       // pricing the candidate is re-priced against the current link state.
@@ -224,51 +236,92 @@ class Engine {
     --ready_count_;
     if (choose_ep) {
       ++stats_.ep_selections;
-      s_.active_procs.erase(p);  // re-inserted by update_proc_lists if needed
-      s_.emt_ep_heap.erase(t);
-      s_.lmt_ep_heap.erase(t);
+      // A filed task leaves both EP heaps; an unfiled one leaves with the
+      // flush of p's list in update_task_lists. p's active key is
+      // refreshed by update_proc_lists.
+      if (s_.emt_ep_heap.contains(t)) {
+        s_.emt_ep_heap.erase(t);
+        s_.lmt_ep_heap.erase(t);
+      }
     } else {
       ++stats_.non_ep_selections;
       s_.non_ep.erase(t);
     }
 
-    update_task_lists(p);
+    update_task_lists(p, t);
     update_proc_lists(p);
     update_ready_tasks(t);
     stats_.max_ready = std::max(stats_.max_ready, ready_count_);
   }
 
-  // PRT(p) just grew: EP tasks enabled by p whose LMT fell below PRT(p) no
-  // longer satisfy the EP condition and move to the non-EP list. Tested in
-  // ascending LMT order, so the scan stops at the first survivor.
-  void update_task_lists(ProcId p) {
+  // PRT(p) just grew when p received `placed`: EP tasks enabled by p whose
+  // LMT fell below PRT(p) no longer satisfy the EP condition and move to the
+  // non-EP list. Filed tasks are tested in ascending LMT order, so that scan
+  // stops at the first survivor. Then p's unfiled list is flushed: each
+  // member is demoted or filed into both EP heaps (`placed`, if it was
+  // unfiled, is skipped).
+  void update_task_lists(ProcId p, TaskId placed) {
     const Cost ready = prt(p);
     while (!s_.lmt_ep_heap.empty(p)) {
       TaskId t = static_cast<TaskId>(s_.lmt_ep_heap.top(p));
       if (s_.lmt[t] >= ready) break;
       s_.lmt_ep_heap.pop(p);
       s_.emt_ep_heap.erase(t);
-      s_.non_ep.push(t, task_key(s_.lmt[t], t));
-      ++stats_.ep_demotions;
+      demote(t);
     }
+    for (TaskId t = s_.unfiled_head[p]; t != kInvalidTask;
+         t = s_.unfiled_next[t]) {
+      if (t == placed) continue;
+      if (s_.lmt[t] < ready) {
+        demote(t);
+      } else {
+        s_.emt_ep_heap.push(p, t, emt_key_of(t));
+        s_.lmt_ep_heap.push(p, t, task_key(s_.lmt[t], t));
+      }
+    }
+    s_.unfiled_head[p] = kInvalidTask;
+    s_.unfiled_tail[p] = kInvalidTask;
+    s_.unfiled_min[p] = kInvalidTask;
+  }
+
+  void demote(TaskId t) {
+    non_ep_push(t, s_.lmt[t]);
+    ++stats_.ep_demotions;
   }
 
   // Refresh p's priorities: in the global processor list (keyed by PRT) and
-  // in the active processor list (keyed by the min EST of the EP tasks p
-  // enables — max(EMT of the head task, PRT), computed in O(1)).
+  // in the active processor list. p's unfiled list is empty here (it was
+  // just flushed), so its EP head is the EMT heap's.
   void update_proc_lists(ProcId p) {
     s_.all_procs.push_or_update(p, {prt(p), p});
     if (s_.emt_ep_heap.empty(p)) {
       if (s_.active_procs.contains(p)) s_.active_procs.erase(p);
     } else {
-      refresh_active_priority(p);
+      set_active_priority(p, static_cast<TaskId>(s_.emt_ep_heap.top(p)));
     }
   }
 
-  void refresh_active_priority(ProcId p) {
-    TaskId head = static_cast<TaskId>(s_.emt_ep_heap.top(p));
-    Cost est = std::max(s_.emt_ep[head], prt(p));
-    s_.active_procs.push_or_update(p, {est, p});
+  // Key p in the active processor list by the min EST of the EP tasks it
+  // enables — max(EMT of its head task, PRT), computed in O(1). An
+  // unchanged key is left alone.
+  void set_active_priority(ProcId p, TaskId head) {
+    const ProcKey key{std::max(s_.emt_ep[head], prt(p)), p};
+    if (s_.active_procs.contains(p) && s_.active_procs.key_of(p) == key)
+      return;
+    s_.active_procs.push_or_update(p, key);
+  }
+
+  TaskKey emt_key_of(TaskId t) const { return task_key(s_.emt_ep[t], t); }
+
+  // The EP task enabled by q with the least EMT key: the EMT heap's head or
+  // the unfiled list's minimum, whichever is smaller. q must enable one.
+  TaskId ep_head(ProcId q) const {
+    const TaskId unfiled = s_.unfiled_min[q];
+    if (s_.emt_ep_heap.empty(q)) return unfiled;
+    if (unfiled != kInvalidTask &&
+        emt_key_of(unfiled) < s_.emt_ep_heap.top_key(q))
+      return unfiled;
+    return static_cast<TaskId>(s_.emt_ep_heap.top(q));
   }
 
   // Successors of the just-scheduled task that became ready are classified
@@ -324,12 +377,24 @@ class Engine {
 
     if (lmt < prt(ep)) {
       non_ep_push(t, lmt);
-    } else {
-      s_.emt_ep_heap.push(ep, t, task_key(emt, t));
-      s_.lmt_ep_heap.push(ep, t, task_key(lmt, t));
-      refresh_active_priority(ep);
-      ++stats_.tasks_classified_ep;
+      return;
     }
+    ++stats_.tasks_classified_ep;
+    // EP: append t to ep's unfiled list. Only a new head of ep's EP tasks
+    // can move ep's active key.
+    s_.unfiled_next[t] = kInvalidTask;
+    if (s_.unfiled_tail[ep] == kInvalidTask) {
+      s_.unfiled_head[ep] = t;
+    } else {
+      s_.unfiled_next[s_.unfiled_tail[ep]] = t;
+    }
+    s_.unfiled_tail[ep] = t;
+    const TaskKey key = emt_key_of(t);
+    const TaskId min = s_.unfiled_min[ep];
+    if (min != kInvalidTask && !(key < emt_key_of(min))) return;
+    s_.unfiled_min[ep] = t;
+    if (!s_.emt_ep_heap.empty(ep) && s_.emt_ep_heap.top_key(ep) < key) return;
+    set_active_priority(ep, t);
   }
 
   void non_ep_push(TaskId t, Cost lmt) {
@@ -346,15 +411,17 @@ class Engine {
     step.ep_type = ep_type;
     step.ep_lists.resize(num_procs_);
     for (ProcId q = 0; q < num_procs_; ++q) {
+      std::vector<TaskId>& list = step.ep_lists[q];
       for (std::size_t id : s_.emt_ep_heap.items(q))
-        step.ep_lists[q].push_back(static_cast<TaskId>(id));
-      std::sort(step.ep_lists[q].begin(), step.ep_lists[q].end(),
-                [&](TaskId a, TaskId b) {
-                  return s_.emt_ep_heap.key_of(a) < s_.emt_ep_heap.key_of(b);
-                });
-      step.ready_tasks.insert(step.ready_tasks.end(),
-                              step.ep_lists[q].begin(),
-                              step.ep_lists[q].end());
+        list.push_back(static_cast<TaskId>(id));
+      for (TaskId u = s_.unfiled_head[q]; u != kInvalidTask;
+           u = s_.unfiled_next[u])
+        list.push_back(u);
+      std::sort(list.begin(), list.end(), [&](TaskId a, TaskId b) {
+        return emt_key_of(a) < emt_key_of(b);
+      });
+      step.ready_tasks.insert(step.ready_tasks.end(), list.begin(),
+                              list.end());
     }
     for (std::size_t id : s_.non_ep.items())
       step.non_ep_list.push_back(static_cast<TaskId>(id));
@@ -409,7 +476,7 @@ Schedule FlbScheduler::run_instrumented(const TaskGraph& g, ProcId num_procs,
 }
 
 Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
-                              platform::CostModel& model) {
+                              platform::CostModel& model, FlbStats* stats) {
   FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
               "FLB resume: prefix was sized for a different graph");
   FLB_REQUIRE(model.num_procs() == prefix.num_procs(),
@@ -421,7 +488,7 @@ Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
   model.validate(g);
   Schedule out = prefix;
   Engine engine(g, out, scratch_, model, options_);
-  engine.run(nullptr, nullptr);
+  engine.run(nullptr, stats);
   return out;
 }
 

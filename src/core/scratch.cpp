@@ -15,6 +15,7 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   emt_ep = arena_.alloc<Cost>(v);
   ep = arena_.alloc<ProcId>(v);
   unscheduled_preds = arena_.alloc<std::uint32_t>(v);
+  unfiled_next = arena_.alloc<TaskId>(v);
   topo_order = arena_.alloc<TaskId>(v);
   degree = arena_.alloc<std::uint32_t>(v);
 
@@ -23,6 +24,9 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   lmt_ep_heap.reset(arena_, v, p);
   active_procs.bind(arena_, p);
   all_procs.bind(arena_, p);
+  unfiled_head = arena_.alloc<TaskId>(p, kInvalidTask);
+  unfiled_tail = arena_.alloc<TaskId>(p, kInvalidTask);
+  unfiled_min = arena_.alloc<TaskId>(p, kInvalidTask);
   proc_est = arena_.alloc<Cost>(p);
   proc_arrival = arena_.alloc<Cost>(p);
 }

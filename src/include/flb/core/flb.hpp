@@ -24,7 +24,9 @@
 ///
 ///   (a) the EP-type task with minimum EST(t, EP(t)) on its enabling
 ///       processor — found via a per-processor heap of enabled EP tasks
-///       keyed by EMT and a heap of *active* processors keyed by min EST;
+///       keyed by EMT (plus a list of those that became ready since the
+///       processor's last placement, filed when it next receives a task)
+///       and a heap of *active* processors keyed by min EST;
 ///   (b) the non-EP-type task with minimum LMT on the processor that
 ///       becomes idle the earliest — found via a global non-EP task heap
 ///       keyed by LMT and a global processor heap keyed by PRT.
@@ -62,6 +64,10 @@ struct FlbStats {
   std::size_t ep_demotions = 0;        ///< EP tasks re-classified as non-EP
   std::size_t tasks_classified_ep = 0; ///< ready tasks first classified EP
   std::size_t max_ready = 0;           ///< peak ready-set size (<= width W)
+  /// push, pop, erase and update calls on the engine's five heaps,
+  /// set-up included: the per-step heap traffic behind the
+  /// O(log W + log P) step cost.
+  std::size_t heap_ops = 0;
 };
 
 /// Everything an observer sees about one scheduling decision, captured
@@ -143,11 +149,12 @@ class FlbScheduler final : public Scheduler {
   ///    route steers placement; the reservations stay in `model`
   ///    (model.occupancies() is the run's commit log).
   ///
-  /// Throws flb::Error unless `prefix` is sized for `g` and for the
-  /// model's processor count, every speed is at most 1, and the model
-  /// fits `g` (CostModel::validate).
+  /// Fills `stats` when it is not null. Throws flb::Error unless `prefix`
+  /// is sized for `g` and for the model's processor count, every speed is
+  /// at most 1, and the model fits `g` (CostModel::validate).
   [[nodiscard]] Schedule resume(const TaskGraph& g, const Schedule& prefix,
-                                platform::CostModel& model);
+                                platform::CostModel& model,
+                                FlbStats* stats = nullptr);
 
  private:
   FlbOptions options_;

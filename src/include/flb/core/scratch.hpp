@@ -15,12 +15,20 @@
 ///
 /// One FLB run needs O(V + P) working state: the SoA ready-task arrays
 /// (tie priority, LMT, EMT, enabling processor, unscheduled-predecessor
-/// counts), five indexed heaps, and two temporaries for the bottom-level
-/// sweep. Before this refactor the engine rebuilt all of it with fresh
-/// `std::vector`s on every `schedule()` call, so per-run allocation — not
-/// the O(log W + log P) step — dominated wall time at serving volume
-/// (visible as FLB losing to MCP in bench_complexity_scaling despite the
-/// better asymptotics).
+/// counts), five indexed heaps, the per-processor unfiled lists, and two
+/// temporaries for the bottom-level sweep. Before this refactor the engine
+/// rebuilt all of it with fresh `std::vector`s on every `schedule()` call,
+/// so per-run allocation — not the O(log W + log P) step — dominated wall
+/// time at serving volume (visible as FLB losing to MCP in
+/// bench_complexity_scaling despite the better asymptotics).
+///
+/// An EP task enabled by processor q is *unfiled* until q next receives a
+/// task: it waits on q's intrusive list (head, tail, next links) instead of
+/// in the two EP heaps, and q's list minimum by EMT key stands in for it
+/// when candidate (a) is chosen. When q's ready time moves, the engine
+/// flushes the list: members whose LMT fell below it go to the non-EP
+/// heap, the rest are filed into the EP heaps. A task demoted at its first
+/// flush never touches the EP heaps at all.
 ///
 /// A Scratch owns one monotonic Arena and re-carves every structure out of
 /// it in prepare(), called at the top of each run. The arena is reset —
@@ -68,6 +76,12 @@ class Scratch {
   std::span<Cost> emt_ep;     ///< EMT on the enabling processor
   std::span<ProcId> ep;       ///< enabling processor (kInvalidProc = none)
   std::span<std::uint32_t> unscheduled_preds;  ///< pending predecessor count
+  std::span<TaskId> unfiled_next;  ///< next member of the same unfiled list
+
+  // -- Unfiled EP lists (parallel arrays indexed by processor id) ---------
+  std::span<TaskId> unfiled_head;  ///< first member (kInvalidTask = empty)
+  std::span<TaskId> unfiled_tail;  ///< last member, where appends go
+  std::span<TaskId> unfiled_min;   ///< member with the least EMT key
 
   // -- Temporaries for the tie-priority sweep -----------------------------
   std::span<TaskId> topo_order;     ///< topological order workspace
@@ -79,8 +93,8 @@ class Scratch {
 
   // -- The paper's task and processor lists as indexed d-ary heaps --------
   DaryIndexedHeap<TaskKey> non_ep;          ///< non-EP ready tasks, by LMT
-  DaryHeapForest<TaskKey> emt_ep_heap;      ///< per-proc EP tasks, by EMT
-  DaryHeapForest<TaskKey> lmt_ep_heap;      ///< per-proc EP tasks, by LMT
+  DaryHeapForest<TaskKey> emt_ep_heap;      ///< per-proc filed EP tasks, by EMT
+  DaryHeapForest<TaskKey> lmt_ep_heap;      ///< per-proc filed EP tasks, by LMT
   DaryIndexedHeap<ProcKey> active_procs;    ///< procs with EP tasks, by EST
   DaryIndexedHeap<ProcKey> all_procs;       ///< alive procs, by PRT
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
@@ -20,17 +21,27 @@
 /// capability std::priority_queue lacks, and what FLB's O(V(log W + log P)
 /// + E) bound rests on.
 ///
-///  * **Storage is borrowed, not owned.** bind()/reset() carve the heap
-///    array, the position index and the key table out of a caller-supplied
-///    Arena, so re-dimensioning between runs is a bump-pointer rewind
-///    instead of three `std::vector` reallocations. The forest's per-heap
-///    id arrays are the one exception (their individual sizes are not
-///    known up front); they are capacity-retaining vectors owned by the
-///    forest, which makes them allocation-free at steady state.
+///  * **Keys live inline.** The heap array holds `{key, id}` nodes, so a
+///    sift compares keys with one load each instead of an id load followed
+///    by a dependent key-table load. Sifts move a hole rather than
+///    swapping: the sifted node is written once, where it settles, and each
+///    node it passes moves one level. The final arrangement is the one a
+///    swap-based sift produces. Both heap types run the same sift code
+///    (detail::HeapSift).
+///  * **Storage is borrowed, not owned.** bind()/reset() carve the node
+///    array and the position index out of a caller-supplied Arena, so
+///    re-dimensioning between runs is a bump-pointer rewind instead of
+///    `std::vector` reallocations. The forest's per-heap node arrays are
+///    the one exception (their individual sizes are not known up front);
+///    they are capacity-retaining vectors owned by the forest, which makes
+///    them allocation-free at steady state.
 ///  * **Arity is 4 by default.** A d-ary layout trades a slightly deeper
 ///    compare fan-in on sift-down for a tree ~half as tall, which wins on
 ///    real hardware because sift-up (the push/update direction FLB leans
 ///    on) touches half the cache lines.
+///  * **Operations are counted.** operations() is the number of push, pop,
+///    erase and update calls since the last bind()/reset() — the exact
+///    heap traffic FlbStats::heap_ops reports.
 ///
 /// Pop order depends only on the keys, never on the heap's shape, whenever
 /// the key order is total — flb keys end in the id as the final tie-break,
@@ -39,11 +50,77 @@
 
 namespace flb {
 
+namespace detail {
+
+/// One heap slot: the key, inline, and the id it orders.
+template <typename Key>
+struct HeapNode {
+  Key key;
+  std::size_t id;
+};
+
+/// The sifts both heap types share, over one heap's node array and the
+/// id -> position index.
+template <typename Key, std::size_t Arity>
+struct HeapSift {
+  using Node = HeapNode<Key>;
+
+  // Place `node` in the hole at i, moving it up if it beats its parent and
+  // down otherwise.
+  static void settle(std::span<Node> nodes, std::span<std::size_t> pos,
+                     std::size_t i, Node node) {
+    if (i > 0 && node.key < nodes[(i - 1) / Arity].key) {
+      up(nodes, pos, i, std::move(node));
+    } else {
+      down(nodes, pos, i, std::move(node));
+    }
+  }
+
+  static void up(std::span<Node> nodes, std::span<std::size_t> pos,
+                 std::size_t i, Node node) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / Arity;
+      if (!(node.key < nodes[parent].key)) break;
+      fill(nodes, pos, i, std::move(nodes[parent]));
+      i = parent;
+    }
+    fill(nodes, pos, i, std::move(node));
+  }
+
+  static void down(std::span<Node> nodes, std::span<std::size_t> pos,
+                   std::size_t i, Node node) {
+    const std::size_t n = nodes.size();
+    for (;;) {
+      const std::size_t first = Arity * i + 1;
+      if (first >= n) break;
+      const std::size_t last = first + Arity < n ? first + Arity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c)
+        if (nodes[c].key < nodes[best].key) best = c;
+      if (!(nodes[best].key < node.key)) break;
+      fill(nodes, pos, i, std::move(nodes[best]));
+      i = best;
+    }
+    fill(nodes, pos, i, std::move(node));
+  }
+
+  static void fill(std::span<Node> nodes, std::span<std::size_t> pos,
+                   std::size_t i, Node node) {
+    pos[node.id] = i;
+    nodes[i] = std::move(node);
+  }
+};
+
+}  // namespace detail
+
 /// Addressable d-ary min-heap over dense ids in [0, capacity), with all
 /// storage borrowed from an Arena at bind() time.
 template <typename Key, std::size_t Arity = 4>
 class DaryIndexedHeap {
   static_assert(Arity >= 2, "a heap needs at least two children per node");
+
+  using Node = detail::HeapNode<Key>;
+  using Sift = detail::HeapSift<Key, Arity>;
 
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -59,15 +136,18 @@ class DaryIndexedHeap {
   /// `arena`. Previous contents are dropped. O(capacity) to clear the
   /// position index; no heap allocation (the arena bump-allocates).
   void bind(Arena& arena, std::size_t capacity) {
-    heap_ = arena.alloc<std::size_t>(capacity);
+    nodes_ = arena.alloc<Node>(capacity);
     pos_ = arena.alloc<std::size_t>(capacity, npos);
-    keys_ = arena.alloc<Key>(capacity);
     size_ = 0;
+    ops_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return pos_.size(); }
+
+  /// push, pop, erase and update calls since the last bind().
+  [[nodiscard]] std::size_t operations() const noexcept { return ops_; }
 
   [[nodiscard]] bool contains(std::size_t id) const {
     return id < pos_.size() && pos_[id] != npos;
@@ -75,23 +155,25 @@ class DaryIndexedHeap {
 
   [[nodiscard]] const Key& key_of(std::size_t id) const {
     FLB_ASSERT(contains(id));
-    return keys_[id];
+    return nodes_[pos_[id]].key;
   }
 
   [[nodiscard]] std::size_t top() const {
     FLB_ASSERT(size_ != 0);
-    return heap_[0];
+    return nodes_[0].id;
   }
 
-  [[nodiscard]] const Key& top_key() const { return keys_[top()]; }
+  [[nodiscard]] const Key& top_key() const {
+    FLB_ASSERT(size_ != 0);
+    return nodes_[0].key;
+  }
 
   void push(std::size_t id, Key key) {
     FLB_ASSERT(id < pos_.size());
     FLB_ASSERT(pos_[id] == npos);
-    keys_[id] = std::move(key);
-    pos_[id] = size_;
-    heap_[size_] = id;
-    sift_up(size_++);
+    ++ops_;
+    ++size_;
+    Sift::up(live(), pos_, size_ - 1, Node{std::move(key), id});
   }
 
   std::size_t pop() {
@@ -102,22 +184,18 @@ class DaryIndexedHeap {
 
   void erase(std::size_t id) {
     FLB_ASSERT(contains(id));
-    std::size_t hole = pos_[id];
+    ++ops_;
+    const std::size_t hole = pos_[id];
     pos_[id] = npos;
-    std::size_t last = --size_;
-    if (hole != last) {
-      std::size_t moved = heap_[last];
-      heap_[hole] = moved;
-      pos_[moved] = hole;
-      if (!sift_up(hole)) sift_down(hole);
-    }
+    const std::size_t last = --size_;
+    if (hole != last)
+      Sift::settle(live(), pos_, hole, std::move(nodes_[last]));
   }
 
   void update(std::size_t id, Key key) {
     FLB_ASSERT(contains(id));
-    keys_[id] = std::move(key);
-    std::size_t i = pos_[id];
-    if (!sift_up(i)) sift_down(i);
+    ++ops_;
+    Sift::settle(live(), pos_, pos_[id], Node{std::move(key), id});
   }
 
   void push_or_update(std::size_t id, Key key) {
@@ -129,23 +207,24 @@ class DaryIndexedHeap {
   }
 
   /// Ids currently in the heap, in internal array order (NOT key-sorted).
-  [[nodiscard]] std::span<const std::size_t> items() const {
-    return heap_.first(size_);
+  [[nodiscard]] auto items() const {
+    return std::views::transform(std::span<const Node>(nodes_.first(size_)),
+                                 &Node::id);
   }
 
   /// Remove everything while keeping the binding. O(size).
   void clear() {
-    for (std::size_t i = 0; i < size_; ++i) pos_[heap_[i]] = npos;
+    for (std::size_t i = 0; i < size_; ++i) pos_[nodes_[i].id] = npos;
     size_ = 0;
   }
 
   /// Validate the heap property and the position index; O(n). Test hook.
   [[nodiscard]] bool validate() const {
     for (std::size_t i = 0; i < size_; ++i) {
-      if (pos_[heap_[i]] != i) return false;
+      if (pos_[nodes_[i].id] != i) return false;
       for (std::size_t c = Arity * i + 1;
            c <= Arity * i + Arity && c < size_; ++c)
-        if (keys_[heap_[c]] < keys_[heap_[i]]) return false;
+        if (nodes_[c].key < nodes_[i].key) return false;
     }
     std::size_t present = 0;
     for (std::size_t p : pos_)
@@ -154,54 +233,27 @@ class DaryIndexedHeap {
   }
 
  private:
-  bool sift_up(std::size_t i) {
-    bool moved = false;
-    while (i > 0) {
-      std::size_t parent = (i - 1) / Arity;
-      if (!(keys_[heap_[i]] < keys_[heap_[parent]])) break;
-      swap_at(i, parent);
-      i = parent;
-      moved = true;
-    }
-    return moved;
-  }
+  std::span<Node> live() { return nodes_.first(size_); }
 
-  void sift_down(std::size_t i) {
-    for (;;) {
-      std::size_t smallest = i;
-      const std::size_t first = Arity * i + 1;
-      const std::size_t last =
-          first + Arity < size_ ? first + Arity : size_;
-      for (std::size_t c = first; c < last; ++c)
-        if (keys_[heap_[c]] < keys_[heap_[smallest]]) smallest = c;
-      if (smallest == i) break;
-      swap_at(i, smallest);
-      i = smallest;
-    }
-  }
-
-  void swap_at(std::size_t a, std::size_t b) {
-    std::swap(heap_[a], heap_[b]);
-    pos_[heap_[a]] = a;
-    pos_[heap_[b]] = b;
-  }
-
-  std::span<std::size_t> heap_;  // arena-backed array of ids
+  std::span<Node> nodes_;        // arena-backed {key, id} array
   std::span<std::size_t> pos_;   // id -> position, npos if absent
-  std::span<Key> keys_;          // id -> key (valid while present)
   std::size_t size_ = 0;
+  std::size_t ops_ = 0;
 };
 
 /// A family of addressable d-ary min-heaps over one shared id space (each
 /// id in at most one heap at a time), with the shared per-id state —
-/// position, owning heap, key — borrowed from an Arena. Sharing that state
+/// position and owning heap — borrowed from an Arena. Sharing that state
 /// keeps setup O(V + P) where P separate heaps would cost O(V * P). The
-/// per-heap id arrays are owned, capacity-retaining vectors: their
+/// per-heap node arrays are owned, capacity-retaining vectors: their
 /// individual maxima are workload-dependent, so they warm up over the
 /// first runs and then never allocate again.
 template <typename Key, std::size_t Arity = 4>
 class DaryHeapForest {
   static_assert(Arity >= 2, "a heap needs at least two children per node");
+
+  using Node = detail::HeapNode<Key>;
+  using Sift = detail::HeapSift<Key, Arity>;
 
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -220,14 +272,17 @@ class DaryHeapForest {
   void reset(Arena& arena, std::size_t num_items, std::size_t num_heaps) {
     pos_ = arena.alloc<std::size_t>(num_items);
     heap_of_ = arena.alloc<std::size_t>(num_items, npos);
-    keys_ = arena.alloc<Key>(num_items);
     if (heaps_.size() < num_heaps) heaps_.resize(num_heaps);
     num_heaps_ = num_heaps;
     for (std::size_t h = 0; h < num_heaps_; ++h) heaps_[h].clear();
+    ops_ = 0;
   }
 
   [[nodiscard]] std::size_t num_items() const { return pos_.size(); }
   [[nodiscard]] std::size_t num_heaps() const { return num_heaps_; }
+
+  /// push, pop, erase and update calls since the last reset().
+  [[nodiscard]] std::size_t operations() const noexcept { return ops_; }
 
   [[nodiscard]] bool empty(std::size_t h) const { return heaps_[h].empty(); }
   [[nodiscard]] std::size_t size(std::size_t h) const {
@@ -244,32 +299,34 @@ class DaryHeapForest {
 
   [[nodiscard]] const Key& key_of(std::size_t id) const {
     FLB_ASSERT(contains(id));
-    return keys_[id];
+    return heaps_[heap_of_[id]][pos_[id]].key;
   }
 
   [[nodiscard]] std::size_t top(std::size_t h) const {
     FLB_ASSERT(!heaps_[h].empty());
-    return heaps_[h].front();
+    return heaps_[h].front().id;
   }
 
   [[nodiscard]] const Key& top_key(std::size_t h) const {
-    return keys_[top(h)];
+    FLB_ASSERT(!heaps_[h].empty());
+    return heaps_[h].front().key;
   }
 
   /// Ids in heap `h` in internal array order (NOT sorted). Observer hook.
-  [[nodiscard]] const std::vector<std::size_t>& items(std::size_t h) const {
-    return heaps_[h];
+  [[nodiscard]] auto items(std::size_t h) const {
+    return std::views::transform(std::span<const Node>(heaps_[h]),
+                                 &Node::id);
   }
 
   void push(std::size_t h, std::size_t id, Key key) {
     FLB_ASSERT(h < num_heaps_);
     FLB_ASSERT(id < pos_.size());
     FLB_ASSERT(heap_of_[id] == npos);
-    keys_[id] = std::move(key);
+    ++ops_;
     heap_of_[id] = h;
-    pos_[id] = heaps_[h].size();
-    heaps_[h].push_back(id);
-    sift_up(h, heaps_[h].size() - 1);
+    auto& heap = heaps_[h];
+    heap.emplace_back();
+    Sift::up(heap, pos_, heap.size() - 1, Node{std::move(key), id});
   }
 
   std::size_t pop(std::size_t h) {
@@ -280,29 +337,21 @@ class DaryHeapForest {
 
   void erase(std::size_t id) {
     FLB_ASSERT(contains(id));
-    std::size_t h = heap_of_[id];
-    auto& heap = heaps_[h];
-    std::size_t hole = pos_[id];
-    pos_[id] = npos;
+    ++ops_;
+    auto& heap = heaps_[heap_of_[id]];
+    const std::size_t hole = pos_[id];
     heap_of_[id] = npos;
-    std::size_t last = heap.size() - 1;
-    if (hole != last) {
-      std::size_t moved = heap[last];
-      heap[hole] = moved;
-      pos_[moved] = hole;
-      heap.pop_back();
-      if (!sift_up(h, hole)) sift_down(h, hole);
-    } else {
-      heap.pop_back();
-    }
+    Node moved = std::move(heap.back());
+    heap.pop_back();
+    if (hole != heap.size())
+      Sift::settle(heap, pos_, hole, std::move(moved));
   }
 
   void update(std::size_t id, Key key) {
     FLB_ASSERT(contains(id));
-    keys_[id] = std::move(key);
-    std::size_t h = heap_of_[id];
-    std::size_t i = pos_[id];
-    if (!sift_up(h, i)) sift_down(h, i);
+    ++ops_;
+    Sift::settle(heaps_[heap_of_[id]], pos_, pos_[id],
+                 Node{std::move(key), id});
   }
 
   /// Move `id` to heap `h` with a new key (erase + push).
@@ -317,11 +366,11 @@ class DaryHeapForest {
     for (std::size_t h = 0; h < num_heaps_; ++h) {
       const auto& heap = heaps_[h];
       for (std::size_t i = 0; i < heap.size(); ++i) {
-        std::size_t id = heap[i];
+        std::size_t id = heap[i].id;
         if (heap_of_[id] != h || pos_[id] != i) return false;
         for (std::size_t c = Arity * i + 1;
              c <= Arity * i + Arity && c < heap.size(); ++c)
-          if (keys_[heap[c]] < keys_[id]) return false;
+          if (heap[c].key < heap[i].key) return false;
       }
       present += heap.size();
     }
@@ -334,46 +383,11 @@ class DaryHeapForest {
   }
 
  private:
-  bool sift_up(std::size_t h, std::size_t i) {
-    auto& heap = heaps_[h];
-    bool moved = false;
-    while (i > 0) {
-      std::size_t parent = (i - 1) / Arity;
-      if (!(keys_[heap[i]] < keys_[heap[parent]])) break;
-      swap_at(h, i, parent);
-      i = parent;
-      moved = true;
-    }
-    return moved;
-  }
-
-  void sift_down(std::size_t h, std::size_t i) {
-    auto& heap = heaps_[h];
-    const std::size_t n = heap.size();
-    for (;;) {
-      std::size_t smallest = i;
-      const std::size_t first = Arity * i + 1;
-      const std::size_t last = first + Arity < n ? first + Arity : n;
-      for (std::size_t c = first; c < last; ++c)
-        if (keys_[heap[c]] < keys_[heap[smallest]]) smallest = c;
-      if (smallest == i) break;
-      swap_at(h, i, smallest);
-      i = smallest;
-    }
-  }
-
-  void swap_at(std::size_t h, std::size_t a, std::size_t b) {
-    auto& heap = heaps_[h];
-    std::swap(heap[a], heap[b]);
-    pos_[heap[a]] = a;
-    pos_[heap[b]] = b;
-  }
-
-  std::vector<std::vector<std::size_t>> heaps_;  // capacity-retaining pool
+  std::vector<std::vector<Node>> heaps_;  // capacity-retaining pool
   std::size_t num_heaps_ = 0;
   std::span<std::size_t> pos_;      // id -> position in its heap
   std::span<std::size_t> heap_of_;  // id -> heap index, npos if absent
-  std::span<Key> keys_;             // id -> key (valid while present)
+  std::size_t ops_ = 0;
 };
 
 }  // namespace flb

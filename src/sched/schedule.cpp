@@ -41,14 +41,19 @@ void Schedule::assign(TaskId t, ProcId p, Cost start, Cost finish) {
   // (start, duration > 0): a zero-duration task coinciding with a positive
   // task's start sorts before it, so per-processor timeline order is
   // always a feasible execution order (the machine simulator replays it).
-  const bool positive = finish > start;
-  auto key = std::pair<Cost, bool>(start, positive);
-  auto it = std::upper_bound(
-      timeline.begin(), timeline.end(), key,
-      [&](const std::pair<Cost, bool>& k, TaskId other) {
-        const Placement& pl = placements_[other];
-        return k < std::pair<Cost, bool>(pl.start, pl.finish > pl.start);
-      });
+  // A key not before the last entry's is an append, the only placement a
+  // plain list scheduler makes, and skips the search.
+  using Key = std::pair<Cost, bool>;
+  const auto key_of = [&](TaskId other) {
+    const Placement& pl = placements_[other];
+    return Key(pl.start, pl.finish > pl.start);
+  };
+  const Key key(start, finish > start);
+  auto it = timeline.end();
+  if (!timeline.empty() && key < key_of(timeline.back()))
+    it = std::upper_bound(
+        timeline.begin(), timeline.end(), key,
+        [&](const Key& k, TaskId other) { return k < key_of(other); });
   // Two executions conflict only when they share positive measure, so
   // zero-duration tasks (legal for zero-cost graph nodes) never overlap
   // anything and are skipped when locating the binding neighbours.

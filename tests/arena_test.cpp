@@ -182,6 +182,32 @@ TEST(DaryHeapTest, PushOrUpdateContainsAndItems) {
   EXPECT_EQ(h.items().front(), h.top());
 }
 
+// operations() counts each push, pop, erase and update call once
+// (push_or_update as whichever it does) and restarts at bind()/reset().
+TEST(DaryHeapTest, OperationsCountEveryCall) {
+  Arena a;
+  DaryIndexedHeap<int> h(a, 8);
+  h.push(0, 5);
+  h.push(1, 3);
+  h.push_or_update(1, 7);
+  h.update(0, 1);
+  h.erase(1);
+  (void)h.pop();
+  EXPECT_EQ(h.operations(), 6u);
+  h.bind(a, 8);
+  EXPECT_EQ(h.operations(), 0u);
+
+  DaryHeapForest<int> f(a, 8, 2);
+  f.push(0, 0, 5);
+  f.push(1, 1, 3);
+  f.move(0, 1, 2);  // an erase and a push
+  f.update(1, 9);
+  (void)f.pop(1);
+  EXPECT_EQ(f.operations(), 6u);
+  f.reset(a, 8, 2);
+  EXPECT_EQ(f.operations(), 0u);
+}
+
 TEST(DaryHeapTest, ClearAndRebindDropContents) {
   Arena a;
   DaryIndexedHeap<int> h;

@@ -7,6 +7,7 @@
 
 #include "flb/graph/properties.hpp"
 #include "flb/graph/width.hpp"
+#include "flb/platform/cost_model.hpp"
 #include "flb/sched/metrics.hpp"
 #include "flb/sched/tentative.hpp"
 #include "flb/sched/validator.hpp"
@@ -174,6 +175,80 @@ TEST(Flb, TieBetweenPairsPrefersNonEp) {
   EXPECT_DOUBLE_EQ(steps[5].est, 7.0);
 }
 
+// The observer's snapshot is the engine's exact ready set at every step:
+// each ready task appears once, on its enabling processor's EP list when
+// LMT >= PRT there and on the non-EP list otherwise, in list-key order. An
+// EP task waits outside the EP heaps until its enabling processor next
+// receives a task, so this pins that the snapshot still sees it. The
+// Theorem-3 tests see a missing task only when it is the global argmin:
+// leaving out any other task does not change their oracle's minimum.
+void expect_exact_snapshots(const TaskGraph& g, ProcId procs) {
+  const std::vector<Cost> bl = bottom_levels(g);
+  std::size_t steps = 0;
+  FlbObserver obs = [&](const Schedule& s, const FlbStep& step) {
+    ++steps;
+    std::vector<TaskId> ready;
+    std::vector<std::vector<TaskId>> ep_lists(procs);
+    std::vector<TaskId> non_ep;
+    for (TaskId t = 0; t < g.num_tasks(); ++t) {
+      if (!is_ready(g, s, t)) continue;
+      ready.push_back(t);
+      const ProcId q = enabling_proc(g, s, t);
+      if (q != kInvalidProc &&
+          last_message_time(g, s, t) >= s.proc_ready_time(q)) {
+        ep_lists[q].push_back(t);
+      } else {
+        non_ep.push_back(t);
+      }
+    }
+    // The EP lists' EMT counts a local input at its finish time.
+    auto emt_key = [&](TaskId t, ProcId q) {
+      Cost emt = 0.0;
+      for (const Adj& in : g.predecessors(t))
+        emt = std::max(emt, s.finish(in.node) +
+                                (s.proc(in.node) == q ? 0.0 : in.comm));
+      return std::tuple(emt, -bl[t], t);
+    };
+    auto lmt_key = [&](TaskId t) {
+      return std::tuple(last_message_time(g, s, t), -bl[t], t);
+    };
+    for (ProcId q = 0; q < procs; ++q)
+      std::sort(ep_lists[q].begin(), ep_lists[q].end(),
+                [&](TaskId a, TaskId b) {
+                  return emt_key(a, q) < emt_key(b, q);
+                });
+    std::sort(non_ep.begin(), non_ep.end(),
+              [&](TaskId a, TaskId b) { return lmt_key(a) < lmt_key(b); });
+    ASSERT_EQ(step.ready_tasks, ready)
+        << g.name() << " P=" << procs << " step " << steps;
+    ASSERT_EQ(step.ep_lists, ep_lists)
+        << g.name() << " P=" << procs << " step " << steps;
+    ASSERT_EQ(step.non_ep_list, non_ep)
+        << g.name() << " P=" << procs << " step " << steps;
+  };
+  FlbScheduler flb;
+  Schedule s = flb.run_instrumented(g, procs, &obs, nullptr);
+  ASSERT_TRUE(is_valid_schedule(g, s));
+  EXPECT_EQ(steps, g.num_tasks());
+}
+
+TEST(Flb, StepSnapshotIsTheExactReadySet) {
+  for (std::size_t i = 0; i < 24; ++i)
+    for (ProcId procs : {2u, 3u, 7u})
+      expect_exact_snapshots(test::fuzz_graph(i), procs);
+  WorkloadParams params;
+  params.ccr = 5.0;
+  params.seed = 1;
+  expect_exact_snapshots(make_workload("LU", 2000, params), 16);
+}
+
+FlbStats stats_of(const TaskGraph& g, ProcId procs) {
+  FlbStats stats;
+  Schedule s = FlbScheduler().run_instrumented(g, procs, nullptr, &stats);
+  EXPECT_TRUE(is_valid_schedule(g, s));
+  return stats;
+}
+
 TEST(Flb, StatsAreConsistent) {
   TaskGraph g = make_workload("LU", 300, {});
   FlbScheduler flb;
@@ -185,6 +260,24 @@ TEST(Flb, StatsAreConsistent) {
   EXPECT_GE(stats.max_ready, 1u);
   // Every demoted task was first classified EP.
   EXPECT_LE(stats.ep_demotions, stats.tasks_classified_ep);
+
+  // The heap-operation count is exact: it repeats, and resuming an empty
+  // prefix on the paper's machine runs the same steps.
+  FlbStats again;
+  (void)flb.run_instrumented(g, 4, nullptr, &again);
+  EXPECT_EQ(again.heap_ops, stats.heap_ops);
+  platform::CostModel clique = platform::CostModel::clique(4);
+  FlbStats resumed;
+  (void)flb.resume(g, Schedule(4, g.num_tasks()), clique, &resumed);
+  EXPECT_EQ(resumed.heap_ops, stats.heap_ops);
+  EXPECT_EQ(resumed.ep_demotions, stats.ep_demotions);
+
+  // Pinned per-step heap traffic: a change to it shows up here.
+  EXPECT_EQ(stats_of(paper_example_graph(), 2).heap_ops, 31u);
+  WorkloadParams params;
+  params.ccr = 0.2;
+  params.seed = 1;
+  EXPECT_EQ(stats_of(make_workload("LU", 2000, params), 8).heap_ops, 6999u);
 }
 
 TEST(Flb, MaxReadyNeverExceedsWidth) {

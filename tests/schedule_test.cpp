@@ -122,6 +122,22 @@ TEST(Schedule, EarliestGapZeroDurationIsEarliestIdleInstant) {
   EXPECT_DOUBLE_EQ(s.earliest_gap(0, 2.0, 0.0), 3.0);   // inside -> after
 }
 
+// A zero-duration task starting where the last positive task starts sorts
+// before it, so appends cannot be decided by the start time alone: the
+// append test compares the whole (start, duration > 0) key.
+TEST(Schedule, ZeroDurationAtTailStartSortsBeforeIt) {
+  Schedule s(1, 3);
+  s.assign(0, 0, 1.0, 3.0);
+  s.assign(1, 0, 1.0, 1.0);  // same start, zero duration
+  ASSERT_EQ(s.tasks_on(0).size(), 2u);
+  EXPECT_EQ(s.tasks_on(0)[0], 1u);
+  EXPECT_EQ(s.tasks_on(0)[1], 0u);
+  s.assign(2, 0, 3.0, 4.0);  // the next append lands last
+  ASSERT_EQ(s.tasks_on(0).size(), 3u);
+  EXPECT_EQ(s.tasks_on(0)[2], 2u);
+  EXPECT_DOUBLE_EQ(s.proc_ready_time(0), 4.0);
+}
+
 // --- Metrics -------------------------------------------------------------------
 
 TEST(Metrics, SpeedupAndEfficiency) {
