@@ -1,13 +1,16 @@
 // Google-benchmark micro benchmarks: per-algorithm scheduling throughput on
 // a fixed paper-scale instance (plus FLB's warm serving path), the
-// addressable-heap operations FLB's inner loop is built from, and the
+// addressable-heap operations FLB's inner loop is built from, the
 // platform cost-model pricing hot path every scheduling decision now routes
-// through.
+// through, and the schedule text and digest of the recovery runtime.
 
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
+#include "flb/sched/export.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/arena.hpp"
@@ -223,6 +226,38 @@ void BM_WorkloadGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMillisecond);
+
+// The schedule text and its digest, which the recovery runtime computes
+// once per installed repair: an FLB schedule of the shared LU graph on 8
+// processors. One item = one assignment line.
+const Schedule& shared_schedule() {
+  static const Schedule s = FlbScheduler().run(shared_graph(), 8);
+  return s;
+}
+
+void BM_ScheduleTextDigest(benchmark::State& state) {
+  const Schedule& s = shared_schedule();
+  for (auto _ : state) benchmark::DoNotOptimize(schedule_text_digest(s));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          s.num_scheduled());
+}
+BENCHMARK(BM_ScheduleTextDigest)->Unit(benchmark::kMicrosecond);
+
+// The same text written to a stream; rewinding keeps the buffer the first
+// write grew, so the time is formatting and copying alone.
+void BM_WriteScheduleText(benchmark::State& state) {
+  const Schedule& s = shared_schedule();
+  std::ostringstream os;
+  for (auto _ : state) {
+    os.seekp(0);
+    write_schedule_text(os, s);
+    benchmark::DoNotOptimize(os.tellp());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          s.num_scheduled());
+}
+BENCHMARK(BM_WriteScheduleText)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

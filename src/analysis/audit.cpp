@@ -964,8 +964,7 @@ void result_consistency_rule(const FaultPlan& world,
     bad("the recomputed event-log digest disagrees with the recorded one",
         "RuntimeResult::event_digest is FNV-1a over event_log_text(events)",
         kUndefinedTime, kUndefinedTime);
-  const std::uint64_t schedule_digest =
-      runtime::fnv1a_digest(to_schedule_text(result.schedule));
+  const std::uint64_t schedule_digest = schedule_text_digest(result.schedule);
   if (schedule_digest != result.schedule_digest)
     bad("the recomputed schedule digest disagrees with the recorded one",
         "RuntimeResult::schedule_digest is FNV-1a over the final schedule "

@@ -69,8 +69,8 @@
 /// (use_gossip). Without a belief stream the loop reduces to reacting on
 /// observed events alone.
 ///
-/// Every continuation emitted inside the loop is checked with the
-/// durations-aware validator and the linter's feasibility tier before it
+/// Every continuation emitted inside the loop is checked by the linter's
+/// feasibility tier, which runs the durations-aware validator, before it
 /// is installed. The whole loop is a pure function of (graph, schedule,
 /// world plan, options): two runs produce bit-identical event logs,
 /// repairs and final schedules — the digests in RuntimeResult exist to
@@ -147,10 +147,12 @@ struct RuntimeOptions {
   Cost backoff_base = 1.0;
   /// Degrade to the greedy fallback when observed-alive drops below this.
   ProcId degrade_below = 2;
-  /// Options forwarded to the resumed FLB engine inside repair_schedule.
+  /// Options of the episode's FLB engine: the controller builds one and
+  /// hands it to repair_schedule at every reaction.
   FlbOptions flb;
-  /// Check every continuation with the durations-aware validator and the
-  /// linter's feasibility tier before installing it (throws on failure).
+  /// Check every continuation with the linter's feasibility tier, which
+  /// runs the durations-aware validator, before installing it (throws on
+  /// failure).
   bool validate = true;
   /// Network model and latency scaling of the simulated executions.
   SimNetwork network = SimNetwork::kContentionFree;
@@ -235,8 +237,8 @@ struct RepairInvocation {
   /// True when every processor was observed dead: no repair is possible,
   /// the controller waits for the next event (a rejoin) instead.
   bool deferred = false;
-  /// FNV-1a digest of the continuation's schedule text (0 when deferred) —
-  /// the unit of the determinism and poisoned-future comparisons.
+  /// schedule_text_digest of the continuation (0 when deferred) — the unit
+  /// of the determinism and poisoned-future comparisons.
   std::uint64_t schedule_digest = 0;
   /// Detector mode: processors suspected but unconfirmed at this reaction.
   ProcId suspects = 0;
@@ -289,7 +291,9 @@ struct RuntimeResult {
   Cost makespan = 0.0;    ///< executed makespan of the final continuation
   bool complete = false;  ///< every task ran to completion
   std::uint64_t event_digest = 0;     ///< FNV-1a over the rendered event log
-  std::uint64_t schedule_digest = 0;  ///< FNV-1a over the final schedule text
+  /// schedule_text_digest of the final schedule: the last installed
+  /// repair's digest, or the nominal schedule's when no repair installed.
+  std::uint64_t schedule_digest = 0;
   /// Detector mode: every belief the controller consumed, in consumption
   /// order (empty without use_detector).
   std::vector<BeliefEvent> beliefs;
@@ -325,7 +329,7 @@ struct RuntimeResult {
 /// under the (hidden) `world` plan, repairing at each observed event per
 /// `options`. Deterministic: same inputs, bit-identical result. Throws
 /// flb::Error on malformed input or — with options.validate — on any
-/// continuation that fails the validator or the lint feasibility tier.
+/// continuation that fails the lint feasibility tier (the validator).
 RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
                                   const FaultPlan& world,
                                   const RuntimeOptions& options = {});

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -9,6 +10,8 @@
 /// \file export.hpp
 /// Machine-readable schedule exporters:
 ///
+///  * plain text — the round-trippable `flb-schedule 1` format, and the
+///    digest the recovery runtime pins episodes with;
 ///  * JSON — a compact self-describing document (graph name, processor
 ///    count, makespan, one record per task) for downstream tooling;
 ///  * Chrome trace-event format — load the file in chrome://tracing or
@@ -42,8 +45,17 @@ std::string to_chrome_trace(const TaskGraph& g, const Schedule& s);
 ///     a <task> <proc> <start> <finish>     (one line per assignment)
 ///
 /// '#' comment lines allowed. Used by the flb_verify tool to validate
-/// schedules produced by external programs.
+/// schedules produced by external programs. Ids print in decimal and times
+/// as %.17g (std::to_chars, general format, precision 17): enough digits to
+/// round-trip every double, and the same bytes an ostream writes at
+/// precision(17). The caller's stream formatting state is left unchanged.
 void write_schedule_text(std::ostream& os, const Schedule& s);
+
+/// FNV-1a digest (util/fnv1a.hpp) of the schedule text, i.e.
+/// fnv1a_digest(to_schedule_text(s)), folded line by line from the same
+/// formatter without building the string. This is the schedule digest of
+/// the recovery runtime (RepairInvocation, RuntimeResult) and its auditor.
+[[nodiscard]] std::uint64_t schedule_text_digest(const Schedule& s);
 
 /// Parse the text format. Enforces Schedule's structural invariants
 /// (ids in range, no double assignment, per-processor non-overlap); use

@@ -41,7 +41,8 @@
 /// strategies consume it:
 ///  * kFlbResume re-runs the paper's two-candidate FLB step
 ///    (FlbScheduler::resume) over the survivors, seeded with the executed
-///    prefix — the quality path.
+///    prefix — the quality path. It runs on the caller's engine when one
+///    is passed, so repeated repairs reuse its warm scratch.
 ///  * kGreedy appends remaining tasks in topological order, each on the
 ///    processor minimizing its earliest start — the graceful-degradation
 ///    path, used automatically when fewer than two processors survive.
@@ -91,7 +92,6 @@ enum class DroppedDataPolicy {
 /// Options for repair_schedule().
 struct RepairOptions {
   RepairStrategy strategy = RepairStrategy::kAuto;
-  FlbOptions flb;  ///< options for the resumed FLB engine (tie-break, seed)
   DroppedDataPolicy dropped_data = DroppedDataPolicy::kRefuse;
   /// Repair horizon: the instant the repair is computed. Tasks that
   /// *started* at or after the horizon are re-planned even if the partial
@@ -204,9 +204,19 @@ struct RepairResult {
 /// the latest death time, raised to the horizon when one is given and to
 /// the latest observed finish of any rolled-back task. Throws flb::Error if
 /// the plan is malformed, kills every processor, or dropped messages under
-/// DroppedDataPolicy::kRefuse.
+/// DroppedDataPolicy::kRefuse. Resumes on a default-constructed FLB engine;
+/// the overload below takes the caller's.
 RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
                              const SimResult& partial, const FaultPlan& plan,
                              const RepairOptions& options = {});
+
+/// As above, resuming on the caller's engine `flb` (its FlbOptions set the
+/// tie-break and seed). A caller that repairs repeatedly, like the recovery
+/// runtime's controller once per reaction, keeps one engine so every
+/// resume after the first reuses the scratch earlier ones sized. The
+/// result does not depend on what the engine ran before.
+RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
+                             const SimResult& partial, const FaultPlan& plan,
+                             const RepairOptions& options, FlbScheduler& flb);
 
 }  // namespace flb

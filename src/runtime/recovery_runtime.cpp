@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
@@ -11,9 +12,9 @@
 #include <vector>
 
 #include "flb/analysis/lint.hpp"
+#include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
 #include "flb/sched/export.hpp"
-#include "flb/sched/validator.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb::runtime {
@@ -172,14 +173,11 @@ SimResult observed_slice(const TaskGraph& g, const SimResult& sim,
   return obs;
 }
 
+// A continuation is validated once: the lint feasibility tier runs the
+// durations-aware validate_schedule at its 1e-9 tolerance and reports each
+// violation as an error diagnostic.
 void check_continuation(const TaskGraph& g, const RepairResult& rep,
                         ProcId procs, Cost horizon) {
-  const std::vector<Violation> violations =
-      validate_schedule(g, rep.schedule, rep.durations);
-  FLB_REQUIRE(violations.empty(),
-              "online recovery: the continuation repaired at horizon " +
-                  std::to_string(horizon) + " is infeasible: " +
-                  to_string(violations.front()));
   analysis::LintOptions lint_options;
   lint_options.theorems = false;
   lint_options.quality = false;
@@ -376,6 +374,9 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   };
 
   SimResult sim;
+  // The digest of the last installed repair, which is the final schedule:
+  // each installed schedule is hashed once. Empty while the nominal runs.
+  std::optional<std::uint64_t> installed_digest;
   // Per-iteration scratch, hoisted out of the controller loop: cleared (or
   // copy-assigned) each round with capacity retained, so a long episode
   // stops churning the allocator on every repair.
@@ -385,8 +386,10 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   std::vector<char> exonerated_now;
   std::vector<LinkOutage> outages;
   FaultPlan bp;
+  // One engine resumes every repair of the episode, so each resume after
+  // the first runs on the scratch the earlier ones sized.
+  FlbScheduler flb(options.flb);
   RepairOptions repair_options;
-  repair_options.flb = options.flb;
   repair_options.dropped_data = DroppedDataPolicy::kReexecuteProducers;
   // Every iteration observes at least one new event or belief (or breaks),
   // and the observation space is finite — machine events are fixed by the
@@ -753,7 +756,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
       repair_options.pin_exclude = &killed_observed;
     }
     const RepairResult rep =
-        repair_schedule(g, current, obs, bp, repair_options);
+        repair_schedule(g, current, obs, bp, repair_options, flb);
     if (options.validate) check_continuation(g, rep, procs, horizon);
 
     // Record what each just-launched speculation moved off its suspect, so
@@ -778,7 +781,8 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     inv.migrated = rep.migrated_tasks;
     inv.reexecuted = rep.reexecuted_tasks;
     inv.makespan = rep.schedule.makespan();
-    inv.schedule_digest = fnv1a_digest(to_schedule_text(rep.schedule));
+    inv.schedule_digest = schedule_text_digest(rep.schedule);
+    installed_digest = inv.schedule_digest;
     repairs.push_back(inv);
     if (rep.used == RepairStrategy::kGreedy) degraded = true;
 
@@ -804,7 +808,9 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   result.events_observed = view.observed_events();
   result.degraded = degraded;
   result.event_digest = fnv1a_digest(event_log_text(result.events));
-  result.schedule_digest = fnv1a_digest(to_schedule_text(result.schedule));
+  result.schedule_digest = installed_digest
+                               ? *installed_digest
+                               : schedule_text_digest(result.schedule);
   if (!source.has_beliefs()) return result;
 
   result.beliefs = std::move(consumed);

@@ -1,23 +1,62 @@
 #include "flb/sched/export.hpp"
 
+#include <array>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "flb/util/error.hpp"
+#include "flb/util/fnv1a.hpp"
 
 namespace flb {
 
 namespace {
 
-// JSON-safe number formatting: plain decimal with enough precision to
-// round-trip a double.
+// One line of exported text, formatted with std::to_chars: ids in decimal,
+// times in chars_format::general at precision 17. That is printf's %.17g,
+// so the bytes equal what an ostream writes at precision(17), and 17
+// significant digits round-trip every double. The buffer holds the longest
+// schedule-text line: "a ", two 10-digit ids, two 24-byte times and three
+// separators.
+class TextLine {
+ public:
+  TextLine& text(std::string_view t) {
+    FLB_ASSERT(t.size() <= buf_.size() - size_);
+    size_ += t.copy(buf_.data() + size_, t.size());
+    return *this;
+  }
+  TextLine& id(std::uint32_t v) {
+    return advance(std::to_chars(cursor(), buf_.data() + buf_.size(), v));
+  }
+  TextLine& cost(double v) {
+    return advance(std::to_chars(cursor(), buf_.data() + buf_.size(), v,
+                                 std::chars_format::general, 17));
+  }
+  [[nodiscard]] std::string_view view() const {
+    return {buf_.data(), size_};
+  }
+  void clear() { size_ = 0; }
+
+ private:
+  char* cursor() { return buf_.data() + size_; }
+  TextLine& advance(std::to_chars_result r) {
+    FLB_ASSERT(r.ec == std::errc());
+    size_ = static_cast<std::size_t>(r.ptr - buf_.data());
+    return *this;
+  }
+
+  std::array<char, 96> buf_{};
+  std::size_t size_ = 0;
+};
+
+// JSON-safe number formatting: %.17g, enough digits to round-trip a double.
 void number(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << v;
-  os << tmp.str();
+  TextLine line;
+  os << line.cost(v).view();
 }
 
 }  // namespace
@@ -65,16 +104,45 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
   os << "]\n";
 }
 
-void write_schedule_text(std::ostream& os, const Schedule& s) {
-  os << "flb-schedule 1\n";
-  os << "procs " << s.num_procs() << "\n";
-  os << "tasks " << s.num_tasks() << "\n";
-  os.precision(17);
+namespace {
+
+// The one schedule-text formatter: hands the text to `sink` line by line as
+// std::string_views, for a stream, a string or a digest to consume.
+template <class Sink>
+void emit_schedule_text(const Schedule& s, Sink&& sink) {
+  TextLine line;
+  sink(line.text("flb-schedule 1\nprocs ")
+           .id(s.num_procs())
+           .text("\ntasks ")
+           .id(s.num_tasks())
+           .text("\n")
+           .view());
   for (TaskId t = 0; t < s.num_tasks(); ++t) {
     if (!s.is_scheduled(t)) continue;
-    os << "a " << t << " " << s.proc(t) << " " << s.start(t) << " "
-       << s.finish(t) << "\n";
+    line.clear();
+    sink(line.text("a ")
+             .id(t)
+             .text(" ")
+             .id(s.proc(t))
+             .text(" ")
+             .cost(s.start(t))
+             .text(" ")
+             .cost(s.finish(t))
+             .text("\n")
+             .view());
   }
+}
+
+}  // namespace
+
+void write_schedule_text(std::ostream& os, const Schedule& s) {
+  emit_schedule_text(s, [&](std::string_view line) { os << line; });
+}
+
+std::uint64_t schedule_text_digest(const Schedule& s) {
+  Fnv1a h;
+  emit_schedule_text(s, [&](std::string_view line) { h.add(line); });
+  return h.value();
 }
 
 namespace {
@@ -143,9 +211,9 @@ Schedule read_schedule_text(std::istream& is) {
 }
 
 std::string to_schedule_text(const Schedule& s) {
-  std::ostringstream os;
-  write_schedule_text(os, s);
-  return os.str();
+  std::string text;
+  emit_schedule_text(s, [&](std::string_view line) { text += line; });
+  return text;
 }
 
 Schedule schedule_from_text(const std::string& text) {

@@ -57,6 +57,13 @@ void greedy_continuation(const TaskGraph& g, Schedule& s,
 RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
                              const SimResult& partial, const FaultPlan& plan,
                              const RepairOptions& options) {
+  FlbScheduler flb;
+  return repair_schedule(g, nominal, partial, plan, options, flb);
+}
+
+RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
+                             const SimResult& partial, const FaultPlan& plan,
+                             const RepairOptions& options, FlbScheduler& flb) {
   const TaskId n = g.num_tasks();
   FLB_REQUIRE(nominal.num_tasks() == n,
               "repair_schedule: schedule was built for a different graph");
@@ -299,15 +306,14 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
   // admits rejoined processors from their rejoin instant with cold caches
   // (the Availability::recovery rule). The FLB step and the greedy fallback
   // price against the same machine, and link-busy reservations the
-  // continuation commits stay in its model. Both continuations share one
-  // FLB scheduler, so the second reuses the scratch the first sized instead
-  // of allocating (and page-faulting in) a fresh one.
+  // continuation commits stay in its model. Both continuations resume on
+  // the caller's FLB engine, so the second reuses the scratch the first
+  // sized instead of allocating (and page-faulting in) a fresh one.
   struct Continuation {
     Schedule schedule;
     RepairStrategy used;
     std::vector<platform::LinkOccupancy> occupancies;
   };
-  FlbScheduler flb(options.flb);
   auto continuation = [&](const std::vector<bool>& mask,
                           bool recovery) -> Continuation {
     ProcId admitted = 0;

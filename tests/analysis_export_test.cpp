@@ -2,7 +2,14 @@
 // stats) and the machine-readable schedule exporters (JSON, Chrome trace).
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +20,9 @@
 #include "flb/sched/export.hpp"
 #include "flb/sched/validator.hpp"
 #include "flb/util/error.hpp"
+#include "flb/util/fnv1a.hpp"
+#include "flb/util/rng.hpp"
+#include "flb/workloads/paper_example.hpp"
 #include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
 
@@ -182,6 +192,80 @@ TEST(ExportScheduleText, PartialSchedulesRoundTrip) {
   EXPECT_TRUE(back.is_scheduled(3));
   EXPECT_FALSE(back.is_scheduled(0));
   EXPECT_DOUBLE_EQ(back.start(3), 0.5);
+}
+
+/// The schedule text as an ostream writes it at precision(17): the bytes
+/// every pinned schedule digest was captured over, built independently of
+/// the exporter.
+std::string ostream_schedule_text(const Schedule& s) {
+  std::ostringstream os;
+  os << "flb-schedule 1\n";
+  os << "procs " << s.num_procs() << "\n";
+  os << "tasks " << s.num_tasks() << "\n";
+  os.precision(17);
+  for (TaskId t = 0; t < s.num_tasks(); ++t) {
+    if (!s.is_scheduled(t)) continue;
+    os << "a " << t << " " << s.proc(t) << " " << s.start(t) << " "
+       << s.finish(t) << "\n";
+  }
+  return os.str();
+}
+
+/// `times` as one processor's consecutive [start, finish] pairs, in sorted
+/// order (the last time repeats when the count is odd).
+Schedule schedule_of_times(std::vector<Cost> times) {
+  std::sort(times.begin(), times.end());
+  if (times.size() % 2 != 0) times.push_back(times.back());
+  Schedule s(1, static_cast<TaskId>(times.size() / 2));
+  for (TaskId t = 0; t < s.num_tasks(); ++t)
+    s.assign(t, 0, times[2 * t], times[2 * t + 1]);
+  return s;
+}
+
+TEST(ExportScheduleText, MatchesOstreamAtPrecision17) {
+  std::vector<std::pair<std::string, Schedule>> cases;
+  cases.emplace_back("paper example P=2",
+                     FlbScheduler().run(paper_example_graph(), 2));
+  for (std::size_t index = 0; index < 8; ++index)
+    for (ProcId procs : {ProcId{2}, ProcId{4}, ProcId{8}})
+      cases.emplace_back(
+          "fuzz graph " + std::to_string(index) + " P=" +
+              std::to_string(procs),
+          FlbScheduler().run(test::fuzz_graph(index), procs));
+  Schedule partial(3, 6);
+  partial.assign(4, 2, 0.5, 2.25);
+  partial.assign(1, 0, 1.0 / 3.0, 0.7);
+  cases.emplace_back("partial", std::move(partial));
+  // Both zeros, the %g switch points (exponent -5 and 17), a subnormal,
+  // integers past 2^53, huge finite values and infinity.
+  cases.emplace_back(
+      "edge times",
+      schedule_of_times({0.0, -0.0, 0.1, 1e-4, 1e-5, 1e-7, 5e-324,
+                         9007199254740994.0, 1e16, 1e17, 1e21, 1e300,
+                         std::numeric_limits<Cost>::max(),
+                         std::numeric_limits<Cost>::infinity()}));
+  Rng rng(17);
+  std::vector<Cost> random_bits;
+  while (random_bits.size() < 100000) {
+    const std::uint64_t bits = rng.next_u64() & ~(std::uint64_t{1} << 63);
+    Cost v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) random_bits.push_back(v);
+  }
+  cases.emplace_back("random bit patterns",
+                     schedule_of_times(std::move(random_bits)));
+
+  for (const auto& [what, s] : cases) {
+    const std::string reference = ostream_schedule_text(s);
+    EXPECT_EQ(to_schedule_text(s), reference) << what;
+    EXPECT_EQ(schedule_text_digest(s), fnv1a_digest(reference)) << what;
+    // The caller's stream keeps its own formatting state.
+    std::ostringstream os;
+    os.precision(3);
+    write_schedule_text(os, s);
+    EXPECT_EQ(os.str(), reference) << what;
+    EXPECT_EQ(os.precision(), 3) << what;
+  }
 }
 
 TEST(ExportScheduleText, RejectsMalformedInput) {

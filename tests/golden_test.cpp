@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
 #include "flb/runtime/recovery_runtime.hpp"
+#include "flb/sched/export.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/serve/serve.hpp"
 #include "flb/sim/faults.hpp"
@@ -501,24 +503,29 @@ TEST(RuntimeGolden, GossipModePartitionFixture) {
                 "audit_partition gossip");
 }
 
-// Oracle mode senses link events directly: processor 3 fails and rejoins,
-// then loses every link to the rest of the machine for a window. The
-// controller must route around the cut (an unreachable-but-alive
+/// Oracle mode senses link events directly: processor 3 fails and rejoins,
+/// then loses every link to the rest of the machine for a window.
+struct PartitionEpisode {
+  PartitionEpisode() {
+    const Cost span = nominal.makespan();
+    plan.failures.push_back({3, 0.1 * span});
+    plan.rejoins.push_back({3, 0.25 * span});
+    for (const ProcId a : {0u, 1u, 2u})
+      plan.partitions.push_back({a, 3, "", "", 0.4 * span, 0.7 * span});
+  }
+
+  TaskGraph g = make_workload("Random", 120, WorkloadParams{0.5, 7});
+  Schedule nominal = FlbScheduler().run(g, 4);
+  FaultPlan plan;
+};
+
+// The controller must route around the cut (an unreachable-but-alive
 // processor) from the observed outages alone.
 TEST(RuntimeGolden, OracleModePartitionEpisode) {
-  WorkloadParams params;
-  params.ccr = 0.5;
-  params.seed = 7;
-  const TaskGraph g = make_workload("Random", 120, params);
-  const Schedule nominal = FlbScheduler().run(g, 4);
-  const Cost span = nominal.makespan();
-  FaultPlan plan;
-  plan.failures.push_back({3, 0.1 * span});
-  plan.rejoins.push_back({3, 0.25 * span});
-  for (const ProcId a : {0u, 1u, 2u})
-    plan.partitions.push_back({a, 3, "", "", 0.4 * span, 0.7 * span});
-
-  const RuntimeResult r = run_online_recovery(g, nominal, plan);
+  const PartitionEpisode ep;
+  const TaskGraph& g = ep.g;
+  const FaultPlan& plan = ep.plan;
+  const RuntimeResult r = run_online_recovery(g, ep.nominal, plan);
   expect_golden(r,
                 {0xf10aea25dadb010cull, 0x8fdcf00610c75331ull, 0x0ull, 4},
                 "oracle partition");
@@ -538,6 +545,81 @@ TEST(RuntimeGolden, OracleModePartitionEpisode) {
   for (const analysis::Diagnostic& d : audit.diagnostics)
     if (d.severity == analysis::Severity::kError)
       ADD_FAILURE() << d.rule << ": " << d.message;
+}
+
+// The controller hashes each installed schedule once, so the final digest
+// is the last installed repair's rather than a second hash of the final
+// schedule. Over the six episodes above, a fault-free one and one whose
+// last reaction is deferred, it must still be the digest of the final
+// schedule's text.
+TEST(Runtime, FinalDigestIsLastInstalledRepair) {
+  const AuditEpisode ep;
+  const PartitionEpisode cut;
+  RuntimeOptions detector;
+  detector.use_detector = true;
+  RuntimeOptions confirm = detector;
+  confirm.speculate = false;
+  RuntimeOptions tuned = detector;
+  tuned.self_tune = true;
+  tuned.tune_window = 20.0;
+  tuned.adapt_checkpoint = true;
+  RuntimeOptions gossip = detector;
+  gossip.use_gossip = true;
+  const FaultPlan online = fixture("audit_online.fplan");
+  const FaultPlan noisy = fixture("audit_detector.fplan");
+  const FaultPlan partition = fixture("audit_partition.fplan");
+
+  // Three processors: p1 dies and its work migrates, then p0 and p2 die for
+  // good, leaving nothing to repair onto.
+  const TaskGraph g3 = test::fuzz_graph(4);
+  const Schedule nominal3 = FlbScheduler().run(g3, 3);
+  FaultPlan blackout;
+  blackout.failures.push_back({1, 0.2 * nominal3.makespan()});
+  blackout.failures.push_back({0, 0.5 * nominal3.makespan()});
+  blackout.failures.push_back({2, 0.5 * nominal3.makespan()});
+
+  struct Episode {
+    std::string name;
+    const Schedule* nominal;
+    RuntimeResult result;
+  };
+  std::vector<Episode> episodes;
+  episodes.push_back({"audit_online oracle", &ep.nominal,
+                      run_online_recovery(ep.g, ep.nominal, online)});
+  episodes.push_back({"audit_detector speculative", &ep.nominal,
+                      run_online_recovery(ep.g, ep.nominal, noisy, detector)});
+  episodes.push_back({"audit_detector confirm-then-repair", &ep.nominal,
+                      run_online_recovery(ep.g, ep.nominal, noisy, confirm)});
+  episodes.push_back({"audit_detector self-tune", &ep.nominal,
+                      run_online_recovery(ep.g, ep.nominal, noisy, tuned)});
+  episodes.push_back(
+      {"audit_partition gossip", &ep.nominal,
+       run_online_recovery(ep.g, ep.nominal, partition, gossip)});
+  episodes.push_back({"oracle partition", &cut.nominal,
+                      run_online_recovery(cut.g, cut.nominal, cut.plan)});
+  episodes.push_back({"fault-free", &ep.nominal,
+                      run_online_recovery(ep.g, ep.nominal, FaultPlan{})});
+  episodes.push_back({"deferred last", &nominal3,
+                      run_online_recovery(g3, nominal3, blackout)});
+
+  for (const Episode& e : episodes) {
+    const RuntimeResult& r = e.result;
+    EXPECT_EQ(r.schedule_digest, schedule_text_digest(r.schedule)) << e.name;
+    const auto installed =
+        std::find_if(r.repairs.rbegin(), r.repairs.rend(),
+                     [](const RepairInvocation& inv) { return !inv.deferred; });
+    if (installed != r.repairs.rend())
+      EXPECT_EQ(r.schedule_digest, installed->schedule_digest) << e.name;
+    else
+      EXPECT_EQ(r.schedule_digest, schedule_text_digest(*e.nominal))
+          << e.name;
+  }
+  // The last two episodes cover what they are named for.
+  EXPECT_TRUE(episodes[6].result.repairs.empty());
+  const RuntimeResult& deferred = episodes[7].result;
+  ASSERT_GE(deferred.repairs.size(), 2u);
+  EXPECT_TRUE(deferred.repairs.back().deferred);
+  EXPECT_FALSE(deferred.repairs.front().deferred);
 }
 
 }  // namespace

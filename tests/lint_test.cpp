@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flb/analysis/lint.hpp"
@@ -210,6 +212,99 @@ TEST(LintFeasibility, UnscheduledTaskAndWrongDurationAndPrecedence) {
   eager.assign(1, 1, 0.0, 3.0);  // b needs a's data: arrival 1 + 2 = 3
   const LintReport r3 = lint_schedule(g, eager, model);
   EXPECT_TRUE(has_rule(r3, "precedence")) << rules_of(r3);
+}
+
+/// `s` with task `t` re-placed at [start, finish] on `p`.
+Schedule moved(const Schedule& s, TaskId t, ProcId p, Cost start,
+               Cost finish) {
+  Schedule out(s.num_procs(), s.num_tasks());
+  for (TaskId u = 0; u < s.num_tasks(); ++u)
+    if (u != t && s.is_scheduled(u))
+      out.assign(u, s.proc(u), s.start(u), s.finish(u));
+  out.assign(t, p, start, finish);
+  return out;
+}
+
+/// Tampered copies of a complete continuation, one per kind of damage (a
+/// kind is skipped when the schedule offers no task to apply it to).
+std::vector<std::pair<std::string, Schedule>> tampered(const TaskGraph& g,
+                                                       const Schedule& s) {
+  std::vector<std::pair<std::string, Schedule>> out;
+  // A start moved earlier: the first task with a predecessor and idle time
+  // before it on its processor slides back to the end of that idle time.
+  for (TaskId t = 0; t < s.num_tasks(); ++t) {
+    if (g.predecessors(t).empty()) continue;
+    const auto on = s.tasks_on(s.proc(t));
+    const auto at = std::find(on.begin(), on.end(), t);
+    const Cost idle_from = at == on.begin() ? 0.0 : s.finish(*(at - 1));
+    if (s.start(t) <= idle_from + 1e-6) continue;
+    out.emplace_back("start moved earlier",
+                     moved(s, t, s.proc(t), idle_from,
+                           idle_from + s.finish(t) - s.start(t)));
+    break;
+  }
+  // A duration shrunk: the last task with positive length loses half of it.
+  for (TaskId t = s.num_tasks(); t-- > 0;) {
+    if (s.finish(t) <= s.start(t)) continue;
+    out.emplace_back("duration shrunk",
+                     moved(s, t, s.proc(t), s.start(t),
+                           0.5 * (s.start(t) + s.finish(t))));
+    break;
+  }
+  // A task moved into an occupied slot: task 0 lands at the start of a task
+  // running on another processor. A Schedule refuses overlapping
+  // placements outright, so the move keeps zero length there and the
+  // validator has to flag the duration and any input it now precedes.
+  for (TaskId u = 0; u < s.num_tasks(); ++u) {
+    if (s.proc(u) == s.proc(0) || s.finish(u) <= s.start(u)) continue;
+    out.emplace_back("moved into an occupied slot",
+                     moved(s, 0, s.proc(u), s.start(u), s.start(u)));
+    break;
+  }
+  return out;
+}
+
+// The recovery controller validates a continuation once, through the lint
+// feasibility tier alone. That is only sound if the tier reports exactly
+// the durations-aware validator's violations: on seeded repairs, clean, and
+// on tampered copies of them, broken.
+TEST(Lint, FeasibilityTierMatchesValidatorWithDurations) {
+  LintOptions options;  // the controller's: feasibility tier only
+  options.theorems = false;
+  options.quality = false;
+  std::map<std::string, std::size_t> broken;
+  for (std::size_t index = 0; index < 12; ++index) {
+    const TaskGraph g = test::fuzz_graph(index);
+    for (ProcId procs : {ProcId{2}, ProcId{4}}) {
+      const Schedule nominal = make_scheduler("FLB")->run(g, procs);
+      const FaultPlan plan =
+          FaultPlan::single_failure(1, 0.35 * nominal.makespan());
+      SimOptions sim_options;
+      sim_options.faults = &plan;
+      const RepairResult repair = repair_schedule(
+          g, nominal, simulate(g, nominal, sim_options), plan);
+      auto cases = tampered(g, repair.schedule);
+      cases.emplace_back("repaired", repair.schedule);
+      for (const auto& [what, s] : cases) {
+        const std::size_t violations =
+            validate_schedule(g, s, repair.durations).size();
+        const LintReport report =
+            lint_schedule(g, s, repair.durations,
+                          platform::CostModel::clique(procs), options);
+        EXPECT_EQ(report.errors(), violations)
+            << what << " on graph " << index << " P=" << procs << ": "
+            << rules_of(report);
+        EXPECT_EQ(report.clean(), violations == 0)
+            << what << " on graph " << index << " P=" << procs;
+        if (violations > 0) ++broken[what];
+      }
+    }
+  }
+  // The repairs validate, and every kind of damage breaks some of them.
+  EXPECT_EQ(broken.count("repaired"), 0u);
+  EXPECT_GT(broken["start moved earlier"], 0u);
+  EXPECT_GT(broken["duration shrunk"], 0u);
+  EXPECT_GT(broken["moved into an occupied slot"], 0u);
 }
 
 // --- Quality tier ----------------------------------------------------------

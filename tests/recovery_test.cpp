@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
+#include "flb/sched/export.hpp"
 #include "flb/sched/metrics.hpp"
 #include "flb/sched/repair.hpp"
 #include "flb/sched/validator.hpp"
@@ -19,6 +21,7 @@
 #include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
+#include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
 
 namespace flb {
@@ -431,6 +434,62 @@ TEST(RecoveryRepair, AllProcessorsKilledButOneRejoins) {
   fatal.failures.push_back({1, 0.1});
   SimResult dead = simulate(g, nominal, with_faults(fatal));
   EXPECT_THROW((void)repair_schedule(g, nominal, dead, fatal), Error);
+}
+
+// --- One engine across repairs ------------------------------------------------
+
+// The recovery controller resumes every repair of an episode on one FLB
+// engine. A warm engine must place exactly what a fresh one places however
+// the repairs before it sized and dirtied its scratch: from one repair to
+// the next the graph size, the processor count and the pricing all change.
+TEST(Repair, SharedSchedulerMatchesFreshScheduler) {
+  const Topology mesh = Topology::mesh2d(4, 4);
+  struct Step {
+    const char* family;
+    std::size_t tasks;
+    ProcId procs;
+    const Topology* topology;
+    bool link_busy;
+  };
+  const Step steps[] = {
+      {"LU", 2000, 8, nullptr, false},      {"Laplace", 120, 16, &mesh, false},
+      {"Laplace", 2000, 16, &mesh, true},   {"LU", 120, 4, nullptr, false},
+      {"Stencil", 2000, 4, nullptr, false}, {"LU", 120, 16, &mesh, true},
+  };
+  FlbScheduler shared;
+  std::uint64_t seed = 1;
+  std::size_t reservations = 0;
+  for (const Step& step : steps) {
+    WorkloadParams params;
+    params.ccr = 5.0;
+    params.seed = seed++;
+    const TaskGraph g = make_workload(step.family, step.tasks, params);
+    const Schedule nominal = FlbScheduler().run(g, step.procs);
+    const Cost span = nominal.makespan();
+    FaultPlan plan;
+    plan.failures.push_back({1, 0.3 * span});
+    plan.rejoins.push_back({1, 0.5 * span});
+    const SimResult partial = simulate(g, nominal, with_faults(plan));
+    RepairOptions opts;
+    opts.topology = step.topology;
+    opts.link_busy = step.link_busy;
+
+    const RepairResult warm =
+        repair_schedule(g, nominal, partial, plan, opts, shared);
+    const RepairResult fresh = repair_schedule(g, nominal, partial, plan, opts);
+    const std::string what = std::string(step.family) + " V=" +
+                             std::to_string(g.num_tasks()) +
+                             " P=" + std::to_string(step.procs);
+    EXPECT_EQ(warm.used, RepairStrategy::kFlbResume) << what;
+    EXPECT_EQ(schedule_text_digest(warm.schedule),
+              schedule_text_digest(fresh.schedule))
+        << what;
+    EXPECT_EQ(warm.durations, fresh.durations) << what;
+    EXPECT_EQ(warm.link_occupancies.size(), fresh.link_occupancies.size())
+        << what;
+    if (step.link_busy) reservations += warm.link_occupancies.size();
+  }
+  EXPECT_GT(reservations, 0u);  // the link-busy repairs reserved links
 }
 
 // --- Routed-topology repair determinism (mirrors the clique test) ------------
