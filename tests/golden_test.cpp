@@ -1,10 +1,13 @@
 // Golden digests for the paths no other test pins bit for bit: every
-// baseline scheduler that keeps its ready lists in an indexed heap, and one
-// online-recovery episode per liveness mode of the controller. The values
-// were captured before the baselines moved onto the d-ary heaps and before
-// the controller's liveness modes shared one loop; a heap that pops in a
-// different order, or a controller that senses, merges or prices anything
-// differently, moves a digest here. Schedules hash through
+// baseline scheduler that keeps its ready lists in an indexed heap, the
+// exhaustive list schedulers (ETF, DLS, ETF-LA), and one online-recovery
+// episode per liveness mode of the controller. The values were captured
+// before the baselines moved onto the d-ary heaps and before the
+// controller's liveness modes shared one loop (the ETF, DLS and ETF-LA rows
+// from each algorithm's own ready-list loop); a heap that pops in a
+// different order, a selection that prices or breaks a tie differently, or
+// a controller that senses, merges or prices anything differently, moves a
+// digest here. Schedules hash through
 // serve::schedule_digest, makespans compare as exact bits.
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -385,8 +389,88 @@ const BaselineGolden kBaselines[] = {
     {"DUP", 7, 8, 0x1.de37ab91380cdp+2, 0x70b38803db77dd6full},
 };
 
-TEST(BaselineGolden, HeapBackedSchedulersBitIdentical) {
-  for (const BaselineGolden& row : kBaselines) {
+// The exhaustive list schedulers (ETF, DLS and ETF-LA price every ready
+// task on every processor each step) on the same graphs.
+const BaselineGolden kExhaustive[] = {
+    {"ETF", kPaper, 2, 0x1.cp+3, 0x46f5f2b37bf3157eull},
+    {"ETF", 0, 2, 0x1.49177bf41f449p+3, 0x623f002b311bc615ull},
+    {"ETF", 0, 4, 0x1.c80eabc634618p+2, 0x12a65e9a29be41c6ull},
+    {"ETF", 0, 8, 0x1.c6bc7f4216cdp+2, 0x195a9811c099af5full},
+    {"ETF", 1, 2, 0x1.5800f41d1b646p+3, 0x6ca7b6b5c85af595ull},
+    {"ETF", 1, 4, 0x1.3670f364c0c88p+3, 0x93348591cf7c55f4ull},
+    {"ETF", 1, 8, 0x1.3670f364c0c88p+3, 0x93348591cf7c55f4ull},
+    {"ETF", 2, 2, 0x1.fa272025984d8p+4, 0x4c73476b928eca2eull},
+    {"ETF", 2, 4, 0x1.fa272025984d8p+4, 0x4c73476b928eca2eull},
+    {"ETF", 2, 8, 0x1.fa272025984d8p+4, 0x4c73476b928eca2eull},
+    {"ETF", 3, 2, 0x1.c318689a5ddc8p+2, 0xebaefb754de633b1ull},
+    {"ETF", 3, 4, 0x1.c318689a5ddc8p+2, 0xa1d936b82b048f5dull},
+    {"ETF", 3, 8, 0x1.c318689a5ddc8p+2, 0xf729ec8cf153a363ull},
+    {"ETF", 4, 2, 0x1.0e0606b5ebf5p+4, 0x124a798bcd525b72ull},
+    {"ETF", 4, 4, 0x1.0e0606b5ebf5p+4, 0x124a798bcd525b72ull},
+    {"ETF", 4, 8, 0x1.0e0606b5ebf5p+4, 0x124a798bcd525b72ull},
+    {"ETF", 5, 2, 0x1.2a37db85ef14ap+4, 0x3dc075dfb5357e8cull},
+    {"ETF", 5, 4, 0x1.2a37db85ef14ap+4, 0x3dc075dfb5357e8cull},
+    {"ETF", 5, 8, 0x1.2a37db85ef14ap+4, 0x3dc075dfb5357e8cull},
+    {"ETF", 6, 2, 0x1.08385d41873ccp+4, 0x0f443a9e7908b663ull},
+    {"ETF", 6, 4, 0x1.c6c4f8af08d6ap+3, 0x4c63c7c9ae46ba9dull},
+    {"ETF", 6, 8, 0x1.c6c4f8af08d6ap+3, 0x4c63c7c9ae46ba9dull},
+    {"ETF", 7, 2, 0x1.8a104cf3794d2p+3, 0xb98f80166998f330ull},
+    {"ETF", 7, 4, 0x1.1cfe3f9c91ab2p+3, 0x7b70a1f4eaba90dfull},
+    {"ETF", 7, 8, 0x1.02bf97a682b29p+3, 0x6904c4a5f8510536ull},
+    {"DLS", kPaper, 2, 0x1.cp+3, 0x46f5f2b37bf3157eull},
+    {"DLS", 0, 2, 0x1.5966f29088a2ep+3, 0x299094903eb4265dull},
+    {"DLS", 0, 4, 0x1.bb6e620c588eep+2, 0x114c71aff8912646ull},
+    {"DLS", 0, 8, 0x1.bb6e620c588eep+2, 0x294cd5ecf45999fcull},
+    {"DLS", 1, 2, 0x1.5921bf782a917p+3, 0x31e4d868b1e6a900ull},
+    {"DLS", 1, 4, 0x1.50adb874ac421p+3, 0xdfe9454468bd97b9ull},
+    {"DLS", 1, 8, 0x1.50adb874ac421p+3, 0xdfe9454468bd97b9ull},
+    {"DLS", 2, 2, 0x1.f46b33a0e5fdep+4, 0x8fada6be691e1f6eull},
+    {"DLS", 2, 4, 0x1.1578668ac126p+5, 0x4d0ae4a253d2663cull},
+    {"DLS", 2, 8, 0x1.1578668ac126p+5, 0x4d0ae4a253d2663cull},
+    {"DLS", 3, 2, 0x1.c318689a5ddc8p+2, 0xebaefb754de633b1ull},
+    {"DLS", 3, 4, 0x1.c318689a5ddc8p+2, 0xa1d936b82b048f5dull},
+    {"DLS", 3, 8, 0x1.c318689a5ddc8p+2, 0xf729ec8cf153a363ull},
+    {"DLS", 4, 2, 0x1.0e0606b5ebf5p+4, 0x124a798bcd525b72ull},
+    {"DLS", 4, 4, 0x1.0e0606b5ebf5p+4, 0x124a798bcd525b72ull},
+    {"DLS", 4, 8, 0x1.0e0606b5ebf5p+4, 0x124a798bcd525b72ull},
+    {"DLS", 5, 2, 0x1.6842220fc3601p+4, 0x8c186e4102585622ull},
+    {"DLS", 5, 4, 0x1.6842220fc3601p+4, 0x8c186e4102585622ull},
+    {"DLS", 5, 8, 0x1.6842220fc3601p+4, 0x8c186e4102585622ull},
+    {"DLS", 6, 2, 0x1.072f54f6f7d6ap+4, 0xc1885a5110f64f4cull},
+    {"DLS", 6, 4, 0x1.c6c4f8af08d6ap+3, 0x60c2e5b8a16b6c36ull},
+    {"DLS", 6, 8, 0x1.c6c4f8af08d6ap+3, 0x60c2e5b8a16b6c36ull},
+    {"DLS", 7, 2, 0x1.98324d925aa49p+3, 0x4946d8dccacfa62full},
+    {"DLS", 7, 4, 0x1.157c11c0d2a1bp+3, 0xe377d7e30f3d7e2dull},
+    {"DLS", 7, 8, 0x1.157c11c0d2a1bp+3, 0x8cf1184539229c93ull},
+    {"ETF-LA", kPaper, 2, 0x1.cp+3, 0x0ea0f3ba21cbeb7bull},
+    {"ETF-LA", 0, 2, 0x1.63bce3600a8e2p+3, 0x58d5312b437dacd3ull},
+    {"ETF-LA", 0, 4, 0x1.ed70f4e472c16p+2, 0x4732c94f77a6bb8eull},
+    {"ETF-LA", 0, 8, 0x1.cff4a4a4cbd88p+2, 0x721e7511ee925700ull},
+    {"ETF-LA", 1, 2, 0x1.7d2d00bf6ca6p+3, 0x6075b95efdb3d9ffull},
+    {"ETF-LA", 1, 4, 0x1.608a521064079p+3, 0xc30c5bf2a37cd27full},
+    {"ETF-LA", 1, 8, 0x1.608a521064079p+3, 0xc30c5bf2a37cd27full},
+    {"ETF-LA", 2, 2, 0x1.25b27df774508p+5, 0x54e4ca6102ae6cbbull},
+    {"ETF-LA", 2, 4, 0x1.25b27df774508p+5, 0x54e4ca6102ae6cbbull},
+    {"ETF-LA", 2, 8, 0x1.25b27df774508p+5, 0x54e4ca6102ae6cbbull},
+    {"ETF-LA", 3, 2, 0x1.0e5e28bdfa59ap+3, 0xd8629c8301a00181ull},
+    {"ETF-LA", 3, 4, 0x1.e18b0c7b1b9b8p+2, 0x0701ccdd9dd5b0ddull},
+    {"ETF-LA", 3, 8, 0x1.dc108845e69cep+2, 0x39388d506794850cull},
+    {"ETF-LA", 4, 2, 0x1.1a0ac7faac21ap+4, 0x7f9234045669b11full},
+    {"ETF-LA", 4, 4, 0x1.1a0ac7faac21ap+4, 0x7f9234045669b11full},
+    {"ETF-LA", 4, 8, 0x1.1a0ac7faac21ap+4, 0x7f9234045669b11full},
+    {"ETF-LA", 5, 2, 0x1.42dd749064b3p+4, 0x9fa3c689a1af1636ull},
+    {"ETF-LA", 5, 4, 0x1.42dd749064b3p+4, 0x9fa3c689a1af1636ull},
+    {"ETF-LA", 5, 8, 0x1.42dd749064b3p+4, 0x9fa3c689a1af1636ull},
+    {"ETF-LA", 6, 2, 0x1.0979d987fb7f8p+4, 0x4c8c0e6f01ed8de8ull},
+    {"ETF-LA", 6, 4, 0x1.cc71c1884fac4p+3, 0x595334b6ec89cc30ull},
+    {"ETF-LA", 6, 8, 0x1.cc71c1884fac4p+3, 0x595334b6ec89cc30ull},
+    {"ETF-LA", 7, 2, 0x1.e229ac7fc817dp+3, 0xd4205492d23b101cull},
+    {"ETF-LA", 7, 4, 0x1.52cca78150f42p+3, 0xbacd0eb71783784cull},
+    {"ETF-LA", 7, 8, 0x1.50fb85f86e3c6p+3, 0x3d35f1cf097d40bdull},
+};
+
+void expect_bit_identical(std::span<const BaselineGolden> rows) {
+  for (const BaselineGolden& row : rows) {
     const TaskGraph g =
         row.graph == kPaper
             ? paper_example_graph()
@@ -397,6 +481,14 @@ TEST(BaselineGolden, HeapBackedSchedulersBitIdentical) {
     EXPECT_EQ(out.digest, row.digest)
         << row.algo << " on graph " << row.graph << " P=" << row.procs;
   }
+}
+
+TEST(BaselineGolden, HeapBackedSchedulersBitIdentical) {
+  expect_bit_identical(kBaselines);
+}
+
+TEST(BaselineGolden, ExhaustiveSchedulersBitIdentical) {
+  expect_bit_identical(kExhaustive);
 }
 
 // --- Recovery runtime --------------------------------------------------------
