@@ -3,28 +3,15 @@
 #include <algorithm>
 #include <vector>
 
+#include "exhaustive.hpp"
 #include "flb/graph/properties.hpp"
-#include "flb/util/error.hpp"
+#include "flb/platform/cost_model.hpp"
 
 namespace flb {
 
-namespace {
-
-struct ReadyTask {
-  TaskId task;
-  Cost lmt;
-  Cost emt_on_ep;
-  ProcId ep;
-  TaskId critical_child;  // kInvalidTask for exit tasks
-  Cost child_edge_comm;
-};
-
-}  // namespace
-
 Schedule EtfLookaheadScheduler::run(const TaskGraph& g, ProcId num_procs) {
-  FLB_REQUIRE(num_procs >= 1, "ETF-LA: at least one processor required");
+  platform::CostModel model = platform::CostModel::clique(num_procs);
   const TaskId n = g.num_tasks();
-  Schedule sched(num_procs, n);
   std::vector<Cost> bl = bottom_levels(g);
 
   // Static critical child per task: the successor whose edge + bottom
@@ -43,44 +30,14 @@ Schedule EtfLookaheadScheduler::run(const TaskGraph& g, ProcId num_procs) {
     }
   }
 
-  std::vector<std::size_t> unscheduled_preds(n);
-  std::vector<ReadyTask> ready;
-  ready.reserve(n);
-
-  auto make_ready = [&](TaskId t) {
-    ReadyTask r{t, 0.0, 0.0, kInvalidProc, critical_child[t], child_comm[t]};
-    for (const Adj& a : g.predecessors(t)) {
-      Cost arrival = sched.finish(a.node) + a.comm;
-      if (arrival > r.lmt || r.ep == kInvalidProc) {
-        r.lmt = arrival;
-        r.ep = sched.proc(a.node);
-      }
-    }
-    for (const Adj& a : g.predecessors(t)) {
-      if (sched.proc(a.node) == r.ep) continue;
-      r.emt_on_ep = std::max(r.emt_on_ep, sched.finish(a.node) + a.comm);
-    }
-    ready.push_back(r);
-  };
-
-  for (TaskId t = 0; t < n; ++t) {
-    unscheduled_preds[t] = g.in_degree(t);
-    if (unscheduled_preds[t] == 0) make_ready(t);
-  }
-
-  for (TaskId step = 0; step < n; ++step) {
-    FLB_ASSERT(!ready.empty());
-
+  return detail::run_exhaustive(g, model, [&](const detail::ReadyRows& ready,
+                                              const Schedule& sched) {
     // Phase 1 — ETF's criterion: the global minimum EST over all
     // (ready task, processor) pairs.
     Cost best_est = kInfiniteTime;
-    for (const ReadyTask& r : ready) {
-      for (ProcId p = 0; p < num_procs; ++p) {
-        Cost emt = (p == r.ep) ? r.emt_on_ep : r.lmt;
-        best_est = std::min(best_est,
-                            std::max(emt, sched.proc_ready_time(p)));
-      }
-    }
+    for (std::size_t i = 0; i < ready.size(); ++i)
+      for (ProcId p : ready.procs())
+        best_est = std::min(best_est, ready.est(i, p));
 
     // Phase 2 — lookahead tie-break: every pair achieving that minimum is
     // scored by the estimated start of the task's critical child; the
@@ -91,22 +48,20 @@ Schedule EtfLookaheadScheduler::run(const TaskGraph& g, ProcId num_procs) {
     for (ProcId q = 1; q < num_procs; ++q)
       if (sched.proc_ready_time(q) < sched.proc_ready_time(idle)) idle = q;
 
-    std::size_t best_idx = 0;
-    ProcId best_proc = kInvalidProc;
+    detail::Pick best;
     Cost best_score = kInfiniteTime;
     for (std::size_t i = 0; i < ready.size(); ++i) {
-      const ReadyTask& r = ready[i];
+      const TaskId t = ready.task(i);
       // Arrival at the earliest-idle processor from the critical child's
       // other scheduled parents, shared across this task's pairs.
-      TaskId c = r.critical_child;
+      const TaskId c = critical_child[t];
       Cost other_arr_idle = 0.0;
       bool other_computed = false;
 
-      for (ProcId p = 0; p < num_procs; ++p) {
-        Cost emt = (p == r.ep) ? r.emt_on_ep : r.lmt;
-        Cost est = std::max(emt, sched.proc_ready_time(p));
+      for (ProcId p : ready.procs()) {
+        const Cost est = ready.est(i, p);
         if (est > best_est) continue;  // not an earliest-start pair
-        Cost ft = est + g.comp(r.task);
+        Cost ft = est + g.comp(t);
 
         Cost score;
         if (c == kInvalidTask) {
@@ -114,8 +69,7 @@ Schedule EtfLookaheadScheduler::run(const TaskGraph& g, ProcId num_procs) {
         } else {
           if (!other_computed) {
             for (const Adj& in : g.predecessors(c)) {
-              if (in.node == r.task || !sched.is_scheduled(in.node))
-                continue;
+              if (in.node == t || !sched.is_scheduled(in.node)) continue;
               other_arr_idle = std::max(
                   other_arr_idle,
                   sched.finish(in.node) +
@@ -125,46 +79,32 @@ Schedule EtfLookaheadScheduler::run(const TaskGraph& g, ProcId num_procs) {
           }
           Cost arr_other_p = 0.0;
           for (const Adj& in : g.predecessors(c)) {
-            if (in.node == r.task || !sched.is_scheduled(in.node)) continue;
+            if (in.node == t || !sched.is_scheduled(in.node)) continue;
             arr_other_p = std::max(
                 arr_other_p, sched.finish(in.node) +
                                  (sched.proc(in.node) == p ? 0.0 : in.comm));
           }
           Cost child_on_p =
               std::max({ft, arr_other_p, sched.proc_ready_time(p)});
-          Cost t_arrival_idle = ft + (idle == p ? 0.0 : r.child_edge_comm);
-          Cost child_on_idle =
-              std::max({t_arrival_idle, other_arr_idle,
-                        sched.proc_ready_time(idle)});
+          Cost t_arrival_idle = ft + (idle == p ? 0.0 : child_comm[t]);
+          Cost child_on_idle = std::max(
+              {t_arrival_idle, other_arr_idle, sched.proc_ready_time(idle)});
           score = std::min(child_on_p, child_on_idle);
         }
 
-        bool better = best_proc == kInvalidProc || score < best_score;
+        bool better = best.proc == kInvalidProc || score < best_score;
         if (!better && score == best_score) {
-          const ReadyTask& b = ready[best_idx];
-          better = bl[r.task] > bl[b.task] ||
-                   (bl[r.task] == bl[b.task] &&
-                    (r.task < b.task || (r.task == b.task && p < best_proc)));
+          const TaskId b = ready.task(best.index);
+          better = bl[t] > bl[b] || (bl[t] == bl[b] && t < b);
         }
         if (better) {
           best_score = score;
-          best_idx = i;
-          best_proc = p;
+          best = {i, p, est};
         }
       }
     }
-    FLB_ASSERT(best_proc != kInvalidProc);
-
-    TaskId t = ready[best_idx].task;
-    sched.assign(t, best_proc, best_est, best_est + g.comp(t));
-    ready[best_idx] = ready.back();
-    ready.pop_back();
-    for (const Adj& a : g.successors(t))
-      if (--unscheduled_preds[a.node] == 0) make_ready(a.node);
-  }
-
-  FLB_ASSERT(sched.complete());
-  return sched;
+    return best;
+  });
 }
 
 }  // namespace flb

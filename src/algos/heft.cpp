@@ -1,6 +1,7 @@
 #include "flb/algos/heft.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 
 #include "flb/graph/properties.hpp"
@@ -43,31 +44,22 @@ std::vector<Cost> downward_ranks(const TaskGraph& g,
 
 namespace {
 
-/// Earliest finish of t on p against the partial schedule, idle gaps
-/// included: the data-ready time is the model's cold-aware arrival max
-/// clamped to p's admission instant, the start the earliest gap that fits
-/// the model's execution time from there.
-std::pair<Cost, Cost> eft_on(const TaskGraph& g,
-                             const platform::CostModel& model,
-                             const Schedule& s, TaskId t, ProcId p) {
-  Cost ready = model.admission(p);
-  for (const Adj& a : g.predecessors(t))
-    ready = std::max(ready,
-                     model.arrival(s.proc(a.node), p, a.comm, s.finish(a.node)));
-  Cost exec = model.exec(g, t, p);
-  Cost start = s.earliest_gap(p, ready, exec);
-  return {start, start + exec};
-}
-
-/// The alive processor that finishes t the earliest (the smaller id on a
-/// tie).
+/// The alive processor that finishes t the earliest, idle gaps included
+/// (the smaller id on a tie). Data is ready on p at the model's
+/// inputs-ready instant floored at p's admission — priced for every
+/// processor at once into `ready` (`row` is scratch) — and t starts in the
+/// earliest gap that fits its execution time from there.
 ProcId min_eft_proc(const TaskGraph& g, const platform::CostModel& model,
-                    const Schedule& s, TaskId t) {
+                    const Schedule& s, TaskId t, std::span<Cost> ready,
+                    std::span<Cost> row) {
+  for (ProcId p = 0; p < model.num_procs(); ++p) ready[p] = model.admission(p);
+  model.inputs_ready_row(g, s, t, ready, row);
   ProcId best_p = kInvalidProc;
   Cost best_eft = kInfiniteTime;
   for (ProcId p = 0; p < model.num_procs(); ++p) {
     if (!model.alive(p)) continue;
-    Cost eft = eft_on(g, model, s, t, p).second;
+    const Cost exec = model.exec(g, t, p);
+    const Cost eft = s.earliest_gap(p, ready[p], exec) + exec;
     if (eft < best_eft || best_p == kInvalidProc) {
       best_eft = eft;
       best_p = p;
@@ -78,10 +70,10 @@ ProcId min_eft_proc(const TaskGraph& g, const platform::CostModel& model,
 
 /// The list loop HEFT and CPOP share: consume ready tasks in descending
 /// `priority` order, place each on the processor `choose` returns at its
-/// earliest gap. Under link-busy pricing the incoming routes are reserved
-/// first; commits serialize transfers that share a link, so the data-ready
-/// time (and hence the insertion search) is recomputed from the committed
-/// arrivals.
+/// earliest gap after its inputs are ready. The inputs are priced by
+/// commit_inputs(), which under link-busy pricing reserves their routes;
+/// commits serialize transfers that share a link, so the data-ready time
+/// can be later than the one `choose` probed.
 template <typename ChooseProc>
 Schedule run_list(const TaskGraph& g, platform::CostModel& model,
                   const std::vector<Cost>& priority, ChooseProc&& choose) {
@@ -100,18 +92,11 @@ Schedule run_list(const TaskGraph& g, platform::CostModel& model,
     TaskId t = static_cast<TaskId>(ready.pop());
     const ProcId p = choose(sched, t);
     FLB_ASSERT(p != kInvalidProc);
-    auto [start, finish] = eft_on(g, model, sched, t, p);
-    if (model.mode() == platform::CommMode::kLinkBusy) {
-      Cost ready_at = model.admission(p);
-      for (const Adj& a : g.predecessors(t))
-        ready_at = std::max(ready_at,
-                            model.commit_arrival(sched.proc(a.node), p,
-                                                 a.comm, sched.finish(a.node)));
-      const Cost exec = model.exec(g, t, p);
-      start = sched.earliest_gap(p, ready_at, exec);
-      finish = start + exec;
-    }
-    sched.assign(t, p, start, finish);
+    const Cost ready_at =
+        model.commit_inputs(g, sched, t, p, model.admission(p));
+    const Cost exec = model.exec(g, t, p);
+    const Cost start = sched.earliest_gap(p, ready_at, exec);
+    sched.assign(t, p, start, start + exec);
     for (const Adj& a : g.successors(t))
       if (--unscheduled_preds[a.node] == 0)
         ready.push(a.node, {-priority[a.node], a.node});
@@ -124,9 +109,10 @@ Schedule run_list(const TaskGraph& g, platform::CostModel& model,
 
 Schedule heft(const TaskGraph& g, platform::CostModel& model) {
   model.validate(g);
+  std::vector<Cost> ready(model.num_procs()), row(model.num_procs());
   return run_list(g, model, upward_ranks(g, model),
                   [&](const Schedule& s, TaskId t) {
-                    return min_eft_proc(g, model, s, t);
+                    return min_eft_proc(g, model, s, t, ready, row);
                   });
 }
 
@@ -168,8 +154,9 @@ Schedule cpop(const TaskGraph& g, platform::CostModel& model) {
          model.exec_work(cp_work, p) < model.exec_work(cp_work, cp_proc)))
       cp_proc = p;
 
+  std::vector<Cost> ready(model.num_procs()), row(model.num_procs());
   return run_list(g, model, priority, [&](const Schedule& s, TaskId t) {
-    return on_cp[t] ? cp_proc : min_eft_proc(g, model, s, t);
+    return on_cp[t] ? cp_proc : min_eft_proc(g, model, s, t, ready, row);
   });
 }
 

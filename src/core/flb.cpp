@@ -1,9 +1,7 @@
 #include "flb/core/flb.hpp"
 
 #include <algorithm>
-#include <span>
 #include <tuple>
-#include <utility>
 
 #include "flb/core/scratch.hpp"
 #include "flb/graph/properties.hpp"
@@ -111,49 +109,6 @@ class Engine {
     return std::max(sched_.proc_ready_time(p), model_.admission(p));
   }
 
-  // Priced availability of predecessor edge `in` when its consumer runs on
-  // p — the platform model's cold-aware arrival: a warm local output is
-  // free, a local output that predates p's reboot is re-fetched, remote
-  // data pays the mode's network price (flat on the clique, hop-scaled
-  // when routed, reservation-aware under link-busy).
-  Cost arrival_at(const Adj& in, ProcId p) const {
-    return model_.arrival(sched_.proc(in.node), p, in.comm,
-                          sched_.finish(in.node));
-  }
-
-  // Exact earliest start of t on p under the engine's pricing model.
-  Cost exact_est(TaskId t, ProcId p) const {
-    Cost est = prt(p);
-    for (const Adj& in : g_.predecessors(t))
-      est = std::max(est, arrival_at(in, p));
-    return est;
-  }
-
-  // The alive processor with the least exact EST of t (the smaller id on a
-  // tie) and that EST; kInvalidProc if none starts before kInfiniteTime.
-  // exact_est(t, p) for every p at once: each predecessor's output is
-  // priced to all processors by one arrivals() row, and the rows are
-  // folded into est[p] in predecessor order with the same max().
-  std::pair<ProcId, Cost> exact_min_est(TaskId t) {
-    const std::span<Cost> est = s_.proc_est;
-    const std::span<Cost> row = s_.proc_arrival;
-    for (ProcId p = 0; p < num_procs_; ++p) est[p] = prt(p);
-    for (const Adj& in : g_.predecessors(t)) {
-      model_.arrivals(sched_.proc(in.node), in.comm, sched_.finish(in.node),
-                      row);
-      for (ProcId p = 0; p < num_procs_; ++p)
-        est[p] = std::max(est[p], row[p]);
-    }
-    ProcId best = kInvalidProc;
-    Cost best_est = kInfiniteTime;
-    for (ProcId p = 0; p < num_procs_; ++p)
-      if (model_.alive(p) && est[p] < best_est) {
-        best_est = est[p];
-        best = p;
-      }
-    return {best, best_est};
-  }
-
   // Wall-time cost of running t on p: the platform model's exec pricing —
   // (possibly overridden) work scaled by p's speed, plus any additive
   // extra. Degenerates to comp(t) on a fresh run.
@@ -187,7 +142,8 @@ class Engine {
       // Link reservations committed since t1 was classified may have
       // pushed its true arrival past the cached key, so under link-busy
       // pricing the candidate is re-priced against the current link state.
-      if (link_busy_) est1 = exact_est(t1, p1);
+      if (link_busy_)
+        est1 = model_.inputs_ready(g_, sched_, t1, p1, prt(p1));
     }
 
     // Candidate (b): non-EP task with min LMT on the earliest-idle
@@ -202,7 +158,8 @@ class Engine {
     if (have_non_ep) {
       t2 = static_cast<TaskId>(s_.non_ep.top());
       if (exact_mode_) {
-        std::tie(p2, est2) = exact_min_est(t2);
+        std::tie(p2, est2) = model_.min_est(g_, sched_, t2, s_.proc_est,
+                                            s_.proc_arrival);
       } else {
         p2 = static_cast<ProcId>(s_.all_procs.top());
         est2 = std::max(s_.lmt[t2], prt(p2));
@@ -220,18 +177,12 @@ class Engine {
 
     if (observer) notify(*observer, t, p, est, choose_ep);
 
-    Cost start = est;
-    if (link_busy_) {
-      // Claim the chosen task's incoming routes so later transfers queue
-      // behind them. Both candidates were just priced against the same
-      // link state with identical arithmetic, so start == est.
-      start = prt(p);
-      for (const Adj& in : g_.predecessors(t))
-        start = std::max(start,
-                         model_.commit_arrival(sched_.proc(in.node), p,
-                                               in.comm,
-                                               sched_.finish(in.node)));
-    }
+    // Under link-busy pricing, claim the chosen task's incoming routes so
+    // later transfers queue behind them. The commit reserves the inputs one
+    // after another, so inputs whose routes share a link serialize and the
+    // start may be later than the EST the pair was selected on.
+    const Cost start =
+        link_busy_ ? model_.commit_inputs(g_, sched_, t, p, prt(p)) : est;
     sched_.assign(t, p, start, start + duration(t, p));
     --ready_count_;
     if (choose_ep) {
@@ -359,18 +310,16 @@ class Engine {
       non_ep_push(t, lmt);
       return;
     }
-    // EMT on the enabling processor, priced through the platform model's
-    // cold-aware arrival. Local predecessor outputs arrive at their finish
-    // time and still participate in the max, matching the paper's worked
-    // example (Table 1); this never changes EST = max(EMT, PRT) — a warm
-    // local predecessor's FT is always <= PRT — but it fixes the EMT list
-    // order the paper uses. In exact mode the same call prices routed hop
-    // counts, link reservations and cold-cache re-fetches (every
-    // predecessor is placed by now, so this is the task's exact ready
-    // instant on ep under the current link state).
-    Cost emt = 0.0;
-    for (const Adj& in : g_.predecessors(t))
-      emt = std::max(emt, arrival_at(in, ep));
+    // EMT on the enabling processor: the platform model's inputs-ready
+    // instant there, over cold-aware arrivals. Local predecessor outputs
+    // arrive at their finish time and still participate in the max,
+    // matching the paper's worked example (Table 1); this never changes
+    // EST = max(EMT, PRT) — a warm local predecessor's FT is always <= PRT
+    // — but it fixes the EMT list order the paper uses. In exact mode the
+    // same call prices routed hop counts, link reservations and cold-cache
+    // re-fetches (every predecessor is placed by now, so this is the task's
+    // exact ready instant on ep under the current link state).
+    const Cost emt = model_.inputs_ready(g_, sched_, t, ep, 0.0);
     s_.lmt[t] = lmt;
     s_.emt_ep[t] = emt;
     s_.ep[t] = ep;

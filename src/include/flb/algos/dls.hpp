@@ -14,7 +14,8 @@
 /// ETF, which greedily minimizes the start time alone, DLS trades start
 /// time against the task's remaining critical work. Like ETF it examines
 /// every ready task on every processor: O(W(E+V)P) — the cost class FLB
-/// eliminates.
+/// eliminates. It shares ETF's ready-list loop and its cached inputs-ready
+/// rows (see etf.hpp); only the selection rule differs.
 ///
 /// Ties break toward the smaller task id, then the smaller processor id.
 
@@ -28,11 +29,11 @@ class DlsScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "DLS"; }
 
+  /// run_on() on the paper's machine, CostModel::clique(num_procs).
   [[nodiscard]] Schedule run(const TaskGraph& g, ProcId num_procs) override;
 
   /// DLS priced through the platform cost model (see EtfScheduler::run_on
-  /// for the conventions). Selects the same schedule as run() on a plain
-  /// clique model.
+  /// for the conventions).
   [[nodiscard]] Schedule run_on(const TaskGraph& g, platform::CostModel& model);
 };
 

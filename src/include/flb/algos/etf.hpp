@@ -15,6 +15,12 @@
 /// equally early (task, processor) pairs the task with the larger *static*
 /// priority — the bottom level — wins; remaining ties resolve to the
 /// smaller task id, then the smaller processor id.
+///
+/// Each ready task keeps one inputs-ready row (its inputs' arrival on every
+/// processor, CostModel::inputs_ready_row), priced once when the task
+/// becomes ready — O(E·P) over a run — so a step is one O(W·P) scan of
+/// max(PRT(p), row[p]). Under link-busy pricing every row is re-priced
+/// after each commit.
 
 namespace flb {
 
@@ -26,15 +32,15 @@ class EtfScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "ETF"; }
 
+  /// run_on() on the paper's machine, CostModel::clique(num_procs).
   [[nodiscard]] Schedule run(const TaskGraph& g, ProcId num_procs) override;
 
   /// ETF priced through the platform cost model: admission windows, dead
   /// processors, speeds, and the model's communication mode (clique /
   /// routed hops / link-busy reservations, which are committed for every
-  /// placement). On a plain clique model this selects exactly the same
-  /// schedule as run() — the regression guard in platform_test relies on
-  /// it. Throws flb::Error unless the model fits g (CostModel::validate).
-  /// The model is mutated (link reservations) under link-busy pricing.
+  /// placement). Throws flb::Error unless the model fits g
+  /// (CostModel::validate). The model is mutated (link reservations) under
+  /// link-busy pricing.
   [[nodiscard]] Schedule run_on(const TaskGraph& g, platform::CostModel& model);
 };
 

@@ -3,17 +3,20 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "flb/graph/task_graph.hpp"
+#include "flb/sched/schedule.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/types.hpp"
 
 /// \file cost_model.hpp
 /// The platform cost model: the one description of the machine that every
-/// placement decision in this library prices against. FLB (fresh runs and
-/// resumes), schedule repair, HEFT/CPOP and the model-priced ETF/DLS take a
-/// caller-built CostModel, and both machine simulators (simulate,
+/// placement decision in this library prices against. FLB resumes,
+/// schedule repair, HEFT/CPOP and ETF/DLS run_on take a caller-built
+/// CostModel (fresh FLB, ETF, DLS and ETF-LA runs build
+/// CostModel::clique(P)), and both machine simulators (simulate,
 /// simulate_on_topology) price messages through it. A model answers three
 /// questions:
 ///
@@ -39,6 +42,10 @@
 ///    folded into `arrival()`: warm local data is free, local data
 ///    predating a reboot is re-fetched at `cold + message cost`, and remote
 ///    data pays the mode's network price.
+///
+/// From the three answers it prices the paper's EST for every placement
+/// engine: inputs_ready(), inputs_ready_row(), min_est() and
+/// commit_inputs().
 ///
 /// A fresh model (any factory, nothing else set) has unit speeds, graph
 /// costs and every processor admitted from 0; CostModel::clique(P) is then
@@ -254,6 +261,49 @@ class CostModel {
     if (src == dst) return arrival(src, dst, bytes, finish);
     return commit(src, dst, bytes, finish);
   }
+
+  // -- EST pricing --------------------------------------------------------
+  //
+  // EST(t, p) = max(PRT(p), admission(p), every input's arrival at p)
+  // (paper Section 2, with availability). Every placement engine prices it
+  // through these four members; every predecessor of t must be placed in
+  // `s`. The independent checkers (the validator, the linter and the naive
+  // sched/tentative references) keep their own arithmetic.
+
+  /// The instant every input of t is usable on p: the max of `floor` and
+  /// each predecessor output's arrival() at p. Probes only.
+  [[nodiscard]] Cost inputs_ready(const TaskGraph& g, const Schedule& s,
+                                  TaskId t, ProcId p, Cost floor) const {
+    for (const Adj& in : g.predecessors(t))
+      floor = std::max(floor,
+                       arrival(s.proc(in.node), p, in.comm, s.finish(in.node)));
+    return floor;
+  }
+
+  /// inputs_ready() on every processor at once: `ready[p]` holds p's floor
+  /// on entry and its inputs-ready instant on return. Each input is priced
+  /// by one arrivals() row into `row` (scratch); both spans hold
+  /// num_procs() entries. Bit-identical to P inputs_ready() calls.
+  void inputs_ready_row(const TaskGraph& g, const Schedule& s, TaskId t,
+                        std::span<Cost> ready, std::span<Cost> row) const;
+
+  /// The alive processor where t starts the earliest, and that start: the
+  /// least max(PRT(p), admission(p), inputs ready on p), the smaller id on
+  /// a tie; {kInvalidProc, kInfiniteTime} if no start is finite. `est`
+  /// receives every processor's start, `row` is scratch as in
+  /// inputs_ready_row().
+  std::pair<ProcId, Cost> min_est(const TaskGraph& g, const Schedule& s,
+                                  TaskId t, std::span<Cost> est,
+                                  std::span<Cost> row) const;
+
+  /// The link-reserving twin of inputs_ready(): each input's route to p is
+  /// committed, in predecessor order. Never earlier than inputs_ready()
+  /// probed just before, and equal to it unless two input routes share a
+  /// link: a probe prices every input against the same link state, but the
+  /// commits reserve one after another, so inputs that share a link
+  /// serialize on it. In clique and routed modes it is inputs_ready().
+  Cost commit_inputs(const TaskGraph& g, const Schedule& s, TaskId t,
+                     ProcId p, Cost floor);
 
   /// Drop all link reservations and the occupancy log (re-pricing runs).
   void reset_links();

@@ -138,6 +138,41 @@ void CostModel::arrivals(ProcId src, Cost bytes, Cost finish,
   out[src] = arrival(src, src, bytes, finish);
 }
 
+void CostModel::inputs_ready_row(const TaskGraph& g, const Schedule& s,
+                                 TaskId t, std::span<Cost> ready,
+                                 std::span<Cost> row) const {
+  FLB_ASSERT(ready.size() == procs_ && row.size() == procs_);
+  for (const Adj& in : g.predecessors(t)) {
+    arrivals(s.proc(in.node), in.comm, s.finish(in.node), row);
+    for (ProcId p = 0; p < procs_; ++p) ready[p] = std::max(ready[p], row[p]);
+  }
+}
+
+std::pair<ProcId, Cost> CostModel::min_est(const TaskGraph& g,
+                                           const Schedule& s, TaskId t,
+                                           std::span<Cost> est,
+                                           std::span<Cost> row) const {
+  for (ProcId p = 0; p < procs_; ++p)
+    est[p] = std::max(s.proc_ready_time(p), admission(p));
+  inputs_ready_row(g, s, t, est, row);
+  ProcId best = kInvalidProc;
+  Cost best_est = kInfiniteTime;
+  for (ProcId p = 0; p < procs_; ++p)
+    if (alive(p) && est[p] < best_est) {
+      best_est = est[p];
+      best = p;
+    }
+  return {best, best_est};
+}
+
+Cost CostModel::commit_inputs(const TaskGraph& g, const Schedule& s, TaskId t,
+                              ProcId p, Cost floor) {
+  for (const Adj& in : g.predecessors(t))
+    floor = std::max(floor, commit_arrival(s.proc(in.node), p, in.comm,
+                                           s.finish(in.node)));
+  return floor;
+}
+
 Cost CostModel::commit(ProcId src, ProcId dst, Cost bytes, Cost depart) {
   if (src == dst || mode_ != CommMode::kLinkBusy)
     return comm(src, dst, bytes, depart);

@@ -18,37 +18,20 @@ namespace {
 // platform cost model — per-processor admission instants, cold-cache
 // re-fetch of data that predates a reboot, routed hop counts or link-busy
 // reservations under a topology, speed-scaled remainders plus additive
-// extra. Under link-busy pricing the chosen task's incoming routes are
-// committed so later transfers queue behind them. O(V·P·indeg) —
-// acceptable for a fallback that usually runs with one survivor.
+// extra. The chosen task's inputs are priced by commit_inputs(), which
+// under link-busy pricing reserves their routes so later transfers queue
+// behind them. O(V·P·indeg) — acceptable for a fallback that usually runs
+// with one survivor.
 void greedy_continuation(const TaskGraph& g, Schedule& s,
                          platform::CostModel& model) {
-  const bool link_busy = model.mode() == platform::CommMode::kLinkBusy;
+  std::vector<Cost> est(s.num_procs()), row(s.num_procs());
   for (TaskId t : topological_order(g)) {
     if (s.is_scheduled(t)) continue;
-    ProcId best = kInvalidProc;
-    Cost best_est = kInfiniteTime;
-    for (ProcId p = 0; p < s.num_procs(); ++p) {
-      if (!model.alive(p)) continue;
-      Cost est = std::max(s.proc_ready_time(p), model.admission(p));
-      for (const Adj& in : g.predecessors(t))
-        est = std::max(est, model.arrival(s.proc(in.node), p, in.comm,
-                                          s.finish(in.node)));
-      if (est < best_est) {
-        best_est = est;
-        best = p;
-      }
-    }
-    FLB_ASSERT(best != kInvalidProc);
-    Cost start = best_est;
-    if (link_busy) {
-      start = std::max(s.proc_ready_time(best), model.admission(best));
-      for (const Adj& in : g.predecessors(t))
-        start = std::max(start,
-                         model.commit_arrival(s.proc(in.node), best, in.comm,
-                                              s.finish(in.node)));
-    }
-    s.assign(t, best, start, start + model.exec(g, t, best));
+    const ProcId p = model.min_est(g, s, t, est, row).first;
+    FLB_ASSERT(p != kInvalidProc);
+    const Cost start = model.commit_inputs(
+        g, s, t, p, std::max(s.proc_ready_time(p), model.admission(p)));
+    s.assign(t, p, start, start + model.exec(g, t, p));
   }
 }
 
@@ -281,19 +264,13 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
           break;  // never in flight
         if (options.pin_exclude != nullptr && (*options.pin_exclude)[t])
           break;  // observed killed: known-lost, nothing to hedge
-        bool preds_placed = true;
-        Cost start =
-            std::max(nominal.start(t), out.schedule.proc_ready_time(sp));
-        for (const Adj& in : g.predecessors(t)) {
-          if (!fixed[in.node] && !out.schedule.is_scheduled(in.node)) {
-            preds_placed = false;
-            break;
-          }
-          start = std::max(
-              start, probe.arrival(out.schedule.proc(in.node), sp, in.comm,
-                                   out.schedule.finish(in.node)));
-        }
+        const bool preds_placed = std::ranges::all_of(
+            g.predecessors(t),
+            [&](const Adj& in) { return out.schedule.is_scheduled(in.node); });
         if (!preds_placed) break;
+        const Cost start = probe.inputs_ready(
+            g, out.schedule, t, sp,
+            std::max(nominal.start(t), out.schedule.proc_ready_time(sp)));
         out.schedule.assign(t, sp, start, start + probe.exec(g, t, sp));
         out.pinned_tasks.push_back(t);
         if (!whole_queue) break;
