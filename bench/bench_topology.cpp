@@ -5,10 +5,13 @@
 // contention-free value. Shows how far the model is from routed networks
 // and which topology hurts most as CCR grows.
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 
 int main(int argc, char** argv) {
@@ -58,10 +61,16 @@ int main(int argc, char** argv) {
         Schedule s = flb->run(g, procs);
         Cost analytic = s.makespan();
         for (const Net& nt : nets) {
-          TopologySimResult r = simulate_on_topology(g, s, nt.topo);
-          cells[nt.label].push_back(r.sim.makespan / analytic);
-          if (nt.label == "ring")
-            ring_busy.push_back(r.max_link_busy / r.sim.makespan);
+          const SimResult r = simulate(g, s, {.topology = &nt.topo});
+          cells[nt.label].push_back(r.makespan / analytic);
+          if (nt.label == "ring") {
+            // A link's busy time sums its reserved hops.
+            std::vector<Cost> busy(nt.topo.num_links(), 0.0);
+            for (const platform::LinkOccupancy& o : r.link_occupancies)
+              busy[o.link] += o.end - o.begin;
+            ring_busy.push_back(*std::max_element(busy.begin(), busy.end()) /
+                                r.makespan);
+          }
         }
       }
       std::vector<std::string> row{workload};

@@ -12,7 +12,7 @@
 namespace flb {
 
 Schedule HlfetScheduler::run(const TaskGraph& g, ProcId num_procs) {
-  FLB_REQUIRE(num_procs >= 1, "HLFET: at least one processor required");
+  FLB_REQUIRE(num_procs >= 1, name() + ": at least one processor required");
   const TaskId n = g.num_tasks();
   Schedule sched(num_procs, n);
   std::vector<Cost> sl = computation_bottom_levels(g);
@@ -29,7 +29,9 @@ Schedule HlfetScheduler::run(const TaskGraph& g, ProcId num_procs) {
   for (TaskId step = 0; step < n; ++step) {
     FLB_ASSERT(!ready.empty());
     TaskId t = static_cast<TaskId>(ready.pop());
-    auto [p, est] = best_proc_exhaustive(g, sched, t);
+    // Earliest start with or without idle gaps; lower proc ids win ties.
+    const auto [p, est] = insertion_ ? best_proc_insertion(g, sched, t)
+                                     : best_proc_exhaustive(g, sched, t);
     sched.assign(t, p, est, est + g.comp(t));
     for (const Adj& a : g.successors(t))
       if (--unscheduled_preds[a.node] == 0)

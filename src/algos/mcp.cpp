@@ -1,6 +1,5 @@
 #include "flb/algos/mcp.hpp"
 
-#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -36,32 +35,9 @@ Schedule McpScheduler::run(const TaskGraph& g, ProcId num_procs) {
   for (TaskId step = 0; step < n; ++step) {
     FLB_ASSERT(!ready.empty());
     TaskId t = static_cast<TaskId>(ready.pop());
-    ProcId p;
-    Cost est;
-    if (insertion_) {
-      // Earliest feasible start on each processor, idle gaps included. The
-      // gap search is bounded below by the data-ready time on q: local
-      // predecessors must have finished (their messages are free but their
-      // results must exist), remote ones pay the edge cost.
-      p = 0;
-      est = kInfiniteTime;
-      for (ProcId q = 0; q < num_procs; ++q) {
-        Cost data_ready = 0.0;
-        for (const Adj& a : g.predecessors(t)) {
-          Cost c = sched.proc(a.node) == q ? 0.0 : a.comm;
-          data_ready = std::max(data_ready, sched.finish(a.node) + c);
-        }
-        Cost candidate = sched.earliest_gap(q, data_ready, g.comp(t));
-        if (candidate < est) {
-          est = candidate;
-          p = q;
-        }
-      }
-    } else {
-      // End-of-timeline placement: exhaustive earliest-start scan (lower
-      // proc id wins ties inside best_proc_exhaustive).
-      std::tie(p, est) = best_proc_exhaustive(g, sched, t);
-    }
+    // Earliest start with or without idle gaps; lower proc ids win ties.
+    const auto [p, est] = insertion_ ? best_proc_insertion(g, sched, t)
+                                     : best_proc_exhaustive(g, sched, t);
     sched.assign(t, p, est, est + g.comp(t));
     for (const Adj& a : g.successors(t)) {
       if (--unscheduled_preds[a.node] == 0)

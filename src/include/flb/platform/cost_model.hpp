@@ -16,9 +16,9 @@
 /// placement decision in this library prices against. FLB resumes,
 /// schedule repair, HEFT/CPOP and ETF/DLS run_on take a caller-built
 /// CostModel (fresh FLB, ETF, DLS and ETF-LA runs build
-/// CostModel::clique(P)), and both machine simulators (simulate,
-/// simulate_on_topology) price messages through it. A model answers three
-/// questions:
+/// CostModel::clique(P)), and the machine simulator (flb::simulate) prices
+/// its messages through one: a clique, or link_busy() over
+/// SimOptions::topology. A model answers three questions:
 ///
 ///  * **Communication** — `comm(src, dst, bytes, depart)` in three modes:
 ///    - kClique: the paper's contention-free clique (Section 2); O(1) per
@@ -308,13 +308,12 @@ class CostModel {
   /// Drop all link reservations and the occupancy log (re-pricing runs).
   void reset_links();
 
-  /// The commit log: one entry per reserved hop, in commit order.
+  /// The commit log: one entry per reserved hop, in commit order. Its size
+  /// is the number of hops reserved; a link's busy time is the sum of its
+  /// entries' end - begin.
   [[nodiscard]] const std::vector<LinkOccupancy>& occupancies() const {
     return occupancies_;
   }
-  [[nodiscard]] std::size_t total_hops() const { return total_hops_; }
-  [[nodiscard]] Cost max_link_busy() const;
-  [[nodiscard]] Cost total_link_busy() const;
 
  private:
   CostModel(CommMode mode, ProcId procs, const Topology* topo);
@@ -340,9 +339,7 @@ class CostModel {
   Cost latency_ = 1.0;
 
   std::vector<Cost> link_free_;  // link-busy: per-link next free instant
-  std::vector<Cost> link_busy_;  // link-busy: per-link total transfer time
   std::vector<LinkOccupancy> occupancies_;
-  std::size_t total_hops_ = 0;
 };
 
 }  // namespace flb::platform

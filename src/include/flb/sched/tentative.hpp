@@ -14,8 +14,9 @@
 ///   EST(t,p)  estimated start time       = max(EMT(t,p), PRT(p))
 ///
 /// All functions require every predecessor of t to be scheduled (t ready).
-/// Each costs O(in-degree(t)); the reference schedulers (ETF, MCP, FCP) call
-/// them directly, while FLB maintains the same quantities incrementally.
+/// Each costs O(in-degree(t)); the reference schedulers (MCP, HLFET, ISH,
+/// LLB) call them directly, while FLB maintains the same quantities
+/// incrementally.
 
 namespace flb {
 
@@ -46,5 +47,13 @@ bool is_ready(const TaskGraph& g, const Schedule& s, TaskId t);
 /// selection rule (Theorem 3) is verified.
 std::pair<ProcId, Cost> best_proc_exhaustive(const TaskGraph& g,
                                              const Schedule& s, TaskId t);
+
+/// As best_proc_exhaustive(), but t may also start inside an idle gap of a
+/// processor's timeline (insertion scheduling, ISH and MCP-I): on each p,
+/// the earliest gap that holds comp(t) and opens once every input is on p.
+/// Local inputs are free but must have finished. Returns the (processor,
+/// start) pair; lower-numbered processors win ties.
+std::pair<ProcId, Cost> best_proc_insertion(const TaskGraph& g,
+                                            const Schedule& s, TaskId t);
 
 }  // namespace flb

@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "flb/graph/task_graph.hpp"
+#include "flb/platform/cost_model.hpp"
 #include "flb/sched/schedule.hpp"
 #include "flb/sim/faults.hpp"
+#include "flb/sim/topology.hpp"
 
 /// \file machine_sim.hpp
 /// Discrete-event simulation of a distributed-memory machine *executing* a
@@ -27,6 +29,12 @@
 ///    performed without contention" assumption (Section 2) and quantify
 ///    how much of each algorithm's advantage survives when messages
 ///    serialize at the NICs — the bench_sim_contention ablation.
+///  * SimOptions::topology relaxes the clique instead: every remote
+///    message is routed store-and-forward over the interconnect's
+///    deterministic shortest route, one full message time per hop, and
+///    each link carries one transfer at a time, reserved in global event
+///    order — the bench_topology ablation. The reserved hops come back in
+///    SimResult::link_occupancies.
 ///  * A seeded FaultPlan (faults.hpp) additionally relaxes *reliability*:
 ///    fail-stop processor deaths (independent or in correlated domain
 ///    bursts), slowdown faults that throttle a processor's speed,
@@ -134,6 +142,14 @@ std::string to_string(const SimEvent& event);
 /// Simulation options.
 struct SimOptions {
   SimNetwork network = SimNetwork::kContentionFree;
+  /// Optional routed interconnect (not owned; must outlive the simulate()
+  /// call) with one node per processor. When set, each remote message is
+  /// priced by the commit() of platform::CostModel::link_busy(*topology)
+  /// instead of send + cost: store-and-forward over the route, each hop
+  /// waiting for its link. Requires SimNetwork::kContentionFree and a
+  /// trivial fault plan or none (a routed replay models neither ports nor
+  /// faults); simulate() throws flb::Error otherwise.
+  const Topology* topology = nullptr;
   /// Multiplies every communication cost (1.0 = the graph's costs). Allows
   /// what-if sweeps without regenerating graphs.
   Cost latency_factor = 1.0;
@@ -146,7 +162,8 @@ struct SimOptions {
   /// than kUndefinedTime replace the task's computation *including* any
   /// runtime perturbation — used to replay a repaired continuation whose
   /// migrated tasks resume from a checkpoint with only their remaining
-  /// work. Must have num_tasks entries when set.
+  /// work. Must have num_tasks entries, each finite and non-negative (or
+  /// kUndefinedTime), when set.
   const std::vector<Cost>* work_override = nullptr;
   /// Optional per-task checkpoint-interval override (not owned). Entries
   /// other than kUndefinedTime replace CheckpointPolicy::interval for that
@@ -187,6 +204,11 @@ struct SimResult {
   Cost makespan = 0.0;       ///< latest finish among completed tasks
   std::size_t messages = 0;  ///< remote messages delivered
   Cost network_busy = 0.0;   ///< summed transfer time (scaled costs)
+  /// Every hop a routed replay (SimOptions::topology) reserved, in
+  /// reservation order; empty otherwise. The log RepairResult carries,
+  /// auditable with validate_link_occupancies: its size is the hop count,
+  /// and a link's busy time is the sum of its entries' end - begin.
+  std::vector<platform::LinkOccupancy> link_occupancies;
 
   // Fault accounting (all zero / empty without a fault plan).
   std::size_t retries = 0;           ///< message retransmissions performed
@@ -235,11 +257,11 @@ struct SimResult {
 };
 
 /// Execute `s` (a complete schedule of `g`) on the simulated machine.
-/// Throws flb::Error if the schedule is incomplete or — absent fault
-/// injection — its dispatch order deadlocks (impossible for schedules
-/// accepted by validate_schedule). With a fault plan, starvation is a
-/// legitimate outcome and is reported through SimResult::unfinished
-/// instead of an exception.
+/// Throws flb::Error if the schedule is incomplete, an option is out of
+/// range, or — absent fault injection — its dispatch order deadlocks
+/// (impossible for schedules accepted by validate_schedule). With a fault
+/// plan, starvation is a legitimate outcome and is reported through
+/// SimResult::unfinished instead of an exception.
 SimResult simulate(const TaskGraph& g, const Schedule& s,
                    const SimOptions& options = {});
 

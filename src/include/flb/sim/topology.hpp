@@ -5,22 +5,21 @@
 #include <utility>
 #include <vector>
 
-#include "flb/graph/task_graph.hpp"
-#include "flb/sched/schedule.hpp"
-#include "flb/sim/machine_sim.hpp"
+#include "flb/util/types.hpp"
 
 /// \file topology.hpp
-/// Interconnect topologies and topology-aware schedule execution.
+/// Interconnect topologies with deterministic shortest-path routing.
 ///
 /// The paper assumes a clique with contention-free links (Section 2).
 /// Real distributed-memory machines of its era (and today's) route
-/// messages over sparse networks where links are shared. This module
-/// executes a schedule computed under the paper's model on a machine with
-/// an explicit topology: messages follow deterministic shortest-path
-/// routes, each hop is store-and-forward (one full message time per hop),
-/// and every link carries one transfer at a time. The bench_topology
-/// ablation reports how much of the clique-model schedule quality survives
-/// on meshes, rings and stars.
+/// messages over sparse networks where links are shared. A Topology
+/// describes such a network: its links, hop counts and routes. It prices
+/// nothing itself. platform::CostModel::routed() and link_busy() price
+/// messages over it, and flb::simulate replays a schedule on it
+/// (SimOptions::topology): store-and-forward, one full message time per
+/// hop, one transfer at a time per link. The bench_topology ablation
+/// reports how much of the clique-model schedule quality survives on
+/// meshes, rings and stars.
 
 namespace flb {
 
@@ -122,27 +121,5 @@ class Topology {
   std::vector<std::size_t> route_links_;          // CSR payload
   std::vector<TreeEdge> tree_;                    // [from * (n - 1) + i]
 };
-
-/// Extra outputs of a topology-aware run.
-struct TopologySimResult {
-  SimResult sim;                     ///< per-task times, makespan, messages
-  std::size_t total_hops = 0;        ///< hops summed over all messages
-  Cost max_link_busy = 0.0;          ///< busiest link's total transfer time
-  Cost total_link_busy = 0.0;        ///< transfer time summed over links
-};
-
-/// Execute schedule `s` of `g` on `topology` (same node count as the
-/// schedule's processor count). Store-and-forward routing: a message of
-/// cost c takes c * latency_factor per hop, links serialize transfers in
-/// global event order, same-processor messages are free. Dispatch
-/// semantics match flb::simulate. `work_override` mirrors
-/// SimOptions::work_override: entries other than kUndefinedTime replace a
-/// task's computation — used to replay a repaired continuation (whose
-/// migrated tasks resume from a checkpoint with only their remaining work)
-/// under the routed model.
-TopologySimResult simulate_on_topology(
-    const TaskGraph& g, const Schedule& s, const Topology& topology,
-    Cost latency_factor = 1.0,
-    const std::vector<Cost>* work_override = nullptr);
 
 }  // namespace flb

@@ -66,4 +66,30 @@ class Rng {
 /// the expectation is `mean`. Mean must be non-negative.
 Cost draw_weight(Rng& rng, Cost mean);
 
+/// The seeded streams of the fault and liveness models. One seed feeds
+/// them all; each tag keys one family of draws, so no two collide.
+enum class SeedStream : std::uint64_t {
+  kTask = 1,       ///< per-task runtime perturbation (sim/faults)
+  kEdge = 2,       ///< per-message loss and delay (sim/faults)
+  kBurst = 3,      ///< per-member strikes of a domain burst (sim/faults)
+  kCascade = 4,    ///< burst cascades into other domains (sim/faults)
+  kHeartbeat = 5,  ///< observer 0's heartbeat fates (runtime detector)
+  kObserver = 6,   ///< heartbeat fates of every other observer
+};
+
+/// Seed of draw `index` of `stream`: a splitmix-style finalizer over the
+/// seed, the stream tag and the index, so the streams are decorrelated from
+/// each other and from `seed`. Every fault, belief and runtime digest
+/// depends on this arithmetic.
+[[nodiscard]] constexpr std::uint64_t stream_hash(std::uint64_t seed,
+                                                  SeedStream stream,
+                                                  std::uint64_t index) {
+  std::uint64_t z =
+      seed ^ (static_cast<std::uint64_t>(stream) * 0x9e3779b97f4a7c15ULL) ^
+      (index + 0xbf58476d1ce4e5b9ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace flb

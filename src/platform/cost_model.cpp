@@ -30,10 +30,7 @@ Availability Availability::recovery(Cost release,
 CostModel::CostModel(CommMode mode, ProcId procs, const Topology* topo)
     : mode_(mode), procs_(procs), topo_(topo) {
   if (topo_ != nullptr) hops_ = topo_->hop_table();
-  if (mode_ == CommMode::kLinkBusy) {
-    link_free_.assign(topo_->num_links(), 0.0);
-    link_busy_.assign(topo_->num_links(), 0.0);
-  }
+  if (mode_ == CommMode::kLinkBusy) link_free_.assign(topo_->num_links(), 0.0);
 }
 
 CostModel CostModel::clique(ProcId num_procs) {
@@ -185,31 +182,15 @@ Cost CostModel::commit(ProcId src, ProcId dst, Cost bytes, Cost depart) {
   for (std::size_t link : topo_->route(src, dst)) {
     const Cost begin = std::max(clock, link_free_[link]);
     link_free_[link] = begin + hop_time;
-    link_busy_[link] += hop_time;
     occupancies_.push_back({link, begin, begin + hop_time});
     clock = begin + hop_time;
-    ++total_hops_;
   }
   return clock;
 }
 
 void CostModel::reset_links() {
   std::fill(link_free_.begin(), link_free_.end(), 0.0);
-  std::fill(link_busy_.begin(), link_busy_.end(), 0.0);
   occupancies_.clear();
-  total_hops_ = 0;
-}
-
-Cost CostModel::max_link_busy() const {
-  Cost m = 0.0;
-  for (Cost b : link_busy_) m = std::max(m, b);
-  return m;
-}
-
-Cost CostModel::total_link_busy() const {
-  Cost m = 0.0;
-  for (Cost b : link_busy_) m += b;
-  return m;
 }
 
 }  // namespace flb::platform

@@ -11,25 +11,6 @@ namespace flb::runtime {
 
 namespace {
 
-// Same splitmix-style finalizer as the fault-resolution streams in
-// sim/faults.cpp; domain tag 5 keeps the heartbeat draws decorrelated from
-// the task (1), edge (2), burst (3) and cascade (4) streams of one seed.
-std::uint64_t mix(std::uint64_t seed, std::uint64_t domain,
-                  std::uint64_t index) {
-  std::uint64_t z = seed ^ (domain * 0x9e3779b97f4a7c15ULL) ^
-                    (index + 0xbf58476d1ce4e5b9ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-constexpr std::uint64_t kHeartbeatDomain = 5;
-// Observers other than 0 draw their heartbeat-path fates from their own
-// stream: paths are lossy independently per observer, which is what lets
-// a quorum outvote one noisy path. Observer 0 keeps the legacy domain-5
-// stream so single-observer belief digests are unchanged.
-constexpr std::uint64_t kObserverDomain = 6;
-
 const char* kind_name(BeliefKind kind) {
   switch (kind) {
     case BeliefKind::kSuspected: return "suspect";
@@ -105,7 +86,12 @@ Cost FailureDetector::arrival(ProcId o, ProcId p, std::uint64_t k) const {
       o == 0 ? (static_cast<std::uint64_t>(p) << 40) | k
              : (static_cast<std::uint64_t>(o) << 52) |
                    (static_cast<std::uint64_t>(p) << 26) | k;
-  Rng rng(mix(seed_, o == 0 ? kHeartbeatDomain : kObserverDomain, key));
+  // Observer 0 draws its heartbeat-path fates from the heartbeat stream,
+  // every other observer from the observer stream under its own key: paths
+  // are lossy independently per observer, which is what lets a quorum
+  // outvote one noisy path.
+  Rng rng(stream_hash(
+      seed_, o == 0 ? SeedStream::kHeartbeat : SeedStream::kObserver, key));
   if (rng.bernoulli(hb_.loss_probability)) return kInfiniteTime;
   Cost arr = emit;
   if (rng.bernoulli(hb_.delay_probability))

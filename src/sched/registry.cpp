@@ -5,7 +5,6 @@
 #include "flb/algos/etf_lookahead.hpp"
 #include "flb/algos/fcp.hpp"
 #include "flb/algos/hlfet.hpp"
-#include "flb/algos/ish.hpp"
 #include "flb/algos/llb.hpp"
 #include "flb/algos/mcp.hpp"
 #include "flb/core/flb.hpp"
@@ -43,7 +42,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   if (name == "DSC-LLB") return std::make_unique<DscLlbScheduler>();
   if (name == "DLS") return std::make_unique<DlsScheduler>();
   if (name == "HLFET") return std::make_unique<HlfetScheduler>();
-  if (name == "ISH") return std::make_unique<IshScheduler>();
+  if (name == "ISH")
+    return std::make_unique<HlfetScheduler>(/*insertion=*/true);
   FLB_REQUIRE(false, "make_scheduler: unknown algorithm '" + name + "'");
 }
 

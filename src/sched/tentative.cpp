@@ -65,4 +65,23 @@ std::pair<ProcId, Cost> best_proc_exhaustive(const TaskGraph& g,
   return {best_p, best_est};
 }
 
+std::pair<ProcId, Cost> best_proc_insertion(const TaskGraph& g,
+                                            const Schedule& s, TaskId t) {
+  ProcId best_p = 0;
+  Cost best_start = kInfiniteTime;
+  for (ProcId p = 0; p < s.num_procs(); ++p) {
+    Cost data_ready = 0.0;
+    for (const Adj& a : g.predecessors(t)) {
+      const Cost c = s.proc(a.node) == p ? 0.0 : a.comm;
+      data_ready = std::max(data_ready, s.finish(a.node) + c);
+    }
+    const Cost start = s.earliest_gap(p, data_ready, g.comp(t));
+    if (start < best_start) {
+      best_start = start;
+      best_p = p;
+    }
+  }
+  return {best_p, best_start};
+}
+
 }  // namespace flb

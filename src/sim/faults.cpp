@@ -15,23 +15,6 @@ namespace flb {
 
 namespace {
 
-// Decorrelate the per-task, per-edge and per-burst-member fault streams
-// from each other and from the plan seed. splitmix-style finalizer over a
-// domain tag + index.
-std::uint64_t mix(std::uint64_t seed, std::uint64_t domain,
-                  std::uint64_t index) {
-  std::uint64_t z = seed ^ (domain * 0x9e3779b97f4a7c15ULL) ^
-                    (index + 0xbf58476d1ce4e5b9ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-constexpr std::uint64_t kTaskDomain = 1;
-constexpr std::uint64_t kEdgeDomain = 2;
-constexpr std::uint64_t kBurstDomain = 3;
-constexpr std::uint64_t kCascadeDomain = 4;
-
 bool finite_nonneg(Cost v) { return std::isfinite(v) && v >= 0.0; }
 
 // Resolve one burst episode on `members`: each member participates with
@@ -42,8 +25,8 @@ void expand_burst(const FaultPlan& plan, const std::vector<ProcId>& members,
                   const DomainBurst& spec, Cost trigger,
                   std::uint64_t burst_index, ResolvedFaults& out) {
   for (std::size_t j = 0; j < members.size(); ++j) {
-    Rng rng(mix(plan.seed, kBurstDomain,
-                (burst_index << 32) | static_cast<std::uint64_t>(j)));
+    Rng rng(stream_hash(plan.seed, SeedStream::kBurst,
+                        (burst_index << 32) | static_cast<std::uint64_t>(j)));
     if (spec.probability < 1.0 && !rng.bernoulli(spec.probability)) continue;
     Cost when = trigger;
     if (spec.window > 0.0) when += rng.uniform(0.0, spec.window);
@@ -394,9 +377,9 @@ ResolvedFaults resolve_faults(const FaultPlan& plan) {
     // primary and cascade episodes decorrelated.
     for (std::size_t d = 0; d < plan.domains.size(); ++d) {
       if (d == home) continue;
-      Rng rng(mix(plan.seed, kCascadeDomain,
-                  (static_cast<std::uint64_t>(i) << 32) |
-                      static_cast<std::uint64_t>(d)));
+      Rng rng(stream_hash(plan.seed, SeedStream::kCascade,
+                          (static_cast<std::uint64_t>(i) << 32) |
+                              static_cast<std::uint64_t>(d)));
       if (!rng.bernoulli(b.cascade_probability)) continue;
       expand_burst(plan, plan.domains[d].members, b,
                    b.time + b.window + b.cascade_delay,
@@ -513,7 +496,7 @@ MessageOutcome resolve_message(const FaultPlan& plan, std::size_t edge_slot) {
   MessageOutcome out;
   const MessageFaults& m = plan.message;
   if (m.loss_probability == 0.0 && m.delay_probability == 0.0) return out;
-  Rng rng(mix(plan.seed, kEdgeDomain, edge_slot));
+  Rng rng(stream_hash(plan.seed, SeedStream::kEdge, edge_slot));
 
   if (m.delay_probability > 0.0)
     out.delayed = rng.bernoulli(m.delay_probability);
@@ -537,7 +520,7 @@ MessageOutcome resolve_message(const FaultPlan& plan, std::size_t edge_slot) {
 
 Cost runtime_factor(const FaultPlan& plan, TaskId t) {
   if (plan.runtime_spread == 0.0) return 1.0;
-  Rng rng(mix(plan.seed, kTaskDomain, t));
+  Rng rng(stream_hash(plan.seed, SeedStream::kTask, t));
   return rng.uniform(1.0 - plan.runtime_spread, 1.0 + plan.runtime_spread);
 }
 

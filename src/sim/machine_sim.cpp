@@ -82,11 +82,31 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
   FLB_REQUIRE(s.complete(), "simulate: schedule is incomplete");
   FLB_REQUIRE(options.latency_factor >= 0.0,
               "simulate: latency factor must be non-negative");
-  FLB_REQUIRE(options.work_override == nullptr ||
-                  options.work_override->size() == n,
-              "simulate: work override must have one entry per task");
+  // Per-task overrides hold a duration or kUndefinedTime (keep the default).
+  auto duration_or_default = [](Cost c) {
+    return c == kUndefinedTime || (std::isfinite(c) && c >= 0.0);
+  };
+  if (options.work_override != nullptr) {
+    FLB_REQUIRE(options.work_override->size() == n,
+                "simulate: work override must have one entry per task");
+    for (const Cost w : *options.work_override)
+      FLB_REQUIRE(duration_or_default(w),
+                  "simulate: work override entries must be finite and "
+                  "non-negative (or kUndefinedTime)");
+  }
   const FaultPlan* plan = options.faults;
   if (plan != nullptr && plan->trivial()) plan = nullptr;
+  const Topology* const topology = options.topology;
+  if (topology != nullptr) {
+    FLB_REQUIRE(topology->num_nodes() == s.num_procs(),
+                "simulate: the topology must have one node per processor");
+    FLB_REQUIRE(options.network == SimNetwork::kContentionFree,
+                "simulate: a routed replay models no ports; use "
+                "SimNetwork::kContentionFree with a topology");
+    FLB_REQUIRE(plan == nullptr,
+                "simulate: a routed replay injects no faults; drop the "
+                "topology or the fault plan");
+  }
   ResolvedFaults resolved;
   std::vector<LinkOutage> outages;
   if (plan != nullptr) {
@@ -103,7 +123,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
                 "simulate: checkpoint-interval override must have one entry "
                 "per task");
     for (const Cost iv : *ckpt_override)
-      FLB_REQUIRE(iv == kUndefinedTime || (std::isfinite(iv) && iv >= 0.0),
+      FLB_REQUIRE(duration_or_default(iv),
                   "simulate: checkpoint-interval override entries must be "
                   "finite and non-negative (or kUndefinedTime)");
   }
@@ -138,10 +158,13 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
   std::vector<bool> dead(procs, false);
 
   // Piecewise-constant per-processor speed profiles (flb::platform), plus a
-  // clique cost model that owns every message price in this simulator:
-  // remote transfers and cold-cache re-fetches are both
-  // net.message_cost(bytes) = bytes * latency_factor.
-  platform::CostModel net = platform::CostModel::clique(procs);
+  // cost model that owns every message price in this simulator: a clique,
+  // where remote transfers and cold-cache re-fetches are both
+  // net.message_cost(bytes) = bytes * latency_factor, or the link-busy
+  // model of a routed replay, whose commit() reserves every hop.
+  platform::CostModel net =
+      topology != nullptr ? platform::CostModel::link_busy(*topology)
+                          : platform::CostModel::clique(procs);
   net.set_latency_factor(options.latency_factor);
   std::vector<platform::SpeedProfile> profiles(procs);
   // Instant the processor last rebooted (kUndefinedTime = never): data that
@@ -358,9 +381,10 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
       result.checkpoint_overhead += tr.overhead;
     }
 
-    // Emit messages to remote successors; ports are allocated now, in
-    // global completion order. Under a fault plan each remote message
-    // resolves its loss/delay fate deterministically from its edge slot.
+    // Emit messages to remote successors; ports and links are allocated
+    // now, in global completion order. Under a fault plan each remote
+    // message resolves its loss/delay fate deterministically from its edge
+    // slot.
     std::size_t slot = edge_offset[t];
     for (const Adj& a : g.successors(t)) {
       if (s.proc(a.node) != p) {
@@ -425,7 +449,11 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
           send_start = std::max(send_start, send_free[p]);
           send_free[p] = send_start + cost;
         }
-        Cost arr = send_start + cost;
+        // A routed replay (contention-free, no faults) reserves every hop
+        // of the message's route; otherwise it travels for `cost`.
+        Cost arr = topology != nullptr
+                       ? net.commit(p, s.proc(a.node), a.comm, send_start)
+                       : send_start + cost;
         if (options.network == SimNetwork::kSinglePortSendRecv) {
           ProcId dest = s.proc(a.node);
           Cost recv_start = std::max(send_start, recv_free[dest]);
@@ -461,6 +489,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
   if (plan != nullptr)
     for (ProcId p = 0; p < procs; ++p)
       result.dead_proc_idle += resolved.downtime(p, result.makespan);
+  if (topology != nullptr) result.link_occupancies = net.occupancies();
   // Canonical log order: events are collected as the simulation encounters
   // them; the sorted stream is a pure value of (plan, schedule), so two
   // runs diff byte-identically.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <queue>
-#include <tuple>
+#include <utility>
+#include <vector>
 
-#include "flb/platform/cost_model.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -166,140 +166,6 @@ std::size_t Topology::diameter() const {
   for (ProcId a = 0; a < nodes_; ++a)
     for (ProcId b = 0; b < nodes_; ++b) d = std::max(d, hops(a, b));
   return d;
-}
-
-namespace {
-
-struct Event {
-  Cost time;
-  std::size_t seq;
-  TaskId task;
-  bool operator>(const Event& other) const {
-    return std::tie(time, seq) > std::tie(other.time, other.seq);
-  }
-};
-
-}  // namespace
-
-TopologySimResult simulate_on_topology(const TaskGraph& g, const Schedule& s,
-                                       const Topology& topology,
-                                       Cost latency_factor,
-                                       const std::vector<Cost>* work_override) {
-  const TaskId n = g.num_tasks();
-  FLB_REQUIRE(s.complete(), "simulate_on_topology: schedule is incomplete");
-  FLB_REQUIRE(topology.num_nodes() == s.num_procs(),
-              "simulate_on_topology: topology/schedule size mismatch");
-  FLB_REQUIRE(latency_factor >= 0.0,
-              "simulate_on_topology: latency factor must be non-negative");
-  FLB_REQUIRE(work_override == nullptr || work_override->size() == n,
-              "simulate_on_topology: work override must have one entry per "
-              "task");
-  auto work_of = [&](TaskId t) -> Cost {
-    if (work_override != nullptr && (*work_override)[t] != kUndefinedTime)
-      return (*work_override)[t];
-    return g.comp(t);
-  };
-
-  TopologySimResult result;
-  result.sim.start.assign(n, kUndefinedTime);
-  result.sim.finish.assign(n, kUndefinedTime);
-
-  const ProcId procs = s.num_procs();
-  std::vector<std::size_t> dispatch_idx(procs, 0);
-  std::vector<Cost> proc_free(procs, 0.0);
-  // The store-and-forward network is the platform cost model's link-busy
-  // variant: every remote transfer commits a reservation per hop of its
-  // deterministic route, and later transfers crossing the same link queue
-  // behind it.
-  platform::CostModel net = platform::CostModel::link_busy(topology);
-  net.set_latency_factor(latency_factor);
-
-  std::vector<Cost> arrival(g.num_edges(), kUndefinedTime);
-  std::vector<std::size_t> edge_offset(n + 1, 0);
-  for (TaskId t = 0; t < n; ++t)
-    edge_offset[t + 1] = edge_offset[t] + g.out_degree(t);
-  auto arrival_slot = [&](TaskId pred, TaskId to) -> std::size_t {
-    auto succs = g.successors(pred);
-    for (std::size_t i = 0; i < succs.size(); ++i)
-      if (succs[i].node == to) return edge_offset[pred] + i;
-    FLB_ASSERT(false);
-    return 0;
-  };
-
-  std::vector<bool> dispatched(n, false);
-  std::vector<std::size_t> pending_preds(n);
-  for (TaskId t = 0; t < n; ++t) pending_preds[t] = g.in_degree(t);
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::size_t seq = 0;
-  TaskId completed = 0;
-
-  auto try_dispatch = [&](ProcId p) {
-    while (dispatch_idx[p] < s.tasks_on(p).size()) {
-      TaskId t = s.tasks_on(p)[dispatch_idx[p]];
-      if (dispatched[t]) {
-        ++dispatch_idx[p];
-        continue;
-      }
-      if (pending_preds[t] > 0) return;
-      Cost start = proc_free[p];
-      for (const Adj& a : g.predecessors(t)) {
-        if (s.proc(a.node) == p) {
-          start = std::max(start, result.sim.finish[a.node]);
-        } else {
-          Cost arr = arrival[arrival_slot(a.node, t)];
-          FLB_ASSERT(arr != kUndefinedTime);
-          start = std::max(start, arr);
-        }
-      }
-      dispatched[t] = true;
-      result.sim.start[t] = start;
-      result.sim.finish[t] = start + work_of(t);
-      proc_free[p] = result.sim.finish[t];
-      events.push({result.sim.finish[t], seq++, t});
-      ++dispatch_idx[p];
-    }
-  };
-
-  for (ProcId p = 0; p < procs; ++p) try_dispatch(p);
-
-  while (!events.empty()) {
-    Event ev = events.top();
-    events.pop();
-    TaskId t = ev.task;
-    ++completed;
-    const ProcId p = s.proc(t);
-
-    std::size_t slot = edge_offset[t];
-    for (const Adj& a : g.successors(t)) {
-      ProcId dest = s.proc(a.node);
-      if (dest != p) {
-        // Links serialize in global event order: commit the reservation
-        // for every hop of the route and take the resulting arrival.
-        arrival[slot] = net.commit(p, dest, a.comm, ev.time);
-        ++result.sim.messages;
-        result.sim.network_busy += net.message_cost(a.comm);
-      }
-      ++slot;
-    }
-
-    try_dispatch(p);
-    for (const Adj& a : g.successors(t)) {
-      FLB_ASSERT(pending_preds[a.node] > 0);
-      if (--pending_preds[a.node] == 0) try_dispatch(s.proc(a.node));
-    }
-  }
-
-  FLB_REQUIRE(completed == n,
-              "simulate_on_topology: dispatch deadlock — per-processor "
-              "order inconsistent with the task dependences");
-
-  for (Cost f : result.sim.finish)
-    result.sim.makespan = std::max(result.sim.makespan, f);
-  result.total_hops = net.total_hops();
-  result.max_link_busy = net.max_link_busy();
-  result.total_link_busy = net.total_link_busy();
-  return result;
 }
 
 }  // namespace flb

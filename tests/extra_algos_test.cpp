@@ -1,4 +1,5 @@
-// Tests for the additional baselines: HLFET, DLS and insertion-based MCP.
+// Tests for the additional baselines: HLFET, ISH (HLFET with insertion),
+// DLS and insertion-based MCP.
 
 #include <algorithm>
 #include <vector>
@@ -7,7 +8,6 @@
 
 #include "flb/algos/dls.hpp"
 #include "flb/algos/hlfet.hpp"
-#include "flb/algos/ish.hpp"
 #include "flb/algos/mcp.hpp"
 #include "flb/graph/properties.hpp"
 #include "flb/sched/metrics.hpp"
@@ -231,14 +231,14 @@ TEST(Ish, ValidOnWorkloadsAndFuzz) {
     params.seed = 15;
     params.ccr = 5.0;
     TaskGraph g = make_workload(name, 250, params);
-    IshScheduler ish;
+    HlfetScheduler ish(/*insertion=*/true);
     Schedule s = ish.run(g, 4);
     ASSERT_TRUE(is_valid_schedule(g, s))
         << name << ": " << test::violations_to_string(g, s);
   }
   for (std::size_t i = 0; i < 12; ++i) {
     TaskGraph g = test::fuzz_graph(i);
-    IshScheduler ish;
+    HlfetScheduler ish(/*insertion=*/true);
     ASSERT_TRUE(is_valid_schedule(g, ish.run(g, 3))) << g.name();
   }
 }
@@ -252,7 +252,7 @@ TEST(Ish, NeverWorseThanHlfetOnAggregate) {
     params.seed = seed;
     params.ccr = 5.0;
     TaskGraph g = make_workload("Gauss", 300, params);
-    IshScheduler ish;
+    HlfetScheduler ish(/*insertion=*/true);
     HlfetScheduler hlfet;
     ish_sum += ish.run(g, 8).makespan();
     hlfet_sum += hlfet.run(g, 8).makespan();
@@ -262,7 +262,7 @@ TEST(Ish, NeverWorseThanHlfetOnAggregate) {
 
 TEST(Ish, SingleProcessorPacksSequentially) {
   TaskGraph g = test::fuzz_graph(11);
-  IshScheduler ish;
+  HlfetScheduler ish(/*insertion=*/true);
   EXPECT_NEAR(ish.run(g, 1).makespan(), g.total_comp(), 1e-9);
 }
 

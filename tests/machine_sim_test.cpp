@@ -1,5 +1,8 @@
 #include "flb/sim/machine_sim.hpp"
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "flb/core/flb.hpp"
@@ -167,6 +170,26 @@ TEST(MachineSim, RejectsNegativeLatency) {
   SimOptions options;
   options.latency_factor = -1.0;
   EXPECT_THROW((void)simulate(g, s, options), Error);
+}
+
+// Override entries are durations. At -2 a task would finish before it
+// starts, at NaN it would finish at NaN and drop out of the makespan, at
+// infinity the makespan would be infinite. kUndefinedTime (keep the
+// graph's weight) is the one negative entry allowed.
+TEST(MachineSim, RejectsNonFiniteOrNegativeWorkOverrides) {
+  TaskGraph g = test::fuzz_graph(5);
+  FlbScheduler flb;
+  Schedule s = flb.run(g, 3);
+  std::vector<Cost> work(g.num_tasks(), kUndefinedTime);
+  SimOptions options;
+  options.work_override = &work;
+  for (const Cost bad : {std::numeric_limits<Cost>::quiet_NaN(),
+                         kInfiniteTime, -kInfiniteTime, -2.0}) {
+    work[1] = bad;
+    EXPECT_THROW((void)simulate(g, s, options), Error) << bad;
+  }
+  work[1] = 0.0;
+  EXPECT_TRUE(simulate(g, s, options).complete());
 }
 
 // --- Partial network partitions ----------------------------------------------

@@ -629,18 +629,20 @@ TEST(CostModelTest, LinkBusyProbeCommitAndLog) {
   // Committing reserves both hops and matches the probe's answer.
   EXPECT_EQ(m.commit(0, 2, 2.0, 1.0), 5.0);
   ASSERT_EQ(m.occupancies().size(), 2u);
-  EXPECT_EQ(m.total_hops(), 2u);
   // A later transfer over the first link queues behind the reservation:
   // the link is busy on [1, 3), so departing at 0 still arrives at 5.
   EXPECT_EQ(m.comm(0, 1, 2.0, 0.0), 5.0);
   EXPECT_EQ(m.commit(0, 1, 2.0, 0.0), 5.0);
-  EXPECT_EQ(m.max_link_busy(), 4.0);    // the 0-1 link carried 2 + 2
-  EXPECT_EQ(m.total_link_busy(), 6.0);
+  // Three hops logged; the 0-1 link carried 2 + 2, the 1-2 link 2.
+  ASSERT_EQ(m.occupancies().size(), 3u);
+  std::vector<Cost> busy(line.num_links(), 0.0);
+  for (const LinkOccupancy& o : m.occupancies())
+    busy[o.link] += o.end - o.begin;
+  EXPECT_EQ(busy, (std::vector<Cost>{4.0, 2.0}));
   // The commit log honors link exclusivity by construction.
   EXPECT_TRUE(validate_link_occupancies(line, m.occupancies()).empty());
   m.reset_links();
   EXPECT_TRUE(m.occupancies().empty());
-  EXPECT_EQ(m.total_hops(), 0u);
   EXPECT_EQ(m.comm(0, 1, 2.0, 0.0), 2.0);  // reservations gone
 }
 

@@ -394,11 +394,11 @@ TEST(RecoveryRepair, RejoinEpisodeNeverWorseThanNoGiveBack) {
       replay_opts.work_override = &repair.durations;
       EXPECT_TRUE(simulate(g, repair.schedule, replay_opts).complete())
           << g.name();
-      if (topo != nullptr)
-        EXPECT_TRUE(simulate_on_topology(g, repair.schedule, *topo, 1.0,
-                                         &repair.durations)
-                        .sim.complete())
+      if (topo != nullptr) {
+        replay_opts.topology = topo;
+        EXPECT_TRUE(simulate(g, repair.schedule, replay_opts).complete())
             << g.name();
+      }
     }
   }
 }

@@ -1,6 +1,8 @@
 #include "flb/util/rng.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -178,6 +180,23 @@ TEST(DrawWeight, ZeroMeanGivesZero) {
 TEST(DrawWeight, RejectsNegativeMean) {
   Rng rng(20);
   EXPECT_THROW(draw_weight(rng, -1.0), Error);
+}
+
+// Every fault, belief and runtime digest hangs off these values: one seed
+// and index give six distinct streams, and the arithmetic never moves.
+TEST(StreamHash, PinnedPerStream) {
+  constexpr std::uint64_t kPinned[] = {
+      0x846eaa95e9ab437cULL, 0x2f23a4e5b4b6c213ULL, 0xd718de52a5518601ULL,
+      0xa798e6ec6dcce1b6ULL, 0x8dadbf26a67b6477ULL, 0xe58455395e5880eeULL};
+  constexpr SeedStream kStreams[] = {
+      SeedStream::kTask,    SeedStream::kEdge,      SeedStream::kBurst,
+      SeedStream::kCascade, SeedStream::kHeartbeat, SeedStream::kObserver};
+  for (std::size_t i = 0; i < std::size(kStreams); ++i)
+    EXPECT_EQ(stream_hash(7, kStreams[i], 3), kPinned[i]) << i;
+  EXPECT_NE(stream_hash(7, SeedStream::kTask, 3),
+            stream_hash(8, SeedStream::kTask, 3));
+  EXPECT_NE(stream_hash(7, SeedStream::kTask, 3),
+            stream_hash(7, SeedStream::kTask, 4));
 }
 
 }  // namespace
