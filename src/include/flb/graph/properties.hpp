@@ -2,15 +2,20 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "flb/graph/task_graph.hpp"
+#include "flb/util/arena.hpp"
+#include "flb/util/dary_heap.hpp"
+#include "flb/util/error.hpp"
 #include "flb/util/types.hpp"
 
 /// \file properties.hpp
 /// Static DAG properties used by the schedulers and the experiments:
-/// topological orders, top/bottom levels, critical path, ALAP (latest
-/// possible start) times and level decomposition.
+/// topological and priority orders, top/bottom levels, critical path, ALAP
+/// (latest possible start) times and level decomposition.
 ///
 /// Conventions (matching the paper and the DSC/MCP literature):
 ///  * bottom level BL(t) includes comp(t) and all edge costs on the longest
@@ -33,6 +38,40 @@ std::vector<TaskId> topological_order(const TaskGraph& g);
 /// flavour. `indeg` is scratch, clobbered.
 void topological_order_into(const TaskGraph& g, std::span<TaskId> order,
                             std::span<std::uint32_t> indeg);
+
+/// The order in which a ready list with static keys hands out g's tasks:
+/// each step takes the ready task with the least key_of(t), the smaller id
+/// on a tie, and a task becomes ready once every predecessor is taken.
+/// Placement cannot change which tasks are ready, so a list scheduler with
+/// static priorities (HLFET, MCP, HEFT, ...) walks this order and keeps no
+/// ready list of its own. key_of must return a totally ordered value;
+/// negate a priority to take its largest first. O(V log W + E) on a d-ary
+/// heap, plus one key_of call per task.
+template <typename KeyOf>
+std::vector<TaskId> priority_order(const TaskGraph& g, KeyOf&& key_of) {
+  using Key =
+      std::pair<std::remove_cvref_t<std::invoke_result_t<KeyOf&, TaskId>>,
+                TaskId>;  // (key, id)
+  const TaskId n = g.num_tasks();
+  Arena arena;
+  DaryIndexedHeap<Key> ready(arena, n);
+  std::vector<std::size_t> unscheduled_preds(n);
+  for (TaskId t = 0; t < n; ++t) {
+    unscheduled_preds[t] = g.in_degree(t);
+    if (unscheduled_preds[t] == 0) ready.push(t, {key_of(t), t});
+  }
+  std::vector<TaskId> order;
+  order.reserve(n);
+  while (!ready.empty()) {
+    const auto t = static_cast<TaskId>(ready.pop());
+    order.push_back(t);
+    for (const Adj& a : g.successors(t))
+      if (--unscheduled_preds[a.node] == 0)
+        ready.push(a.node, {key_of(a.node), a.node});
+  }
+  FLB_ASSERT(order.size() == n);
+  return order;
+}
 
 /// Bottom levels (computation + communication), indexed by task id.
 std::vector<Cost> bottom_levels(const TaskGraph& g);

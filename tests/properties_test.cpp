@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flb/util/rng.hpp"
 #include "flb/workloads/paper_example.hpp"
 #include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
@@ -42,6 +46,68 @@ TEST(TopologicalOrder, EmptyGraph) {
   TaskGraphBuilder b;
   TaskGraph g = std::move(b).build();
   EXPECT_TRUE(topological_order(g).empty());
+}
+
+// The naive ready list priority_order() must agree with: each step scans
+// every task for the least (key, id) among those whose predecessors are
+// all taken. O(V^2).
+template <typename Key>
+std::vector<TaskId> naive_priority_order(const TaskGraph& g,
+                                         const std::vector<Key>& key) {
+  const TaskId n = g.num_tasks();
+  std::vector<std::size_t> waiting(n);
+  for (TaskId t = 0; t < n; ++t) waiting[t] = g.in_degree(t);
+  std::vector<char> taken(n, 0);
+  std::vector<TaskId> order;
+  for (TaskId step = 0; step < n; ++step) {
+    TaskId best = kInvalidTask;
+    for (TaskId t = 0; t < n; ++t)
+      if (taken[t] == 0 && waiting[t] == 0 &&
+          (best == kInvalidTask || key[t] < key[best]))
+        best = t;  // strict '<' over ascending ids: the smaller id wins ties
+    taken[best] = 1;
+    order.push_back(best);
+    for (const Adj& a : g.successors(best)) --waiting[a.node];
+  }
+  return order;
+}
+
+template <typename Key>
+void expect_matches_naive(const TaskGraph& g, const std::vector<Key>& key,
+                          const std::string& what) {
+  const std::vector<TaskId> order =
+      priority_order(g, [&](TaskId t) { return key[t]; });
+  expect_topological(g, order);
+  EXPECT_EQ(order, naive_priority_order(g, key)) << g.name() << ": " << what;
+}
+
+// Three key families: bottom levels taken largest first (FCP's and the
+// mappers' priority), all-equal keys (pure id order among ready tasks) and
+// random pairs whose first part repeats often (MCP's (ALAP, tie) shape).
+void expect_matches_naive_for_keys(const TaskGraph& g) {
+  std::vector<Cost> neg_bl = bottom_levels(g);
+  for (Cost& v : neg_bl) v = -v;
+  expect_matches_naive(g, neg_bl, "-bottom level");
+  expect_matches_naive(g, std::vector<Cost>(g.num_tasks(), 0.0), "all equal");
+  Rng rng(g.num_tasks());
+  std::vector<std::pair<Cost, double>> pairs(g.num_tasks());
+  for (auto& [first, second] : pairs) {
+    first = static_cast<Cost>(rng.next_below(3));
+    second = rng.next_double();
+  }
+  expect_matches_naive(g, pairs, "random pairs");
+}
+
+TEST(PriorityOrder, MatchesNaiveReadyListReference) {
+  for (std::size_t i = 0; i < 12; ++i)
+    expect_matches_naive_for_keys(test::fuzz_graph(i));
+  for (const std::string& name : workload_names())
+    expect_matches_naive_for_keys(make_workload(name, 200, WorkloadParams{}));
+  expect_matches_naive_for_keys(paper_example_graph());
+
+  TaskGraphBuilder b;
+  const TaskGraph empty = std::move(b).build();
+  EXPECT_TRUE(priority_order(empty, [](TaskId) { return 0.0; }).empty());
 }
 
 TEST(BottomLevels, HandComputedDiamond) {
