@@ -17,6 +17,15 @@ Cost Clustering::schedule_length() const {
   return len;
 }
 
+void Clustering::validate(const TaskGraph& g, ProcId num_procs) const {
+  FLB_REQUIRE(num_procs >= 1,
+              "Clustering: at least one processor required to map onto");
+  FLB_REQUIRE(cluster_of.size() == g.num_tasks(),
+              "Clustering: clustering does not match the graph");
+  for (const ClusterId c : cluster_of)
+    FLB_REQUIRE(c < num_clusters, "Clustering: cluster id out of range");
+}
+
 Clustering dsc_cluster(const TaskGraph& g) {
   const TaskId n = g.num_tasks();
   Clustering result;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
+#include <utility>
 
 #include "flb/graph/properties.hpp"
-#include "flb/util/arena.hpp"
-#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -200,21 +198,9 @@ class DupEngine {
       : g_(g), num_procs_(num_procs), sched_(num_procs, g.num_tasks()) {}
 
   DupSchedule run() {
-    const TaskId n = g_.num_tasks();
-    std::vector<Cost> bl = bottom_levels(g_);
-    using Key = std::tuple<Cost, TaskId>;
-    Arena arena;
-    DaryIndexedHeap<Key> ready(arena, n);
-    std::vector<std::size_t> unscheduled_preds(n);
-    for (TaskId t = 0; t < n; ++t) {
-      unscheduled_preds[t] = g_.in_degree(t);
-      if (unscheduled_preds[t] == 0) ready.push(t, {-bl[t], t});
-    }
-
-    for (TaskId step = 0; step < n; ++step) {
-      FLB_ASSERT(!ready.empty());
-      TaskId t = static_cast<TaskId>(ready.pop());
-
+    const std::vector<Cost> bl = bottom_levels(g_);
+    for (const TaskId t :
+         priority_order(g_, [&](TaskId u) { return -bl[u]; })) {
       ProcId best_p = 0;
       Candidate best;
       for (ProcId p = 0; p < num_procs_; ++p) {
@@ -229,10 +215,6 @@ class DupEngine {
       for (auto [parent, start] : best.dups)
         sched_.place(parent, best_p, start, start + g_.comp(parent));
       sched_.place(t, best_p, best.start, best.start + g_.comp(t));
-
-      for (const Adj& a : g_.successors(t))
-        if (--unscheduled_preds[a.node] == 0)
-          ready.push(a.node, {-bl[a.node], a.node});
     }
     return std::move(sched_);
   }

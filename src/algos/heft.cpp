@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <span>
-#include <tuple>
 
 #include "flb/graph/properties.hpp"
-#include "flb/util/arena.hpp"
-#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -68,28 +65,18 @@ ProcId min_eft_proc(const TaskGraph& g, const platform::CostModel& model,
   return best_p;
 }
 
-/// The list loop HEFT and CPOP share: consume ready tasks in descending
-/// `priority` order, place each on the processor `choose` returns at its
-/// earliest gap after its inputs are ready. The inputs are priced by
+/// The list loop HEFT and CPOP share: take tasks in descending `priority`
+/// order (priority_order), place each on the processor `choose` returns at
+/// its earliest gap after its inputs are ready. The inputs are priced by
 /// commit_inputs(), which under link-busy pricing reserves their routes;
 /// commits serialize transfers that share a link, so the data-ready time
 /// can be later than the one `choose` probed.
 template <typename ChooseProc>
 Schedule run_list(const TaskGraph& g, platform::CostModel& model,
                   const std::vector<Cost>& priority, ChooseProc&& choose) {
-  const TaskId n = g.num_tasks();
-  Schedule sched(model.num_procs(), n);
-  using Key = std::tuple<Cost, TaskId>;  // (-priority, id)
-  Arena arena;
-  DaryIndexedHeap<Key> ready(arena, n);
-  std::vector<std::size_t> unscheduled_preds(n);
-  for (TaskId t = 0; t < n; ++t) {
-    unscheduled_preds[t] = g.in_degree(t);
-    if (unscheduled_preds[t] == 0) ready.push(t, {-priority[t], t});
-  }
-  for (TaskId step = 0; step < n; ++step) {
-    FLB_ASSERT(!ready.empty());
-    TaskId t = static_cast<TaskId>(ready.pop());
+  Schedule sched(model.num_procs(), g.num_tasks());
+  for (const TaskId t :
+       priority_order(g, [&](TaskId u) { return -priority[u]; })) {
     const ProcId p = choose(sched, t);
     FLB_ASSERT(p != kInvalidProc);
     const Cost ready_at =
@@ -97,9 +84,6 @@ Schedule run_list(const TaskGraph& g, platform::CostModel& model,
     const Cost exec = model.exec(g, t, p);
     const Cost start = sched.earliest_gap(p, ready_at, exec);
     sched.assign(t, p, start, start + exec);
-    for (const Adj& a : g.successors(t))
-      if (--unscheduled_preds[a.node] == 0)
-        ready.push(a.node, {-priority[a.node], a.node});
   }
   FLB_ASSERT(sched.complete());
   return sched;

@@ -39,10 +39,8 @@ std::vector<Cost> clustered_bottom_levels(const TaskGraph& g,
 
 Schedule llb_map(const TaskGraph& g, const Clustering& clustering,
                  ProcId num_procs) {
-  FLB_REQUIRE(num_procs >= 1, "LLB: at least one processor required");
+  clustering.validate(g, num_procs);
   const TaskId n = g.num_tasks();
-  FLB_REQUIRE(clustering.cluster_of.size() == n,
-              "LLB: clustering does not match the graph");
   Schedule sched(num_procs, n);
   if (n == 0) return sched;
 

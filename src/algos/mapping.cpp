@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <tuple>
 
 #include "flb/graph/properties.hpp"
-#include "flb/util/arena.hpp"
-#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -22,22 +19,9 @@ Schedule schedule_with_fixed_assignment(const TaskGraph& g,
     FLB_REQUIRE(p < num_procs,
                 "schedule_with_fixed_assignment: processor out of range");
 
-  const TaskId n = g.num_tasks();
-  Schedule sched(num_procs, n);
-  std::vector<Cost> bl = bottom_levels(g);
-
-  using Key = std::tuple<Cost, TaskId>;  // (-bottom level, id)
-  Arena arena;
-  DaryIndexedHeap<Key> ready(arena, n);
-  std::vector<std::size_t> unscheduled_preds(n);
-  for (TaskId t = 0; t < n; ++t) {
-    unscheduled_preds[t] = g.in_degree(t);
-    if (unscheduled_preds[t] == 0) ready.push(t, {-bl[t], t});
-  }
-
-  for (TaskId step = 0; step < n; ++step) {
-    FLB_ASSERT(!ready.empty());
-    TaskId t = static_cast<TaskId>(ready.pop());
+  Schedule sched(num_procs, g.num_tasks());
+  const std::vector<Cost> bl = bottom_levels(g);
+  for (const TaskId t : priority_order(g, [&](TaskId u) { return -bl[u]; })) {
     ProcId p = proc_of[t];
     Cost est = sched.proc_ready_time(p);
     for (const Adj& a : g.predecessors(t)) {
@@ -45,9 +29,6 @@ Schedule schedule_with_fixed_assignment(const TaskGraph& g,
       est = std::max(est, sched.finish(a.node) + c);
     }
     sched.assign(t, p, est, est + g.comp(t));
-    for (const Adj& a : g.successors(t))
-      if (--unscheduled_preds[a.node] == 0)
-        ready.push(a.node, {-bl[a.node], a.node});
   }
 
   FLB_ASSERT(sched.complete());
@@ -56,8 +37,7 @@ Schedule schedule_with_fixed_assignment(const TaskGraph& g,
 
 Schedule wrap_map(const TaskGraph& g, const Clustering& clustering,
                   ProcId num_procs) {
-  FLB_REQUIRE(clustering.cluster_of.size() == g.num_tasks(),
-              "wrap_map: clustering does not match the graph");
+  clustering.validate(g, num_procs);
   std::vector<ProcId> proc_of(g.num_tasks());
   for (TaskId t = 0; t < g.num_tasks(); ++t)
     proc_of[t] = static_cast<ProcId>(clustering.cluster_of[t] % num_procs);
@@ -66,8 +46,7 @@ Schedule wrap_map(const TaskGraph& g, const Clustering& clustering,
 
 Schedule work_map(const TaskGraph& g, const Clustering& clustering,
                   ProcId num_procs) {
-  FLB_REQUIRE(clustering.cluster_of.size() == g.num_tasks(),
-              "work_map: clustering does not match the graph");
+  clustering.validate(g, num_procs);
 
   // Total computation per cluster.
   std::vector<Cost> work(clustering.num_clusters, 0.0);

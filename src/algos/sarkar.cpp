@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "flb/graph/properties.hpp"
-#include "flb/util/arena.hpp"
-#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -36,30 +34,20 @@ class UnionFind {
 };
 
 /// Unbounded-processor list schedule of g under a clustering given by
-/// representative ids: tasks ordered by descending bottom level, each
-/// placed on its cluster's "processor"; intra-cluster communication is
-/// free. Fills start/finish if out-parameters are given; returns the
-/// schedule length.
-Cost evaluate(const TaskGraph& g, UnionFind& uf, const std::vector<Cost>& bl,
-              std::vector<Cost>* start_out, std::vector<Cost>* finish_out) {
+/// representative ids: tasks taken in `order` (descending bottom level),
+/// each placed on its cluster's "processor"; intra-cluster communication
+/// is free. Fills start/finish if out-parameters are given; returns the
+/// schedule length. O(V + E) plus the union-find lookups.
+Cost evaluate(const TaskGraph& g, UnionFind& uf,
+              const std::vector<TaskId>& order, std::vector<Cost>* start_out,
+              std::vector<Cost>* finish_out) {
   const TaskId n = g.num_tasks();
   std::vector<Cost> start(n, 0.0), finish(n, 0.0);
   // Cluster ready time, keyed by representative task id.
   std::vector<Cost> cluster_ready(n, 0.0);
 
-  using Key = std::tuple<Cost, TaskId>;  // (-bottom level, id)
-  Arena arena;
-  DaryIndexedHeap<Key> ready(arena, n);
-  std::vector<std::size_t> unscheduled_preds(n);
-  for (TaskId t = 0; t < n; ++t) {
-    unscheduled_preds[t] = g.in_degree(t);
-    if (unscheduled_preds[t] == 0) ready.push(t, {-bl[t], t});
-  }
-
   Cost makespan = 0.0;
-  for (TaskId step = 0; step < n; ++step) {
-    FLB_ASSERT(!ready.empty());
-    TaskId t = static_cast<TaskId>(ready.pop());
+  for (const TaskId t : order) {
     std::size_t c = uf.find(t);
     Cost est = cluster_ready[c];
     for (const Adj& a : g.predecessors(t)) {
@@ -70,9 +58,6 @@ Cost evaluate(const TaskGraph& g, UnionFind& uf, const std::vector<Cost>& bl,
     finish[t] = est + g.comp(t);
     cluster_ready[c] = finish[t];
     makespan = std::max(makespan, finish[t]);
-    for (const Adj& a : g.successors(t))
-      if (--unscheduled_preds[a.node] == 0)
-        ready.push(a.node, {-bl[a.node], a.node});
   }
   if (start_out) *start_out = std::move(start);
   if (finish_out) *finish_out = std::move(finish);
@@ -89,7 +74,11 @@ Clustering sarkar_cluster(const TaskGraph& g) {
   result.finish.assign(n, 0.0);
   if (n == 0) return result;
 
-  std::vector<Cost> bl = bottom_levels(g);
+  // The bottom levels ignore the clustering, so every evaluation walks
+  // one order.
+  const std::vector<Cost> bl = bottom_levels(g);
+  const std::vector<TaskId> order =
+      priority_order(g, [&](TaskId t) { return -bl[t]; });
   UnionFind uf(n);
 
   // Edges by descending communication cost (ties: endpoint ids).
@@ -99,7 +88,7 @@ Clustering sarkar_cluster(const TaskGraph& g) {
            std::tuple(-b.comm, b.from, b.to);
   });
 
-  Cost current = evaluate(g, uf, bl, nullptr, nullptr);
+  Cost current = evaluate(g, uf, order, nullptr, nullptr);
   for (const Edge& e : edges) {
     std::size_t cu = uf.find(e.from), cv = uf.find(e.to);
     if (cu == cv) continue;  // already zeroed transitively
@@ -107,7 +96,7 @@ Clustering sarkar_cluster(const TaskGraph& g) {
     // path compression makes a true revert awkward, so merge on a copy.
     UnionFind trial = uf;
     trial.unite(cu, cv);
-    Cost merged = evaluate(g, trial, bl, nullptr, nullptr);
+    Cost merged = evaluate(g, trial, order, nullptr, nullptr);
     if (merged <= current) {
       uf = std::move(trial);
       current = merged;
@@ -116,7 +105,7 @@ Clustering sarkar_cluster(const TaskGraph& g) {
 
   // Final evaluation with times, then relabel clusters densely in order of
   // first appearance.
-  (void)evaluate(g, uf, bl, &result.start, &result.finish);
+  (void)evaluate(g, uf, order, &result.start, &result.finish);
   std::vector<ClusterId> label(n, kInvalidTask);
   ClusterId next = 0;
   for (TaskId t = 0; t < n; ++t) {

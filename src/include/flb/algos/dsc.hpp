@@ -44,6 +44,12 @@ struct Clustering {
 
   /// DSC's unbounded-processor schedule length.
   [[nodiscard]] Cost schedule_length() const;
+
+  /// Throws flb::Error unless the clustering can be mapped onto num_procs
+  /// processors: one cluster per task of g, every cluster id below
+  /// num_clusters, and num_procs >= 1. The mappers (llb_map, wrap_map,
+  /// work_map) check this first.
+  void validate(const TaskGraph& g, ProcId num_procs) const;
 };
 
 /// Run DSC on g. The returned clustering is feasible for its own virtual

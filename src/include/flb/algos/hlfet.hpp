@@ -7,7 +7,9 @@
 /// 1974), the archetypal static list scheduler and the simplest credible
 /// baseline in this library. Ready tasks are ordered by static level (the
 /// computation-only bottom level, larger first); the selected task goes to
-/// the processor on which it starts the earliest. O(V log W + (E+V)P).
+/// the processor on which it starts the earliest: list_schedule()
+/// (sched/tentative.hpp) over the levels' priority_order, the loop MCP and
+/// MCP-I share. O(V log W + (E+V)P).
 ///
 /// HLFET predates communication-aware priorities: its level ignores edge
 /// costs entirely, which is exactly the weakness MCP (communication-aware

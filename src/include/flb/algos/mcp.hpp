@@ -17,11 +17,13 @@
 /// tie-break keys are drawn once per run from the construction seed, so a
 /// given (seed, graph, P) is fully deterministic.
 ///
-/// Tasks are consumed through a ready list ordered by (ALAP, random key):
-/// whenever every task has positive computation cost this coincides with a
-/// straight sweep of the priority-sorted task list, because then ALAP
-/// strictly increases along every edge; the ready list additionally keeps
-/// the schedule feasible for degenerate zero-cost tasks.
+/// Tasks are taken in the priority_order of (ALAP, random key): whenever
+/// every task has positive computation cost this coincides with a straight
+/// sweep of the priority-sorted task list, because then ALAP strictly
+/// increases along every edge; the ready list behind priority_order
+/// additionally keeps the schedule feasible for degenerate zero-cost
+/// tasks. Placement is list_schedule() (sched/tentative.hpp), shared with
+/// HLFET and ISH.
 
 namespace flb {
 

@@ -14,10 +14,11 @@
 /// does not increase the unbounded-processor schedule length. The schedule
 /// length of a tentative clustering is evaluated by list scheduling with
 /// computation-and-communication bottom-level priorities, each cluster
-/// acting as one processor and intra-cluster messages costing zero —
-/// O(V log W + E) per evaluation, O(E (V log W + E)) in total, far above
-/// DSC's O((E+V) log V); the multi-step bench shows both the cost gap and
-/// the quality comparison.
+/// acting as one processor and intra-cluster messages costing zero. The
+/// priorities ignore the clustering, so one priority_order, computed once,
+/// serves every evaluation: O(V + E) per evaluation (plus union-find
+/// lookups), O(E (V + E)) in total, far above DSC's O((E+V) log V); the
+/// multi-step bench shows both the cost gap and the quality comparison.
 
 namespace flb {
 

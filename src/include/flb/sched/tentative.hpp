@@ -1,5 +1,6 @@
 #pragma once
 
+#include "flb/graph/properties.hpp"
 #include "flb/graph/task_graph.hpp"
 #include "flb/sched/schedule.hpp"
 
@@ -16,7 +17,9 @@
 /// All functions require every predecessor of t to be scheduled (t ready).
 /// Each costs O(in-degree(t)); the reference schedulers (MCP, HLFET, ISH,
 /// LLB) call them directly, while FLB maintains the same quantities
-/// incrementally.
+/// incrementally. list_schedule() is the placement loop HLFET, ISH, MCP
+/// and MCP-I share: their tasks come in priority_order() and each goes
+/// where best_proc_exhaustive() or best_proc_insertion() puts it.
 
 namespace flb {
 
@@ -55,5 +58,22 @@ std::pair<ProcId, Cost> best_proc_exhaustive(const TaskGraph& g,
 /// start) pair; lower-numbered processors win ties.
 std::pair<ProcId, Cost> best_proc_insertion(const TaskGraph& g,
                                             const Schedule& s, TaskId t);
+
+/// List-schedule g on num_procs processors with static priorities: take
+/// the tasks in priority_order(g, key_of) and start each at its earliest
+/// start, on the processor best_proc_exhaustive() picks, or
+/// best_proc_insertion() with `insertion`. O(V log W + (E + V)P), plus the
+/// gap searches with `insertion`.
+template <typename KeyOf>
+Schedule list_schedule(const TaskGraph& g, ProcId num_procs, bool insertion,
+                       KeyOf&& key_of) {
+  Schedule sched(num_procs, g.num_tasks());
+  for (const TaskId t : priority_order(g, key_of)) {
+    const auto [p, est] = insertion ? best_proc_insertion(g, sched, t)
+                                    : best_proc_exhaustive(g, sched, t);
+    sched.assign(t, p, est, est + g.comp(t));
+  }
+  return sched;
+}
 
 }  // namespace flb

@@ -12,7 +12,9 @@
 /// \file dary_heap.hpp
 /// Arena-backed addressable d-ary min-heaps over dense integer ids: the one
 /// heap family behind every sorted list in flb — FLB's task and processor
-/// lists (core::Scratch) and the ready lists of every baseline scheduler.
+/// lists (core::Scratch), the ready lists of FCP, DSC and LLB, and
+/// priority_order (graph/properties.hpp), the order every static-priority
+/// list scheduler walks.
 ///
 /// The paper's list operations Enqueue / Dequeue / RemoveItem / BalanceList
 /// map onto push / pop / erase / update, each O(log n) in the size of the

@@ -184,6 +184,25 @@ TEST(Mappings, WorkMapBalancesClusterWeights) {
   EXPECT_DOUBLE_EQ(s.makespan(), 4.0);  // {heavy} vs {1,1,1,1}
 }
 
+// Every mapper rejects input it cannot map: no processor to map onto (wrap
+// mapping used to divide by zero, work mapping to write past its load
+// table) and a cluster id at or beyond num_clusters (work and LLB mapping
+// used to index past their per-cluster tables).
+TEST(Mappings, RejectBadInputWithError) {
+  const TaskGraph g = test::fuzz_graph(3);
+  const Clustering good = dsc_cluster(g);
+  Clustering bad_id = good;
+  bad_id.cluster_of.back() = good.num_clusters;
+  Clustering bad_size = good;
+  bad_size.cluster_of.pop_back();
+  for (auto* map_fn : {&wrap_map, &work_map, &llb_map}) {
+    EXPECT_THROW((void)(*map_fn)(g, good, 0), Error);
+    EXPECT_THROW((void)(*map_fn)(g, bad_id, 2), Error);
+    EXPECT_THROW((void)(*map_fn)(g, bad_size, 2), Error);
+    EXPECT_TRUE(is_valid_schedule(g, (*map_fn)(g, good, 2)));
+  }
+}
+
 TEST(Mappings, LlbBeatsNaiveMappingsOnAverage) {
   // The reason the authors built LLB: communication-aware mapping. Compare
   // the three mappings on DSC clusterings over the paper workloads.
