@@ -134,6 +134,16 @@ std::string event_log_text(const std::vector<SimEvent>& events) {
 
 namespace {
 
+// Fixed controller policy (docs/runtime.md, "Policy knobs").
+/// Release delay of the first retry after a repair target fails again;
+/// each further retry doubles it.
+constexpr Cost kBackoffBase = 1.0;
+/// Repairs use the greedy fallback below this many observed survivors.
+constexpr ProcId kDegradeBelow = 2;
+/// Self-tuning: the suspect-threshold multiplier grows by this factor per
+/// false alarm and shrinks by it per quiet reaction.
+constexpr double kTuneRaise = 1.5;
+
 /// The slice of one simulated execution the controller is allowed to see at
 /// `horizon`: placements of tasks that *finished* by then; everything else
 /// (including work in flight at the horizon, whose eventual finish is not
@@ -257,9 +267,8 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   FLB_REQUIRE(nominal.num_tasks() == n,
               "run_online_recovery: schedule and graph disagree on the task "
               "count");
-  FLB_REQUIRE(options.debounce >= 0.0 && options.backoff_base >= 0.0,
-              "run_online_recovery: debounce and backoff_base must be "
-              "non-negative");
+  FLB_REQUIRE(options.debounce >= 0.0,
+              "run_online_recovery: debounce must be non-negative");
   world.validate(procs);
   if (options.use_detector) {
     FLB_REQUIRE(world.heartbeat.enabled(),
@@ -268,8 +277,6 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     FLB_REQUIRE(!options.use_gossip || options.quorum >= 1,
                 "run_online_recovery: use_gossip requires a quorum of at "
                 "least one observer");
-    FLB_REQUIRE(!options.self_tune || options.tune_raise > 1.0,
-                "run_online_recovery: self_tune requires tune_raise > 1");
   }
   const LivenessSource source(world, procs, options);
   const HeartbeatConfig& hb = world.heartbeat;
@@ -335,13 +342,10 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   std::vector<Cost> ckpt_interval(n, kUndefinedTime);
   Cost current_tau = 0.0;  // 0 = no estimate yet: keep the plan's interval
 
-  platform::CostModel waste_model = platform::CostModel::clique(procs);
-  waste_model.set_latency_factor(options.latency_factor);
+  const platform::CostModel waste_model = platform::CostModel::clique(procs);
 
   std::vector<SimEvent> log;
   SimOptions sim_options;
-  sim_options.network = options.network;
-  sim_options.latency_factor = options.latency_factor;
   sim_options.faults = &world;
   sim_options.work_override = &remaining;
   sim_options.checkpoint_interval = &ckpt_interval;
@@ -388,7 +392,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   FaultPlan bp;
   // One engine resumes every repair of the episode, so each resume after
   // the first runs on the scratch the earlier ones sized.
-  FlbScheduler flb(options.flb);
+  FlbScheduler flb;
   RepairOptions repair_options;
   repair_options.dropped_data = DroppedDataPolicy::kReexecuteProducers;
   // Every iteration observes at least one new event or belief (or breaks),
@@ -504,7 +508,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
               // Multiplicative raise per false alarm: the next silence must
               // outlast a strictly larger threshold before the controller
               // reacts.
-              scale = std::min(scale_cap, scale * options.tune_raise);
+              scale = std::min(scale_cap, scale * kTuneRaise);
               last_alarm = b.time;
               suspect_trace.push_back({b.time, scale * hb.suspect_after});
             }
@@ -613,7 +617,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     }
     Cost horizon = std::max(view.horizon(), batch_end);
     if (attempt > 0)
-      horizon += options.backoff_base *
+      horizon += kBackoffBase *
                  std::ldexp(1.0, static_cast<int>(std::min<std::size_t>(
                                      attempt - 1, 30)));
 
@@ -644,7 +648,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     // window: no false alarm within tune_window of the horizon.
     if (options.self_tune && scale > 1.0 &&
         horizon - last_alarm > options.tune_window) {
-      scale = std::max(1.0, scale / options.tune_raise);
+      scale = std::max(1.0, scale / kTuneRaise);
       last_alarm = horizon;
       suspect_trace.push_back({horizon, scale * hb.suspect_after});
     }
@@ -738,7 +742,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     const SimResult obs =
         observed_slice(g, sim, horizon, remaining, world, view);
     repair_options.strategy =
-        (force_greedy || inv.survivors < options.degrade_below)
+        (force_greedy || inv.survivors < kDegradeBelow)
             ? RepairStrategy::kGreedy
             : RepairStrategy::kAuto;
     repair_options.horizon = horizon;

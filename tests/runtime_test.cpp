@@ -244,7 +244,7 @@ TEST(OnlineRecovery, RepairTargetReStrikeBacksOffThenDegrades) {
   ASSERT_EQ(r.repairs.size(), 2u);
   EXPECT_EQ(r.repairs[0].retry_attempt, 0u);
   // Proc 1 received migrated work at the first repair and then failed:
-  // attempt 1, horizon pushed back by backoff_base * 2^0.
+  // attempt 1, horizon pushed back by the one-time-unit backoff base.
   EXPECT_EQ(r.repairs[1].retry_attempt, 1u);
   EXPECT_DOUBLE_EQ(r.repairs[1].horizon, 2.5 + 1.0);
   EXPECT_TRUE(r.complete);
