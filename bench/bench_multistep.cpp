@@ -82,15 +82,15 @@ int main(int argc, char** argv) {
   table.add_row({"FLB (one-step)", format_fixed(mean(flb_nsl), 3), "-"});
   emit(table, cfg);
 
+  // Deterministic (NSL only): a NO fails the run.
+  const bool llb_best = mean(nsl["DSC+LLB"]) <= mean(nsl["DSC+wrap"]) &&
+                        mean(nsl["DSC+LLB"]) <= mean(nsl["DSC+work"]);
   std::cout << "\nshape checks:\n  LLB is the best mapping for DSC: "
-            << (mean(nsl["DSC+LLB"]) <= mean(nsl["DSC+wrap"]) &&
-                        mean(nsl["DSC+LLB"]) <= mean(nsl["DSC+work"])
-                    ? "yes"
-                    : "NO")
+            << (llb_best ? "yes" : "NO")
             << "\n  Sarkar clustering costs >> DSC: x"
             << format_fixed(mean(cluster_ms["Sarkar+LLB"]) /
                                 std::max(0.001, mean(cluster_ms["DSC+LLB"])),
                             0)
             << "\n";
-  return 0;
+  return llb_best ? 0 : 1;
 }
