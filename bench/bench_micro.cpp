@@ -2,7 +2,7 @@
 // a fixed paper-scale instance (plus FLB's warm serving path), the
 // addressable-heap operations FLB's inner loop is built from, the
 // platform cost-model pricing hot path every scheduling decision now routes
-// through, and the schedule text and digest of the recovery runtime.
+// through, and the schedule digest and text export.
 
 #include <benchmark/benchmark.h>
 
@@ -227,24 +227,24 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMillisecond);
 
-// The schedule text and its digest, which the recovery runtime computes
-// once per installed repair: an FLB schedule of the shared LU graph on 8
-// processors. One item = one assignment line.
+// The schedule digest, which the recovery runtime computes once per
+// installed repair, and the text export: an FLB schedule of the shared LU
+// graph on 8 processors. One item = one task.
 const Schedule& shared_schedule() {
   static const Schedule s = FlbScheduler().run(shared_graph(), 8);
   return s;
 }
 
-void BM_ScheduleTextDigest(benchmark::State& state) {
+void BM_ScheduleDigest(benchmark::State& state) {
   const Schedule& s = shared_schedule();
-  for (auto _ : state) benchmark::DoNotOptimize(schedule_text_digest(s));
+  for (auto _ : state) benchmark::DoNotOptimize(schedule_digest(s));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           s.num_scheduled());
 }
-BENCHMARK(BM_ScheduleTextDigest)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScheduleDigest)->Unit(benchmark::kMicrosecond);
 
-// The same text written to a stream; rewinding keeps the buffer the first
-// write grew, so the time is formatting and copying alone.
+// The schedule text written to a stream; rewinding keeps the buffer the
+// first write grew, so the time is formatting and copying alone.
 void BM_WriteScheduleText(benchmark::State& state) {
   const Schedule& s = shared_schedule();
   std::ostringstream os;

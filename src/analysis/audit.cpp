@@ -12,7 +12,7 @@
 
 #include "flb/graph/properties.hpp"
 #include "flb/runtime/failure_detector.hpp"
-#include "flb/sched/export.hpp"
+#include "flb/sched/schedule.hpp"
 #include "flb/util/table.hpp"
 
 namespace flb::analysis {
@@ -964,11 +964,10 @@ void result_consistency_rule(const FaultPlan& world,
     bad("the recomputed event-log digest disagrees with the recorded one",
         "RuntimeResult::event_digest is FNV-1a over event_log_text(events)",
         kUndefinedTime, kUndefinedTime);
-  const std::uint64_t schedule_digest = schedule_text_digest(result.schedule);
-  if (schedule_digest != result.schedule_digest)
+  if (schedule_digest(result.schedule) != result.schedule_digest)
     bad("the recomputed schedule digest disagrees with the recorded one",
-        "RuntimeResult::schedule_digest is FNV-1a over the final schedule "
-        "text",
+        "RuntimeResult::schedule_digest is schedule_digest(schedule): "
+        "FNV-1a over the final schedule's placement bits",
         kUndefinedTime, kUndefinedTime);
   const bool detector_ok = opt.use_detector && world.heartbeat.enabled();
   if (detector_ok) {

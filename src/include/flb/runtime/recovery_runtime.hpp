@@ -225,8 +225,9 @@ struct RepairInvocation {
   /// True when every processor was observed dead: no repair is possible,
   /// the controller waits for the next event (a rejoin) instead.
   bool deferred = false;
-  /// schedule_text_digest of the continuation (0 when deferred) — the unit
-  /// of the determinism and poisoned-future comparisons.
+  /// schedule_digest (sched/schedule.hpp) of the continuation (0 when
+  /// deferred) — the unit of the determinism and poisoned-future
+  /// comparisons.
   std::uint64_t schedule_digest = 0;
   /// Detector mode: processors suspected but unconfirmed at this reaction.
   ProcId suspects = 0;
@@ -279,8 +280,8 @@ struct RuntimeResult {
   Cost makespan = 0.0;    ///< executed makespan of the final continuation
   bool complete = false;  ///< every task ran to completion
   std::uint64_t event_digest = 0;     ///< FNV-1a over the rendered event log
-  /// schedule_text_digest of the final schedule: the last installed
-  /// repair's digest, or the nominal schedule's when no repair installed.
+  /// schedule_digest of the final schedule: the last installed repair's
+  /// digest, or the nominal schedule's when no repair installed.
   std::uint64_t schedule_digest = 0;
   /// Detector mode: every belief the controller consumed, in consumption
   /// order (empty without use_detector).
@@ -326,7 +327,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
 /// with newlines) — the text the event digest is computed over.
 std::string event_log_text(const std::vector<SimEvent>& events);
 
-/// FNV-1a 64-bit digest of a string (schedule text, event log text); the
+/// FNV-1a 64-bit digest of a string (event-log text, belief-log text); the
 /// shared implementation in flb/util/fnv1a.hpp.
 using flb::fnv1a_digest;
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -10,8 +9,9 @@
 /// \file export.hpp
 /// Machine-readable schedule exporters:
 ///
-///  * plain text — the round-trippable `flb-schedule 1` format, and the
-///    digest the recovery runtime pins episodes with;
+///  * plain text — the round-trippable `flb-schedule 1` format, for export
+///    and round trips only (schedules are identified by schedule_digest in
+///    sched/schedule.hpp, which hashes placement bits, not this text);
 ///  * JSON — a compact self-describing document (graph name, processor
 ///    count, makespan, one record per task) for downstream tooling;
 ///  * Chrome trace-event format — load the file in chrome://tracing or
@@ -50,12 +50,6 @@ std::string to_chrome_trace(const TaskGraph& g, const Schedule& s);
 /// round-trip every double, and the same bytes an ostream writes at
 /// precision(17). The caller's stream formatting state is left unchanged.
 void write_schedule_text(std::ostream& os, const Schedule& s);
-
-/// FNV-1a digest (util/fnv1a.hpp) of the schedule text, i.e.
-/// fnv1a_digest(to_schedule_text(s)), folded line by line from the same
-/// formatter without building the string. This is the schedule digest of
-/// the recovery runtime (RepairInvocation, RuntimeResult) and its auditor.
-[[nodiscard]] std::uint64_t schedule_text_digest(const Schedule& s);
 
 /// Parse the text format. Enforces Schedule's structural invariants
 /// (ids in range, no double assignment, per-processor non-overlap); use

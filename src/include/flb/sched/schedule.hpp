@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -108,5 +109,12 @@ class Schedule {
   std::vector<Cost> prt_;
   TaskId num_scheduled_ = 0;
 };
+
+/// FNV-1a digest (util/fnv1a.hpp) of a schedule's placements: for every
+/// task, the processor and the exact bit patterns of start and finish, each
+/// folded in as eight bytes. This is the one schedule identity: the golden
+/// tests, the serving layer, the recovery runtime and its auditor all pin
+/// schedules through it.
+[[nodiscard]] std::uint64_t schedule_digest(const Schedule& s);
 
 }  // namespace flb

@@ -45,12 +45,11 @@
 
 namespace flb::serve {
 
-/// FNV-1a digest (util/fnv1a.hpp) of a schedule's placements: for every
-/// task, the processor and the exact bit patterns of start and finish, each
-/// folded in as eight bytes. The golden-digest tests (platform_test,
-/// golden_test) pin schedules through this function, so serving-layer
-/// digests compare directly against them.
-std::uint64_t schedule_digest(const Schedule& s);
+/// The library's schedule digest (sched/schedule.hpp), re-exported for
+/// callers that name it through the serving layer, such as perfbench.
+/// ScheduleResult::digest holds it, so serving-layer digests compare
+/// directly against the golden tests' and the recovery runtime's.
+using flb::schedule_digest;
 
 /// One scheduling request: a task graph (not owned — it must outlive the
 /// call) and the processor count to schedule it onto.

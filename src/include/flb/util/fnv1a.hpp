@@ -5,7 +5,7 @@
 
 /// \file fnv1a.hpp
 /// 64-bit FNV-1a: the one hash behind every determinism digest in flb —
-/// schedule digests (serve::schedule_digest, RepairInvocation), event- and
+/// the schedule digest (schedule_digest in sched/schedule.hpp), event- and
 /// belief-log digests (runtime::RuntimeResult), and the chained batch
 /// fingerprints of bench_throughput. It is not cryptographic: a digest only
 /// has to change when its input does, and to be byte-stable across runs,
@@ -38,8 +38,7 @@ class Fnv1a {
   std::uint64_t h_ = 1469598103934665603ull;  // offset basis
 };
 
-/// FNV-1a digest of a string (schedule text, event-log text, belief-log
-/// text).
+/// FNV-1a digest of a string (event-log text, belief-log text).
 [[nodiscard]] inline std::uint64_t fnv1a_digest(
     std::string_view text) noexcept {
   Fnv1a h;

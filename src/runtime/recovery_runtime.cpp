@@ -14,7 +14,6 @@
 #include "flb/analysis/lint.hpp"
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
-#include "flb/sched/export.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb::runtime {
@@ -785,7 +784,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     inv.migrated = rep.migrated_tasks;
     inv.reexecuted = rep.reexecuted_tasks;
     inv.makespan = rep.schedule.makespan();
-    inv.schedule_digest = schedule_text_digest(rep.schedule);
+    inv.schedule_digest = schedule_digest(rep.schedule);
     installed_digest = inv.schedule_digest;
     repairs.push_back(inv);
     if (rep.used == RepairStrategy::kGreedy) degraded = true;
@@ -814,7 +813,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   result.event_digest = fnv1a_digest(event_log_text(result.events));
   result.schedule_digest = installed_digest
                                ? *installed_digest
-                               : schedule_text_digest(result.schedule);
+                               : schedule_digest(result.schedule);
   if (!source.has_beliefs()) return result;
 
   result.beliefs = std::move(consumed);

@@ -10,7 +10,6 @@
 #include <system_error>
 
 #include "flb/util/error.hpp"
-#include "flb/util/fnv1a.hpp"
 
 namespace flb {
 
@@ -104,45 +103,28 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
   os << "]\n";
 }
 
-namespace {
-
-// The one schedule-text formatter: hands the text to `sink` line by line as
-// std::string_views, for a stream, a string or a digest to consume.
-template <class Sink>
-void emit_schedule_text(const Schedule& s, Sink&& sink) {
+void write_schedule_text(std::ostream& os, const Schedule& s) {
   TextLine line;
-  sink(line.text("flb-schedule 1\nprocs ")
-           .id(s.num_procs())
-           .text("\ntasks ")
-           .id(s.num_tasks())
-           .text("\n")
-           .view());
+  os << line.text("flb-schedule 1\nprocs ")
+            .id(s.num_procs())
+            .text("\ntasks ")
+            .id(s.num_tasks())
+            .text("\n")
+            .view();
   for (TaskId t = 0; t < s.num_tasks(); ++t) {
     if (!s.is_scheduled(t)) continue;
     line.clear();
-    sink(line.text("a ")
-             .id(t)
-             .text(" ")
-             .id(s.proc(t))
-             .text(" ")
-             .cost(s.start(t))
-             .text(" ")
-             .cost(s.finish(t))
-             .text("\n")
-             .view());
+    os << line.text("a ")
+              .id(t)
+              .text(" ")
+              .id(s.proc(t))
+              .text(" ")
+              .cost(s.start(t))
+              .text(" ")
+              .cost(s.finish(t))
+              .text("\n")
+              .view();
   }
-}
-
-}  // namespace
-
-void write_schedule_text(std::ostream& os, const Schedule& s) {
-  emit_schedule_text(s, [&](std::string_view line) { os << line; });
-}
-
-std::uint64_t schedule_text_digest(const Schedule& s) {
-  Fnv1a h;
-  emit_schedule_text(s, [&](std::string_view line) { h.add(line); });
-  return h.value();
 }
 
 namespace {
@@ -211,9 +193,9 @@ Schedule read_schedule_text(std::istream& is) {
 }
 
 std::string to_schedule_text(const Schedule& s) {
-  std::string text;
-  emit_schedule_text(s, [&](std::string_view line) { text += line; });
-  return text;
+  std::ostringstream os;
+  write_schedule_text(os, s);
+  return os.str();
 }
 
 Schedule schedule_from_text(const std::string& text) {

@@ -1,9 +1,11 @@
 #include "flb/sched/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "flb/util/error.hpp"
+#include "flb/util/fnv1a.hpp"
 
 namespace flb {
 
@@ -103,6 +105,16 @@ Cost Schedule::makespan() const {
   Cost m = 0.0;
   for (Cost r : prt_) m = std::max(m, r);
   return m;
+}
+
+std::uint64_t schedule_digest(const Schedule& s) {
+  Fnv1a h;
+  for (TaskId t = 0; t < s.num_tasks(); ++t) {
+    h.add_u64(s.proc(t));
+    h.add_u64(std::bit_cast<std::uint64_t>(s.start(t)));
+    h.add_u64(std::bit_cast<std::uint64_t>(s.finish(t)));
+  }
+  return h.value();
 }
 
 }  // namespace flb

@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <utility>
 
 #include "flb/util/error.hpp"
-#include "flb/util/fnv1a.hpp"
 
 namespace flb::serve {
-
-std::uint64_t schedule_digest(const Schedule& s) {
-  Fnv1a h;
-  for (TaskId t = 0; t < s.num_tasks(); ++t) {
-    h.add_u64(s.proc(t));
-    h.add_u64(std::bit_cast<std::uint64_t>(s.start(t)));
-    h.add_u64(std::bit_cast<std::uint64_t>(s.finish(t)));
-  }
-  return h.value();
-}
 
 namespace {
 

@@ -20,7 +20,7 @@
 #include "flb/graph/task_graph.hpp"
 #include "flb/runtime/failure_detector.hpp"
 #include "flb/runtime/recovery_runtime.hpp"
-#include "flb/sched/export.hpp"
+#include "flb/sched/schedule.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sim/machine_sim.hpp"
 
@@ -62,7 +62,7 @@ Schedule strip_schedule(TaskId tasks, ProcId procs, TaskId per_proc) {
 /// stays quiet and each tampered log fires only the rule under test.
 void rehash(RuntimeResult& r, bool detector) {
   r.event_digest = fnv1a_digest(event_log_text(r.events));
-  r.schedule_digest = fnv1a_digest(to_schedule_text(r.schedule));
+  r.schedule_digest = schedule_digest(r.schedule);
   r.belief_digest = detector ? fnv1a_digest(belief_log_text(r.beliefs)) : 0;
 }
 

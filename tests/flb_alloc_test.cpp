@@ -18,7 +18,6 @@
 
 #include "flb/core/flb.hpp"
 #include "flb/sched/schedule.hpp"
-#include "flb/serve/serve.hpp"
 #include "flb/workloads/workloads.hpp"
 
 namespace {
@@ -85,14 +84,14 @@ TEST(AllocRegressionTest, SteadyStateRunIntoAllocatesNothing) {
   // schedule buffer's timelines to this graph's high-water sizes.
   flb.run_into(g, 8, buffer);
   flb.run_into(g, 8, buffer);
-  const std::uint64_t digest = serve::schedule_digest(buffer);
+  const std::uint64_t digest = schedule_digest(buffer);
 
   const std::uint64_t before = alloc_count();
   for (int i = 0; i < 5; ++i) flb.run_into(g, 8, buffer);
   const std::uint64_t delta = alloc_count() - before;
   EXPECT_EQ(delta, 0u)
       << "steady-state run_into performed " << delta << " heap allocations";
-  EXPECT_EQ(serve::schedule_digest(buffer), digest);
+  EXPECT_EQ(schedule_digest(buffer), digest);
 }
 
 TEST(AllocRegressionTest, SmallerGraphAfterWarmupAllocatesNothing) {

@@ -18,7 +18,6 @@
 #include "flb/platform/speed_profile.hpp"
 #include "flb/sched/repair.hpp"
 #include "flb/sched/validator.hpp"
-#include "flb/serve/serve.hpp"
 #include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
@@ -43,8 +42,6 @@ using platform::SpeedProfile;
 // times. The digests below were captured from the pre-refactor engine.
 // A failure here means the CostModel arithmetic drifted from the former
 // private copy (e.g. an added `* 1.0` reordering, a max() flipped).
-
-using serve::schedule_digest;
 
 TEST(PlatformGolden, PaperExampleBitIdentical) {
   TaskGraph g = paper_example_graph();

@@ -13,7 +13,6 @@
 
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
-#include "flb/sched/export.hpp"
 #include "flb/sched/metrics.hpp"
 #include "flb/sched/repair.hpp"
 #include "flb/sched/validator.hpp"
@@ -481,8 +480,7 @@ TEST(Repair, SharedSchedulerMatchesFreshScheduler) {
                              std::to_string(g.num_tasks()) +
                              " P=" + std::to_string(step.procs);
     EXPECT_EQ(warm.used, RepairStrategy::kFlbResume) << what;
-    EXPECT_EQ(schedule_text_digest(warm.schedule),
-              schedule_text_digest(fresh.schedule))
+    EXPECT_EQ(schedule_digest(warm.schedule), schedule_digest(fresh.schedule))
         << what;
     EXPECT_EQ(warm.durations, fresh.durations) << what;
     EXPECT_EQ(warm.link_occupancies.size(), fresh.link_occupancies.size())

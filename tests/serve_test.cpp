@@ -39,7 +39,7 @@ std::vector<std::uint64_t> sequential_digests(const Corpus& c) {
   std::vector<std::uint64_t> out;
   FlbScheduler flb;
   for (std::size_t i = 0; i < c.graphs.size(); ++i)
-    out.push_back(serve::schedule_digest(flb.run(c.graphs[i], c.procs[i])));
+    out.push_back(schedule_digest(flb.run(c.graphs[i], c.procs[i])));
   return out;
 }
 
@@ -49,7 +49,7 @@ TEST(ServeDigestTest, PaperExampleMatchesPinnedGolden) {
   Schedule s = flb.run(g, 2);
   // Same golden as the clique row in tests/platform_test.cpp: the serving
   // digest is the same FNV-1a arithmetic, so pre-refactor goldens carry.
-  EXPECT_EQ(serve::schedule_digest(s), 5113259804641662334ull);
+  EXPECT_EQ(schedule_digest(s), 5113259804641662334ull);
 }
 
 TEST(ServeDigestTest, RunIntoIsBitIdenticalToRun) {
@@ -58,12 +58,12 @@ TEST(ServeDigestTest, RunIntoIsBitIdenticalToRun) {
   for (std::size_t i = 0; i < 8; ++i) {
     TaskGraph g = test::fuzz_graph(i);
     const ProcId p = static_cast<ProcId>(2 + i % 4);
-    const std::uint64_t fresh = serve::schedule_digest(flb.run(g, p));
+    const std::uint64_t fresh = schedule_digest(flb.run(g, p));
     flb.run_into(g, p, buffer);
-    EXPECT_EQ(serve::schedule_digest(buffer), fresh) << "graph " << i;
+    EXPECT_EQ(schedule_digest(buffer), fresh) << "graph " << i;
     // A second run into the warm buffer must reproduce it exactly.
     flb.run_into(g, p, buffer);
-    EXPECT_EQ(serve::schedule_digest(buffer), fresh) << "graph " << i;
+    EXPECT_EQ(schedule_digest(buffer), fresh) << "graph " << i;
   }
 }
 
@@ -105,7 +105,7 @@ TEST(BatchDeterminismTest, KeepSchedulesReturnsValidSchedules) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].schedule.has_value());
     const Schedule& s = *results[i].schedule;
-    EXPECT_EQ(serve::schedule_digest(s), results[i].digest);
+    EXPECT_EQ(schedule_digest(s), results[i].digest);
     EXPECT_EQ(s.makespan(), results[i].makespan);
     EXPECT_TRUE(validate_schedule(c.graphs[i], s).empty())
         << test::violations_to_string(c.graphs[i], s);
@@ -183,7 +183,7 @@ TEST(ScheduleServiceTest, KeepSchedulesOption) {
   (void)service.submit(g, 2);
   service.drain();
   ASSERT_TRUE(service.result(0).schedule.has_value());
-  EXPECT_EQ(serve::schedule_digest(*service.result(0).schedule),
+  EXPECT_EQ(schedule_digest(*service.result(0).schedule),
             5113259804641662334ull);
   service.close();
 }
