@@ -6,6 +6,7 @@
 
 #include "flb/sched/metrics.hpp"
 #include "flb/sched/validator.hpp"
+#include "flb/util/error.hpp"
 #include "flb/util/table.hpp"
 
 namespace flb::analysis {
@@ -72,6 +73,15 @@ const char* feasibility_rule(Violation::Kind kind) {
     case Violation::Kind::kLinkBusyViolation: return "link-busy";
   }
   return "feasibility";
+}
+
+// Every tier indexes the graph by the schedule's task ids. The check is
+// made here, not only in the validator, because the quality and theorem
+// tiers also run with the feasibility tier off.
+void require_schedule_of(const TaskGraph& g, const Schedule& s) {
+  FLB_REQUIRE(s.num_tasks() == g.num_tasks(),
+              "lint: the schedule was built for a graph with a different "
+              "task count");
 }
 
 // --- Feasibility tier ------------------------------------------------------
@@ -629,6 +639,7 @@ const std::vector<RuleInfo>& rule_catalogue() {
 LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const platform::CostModel& model,
                          const LintOptions& options) {
+  require_schedule_of(g, s);
   LintReport report;
   Sink sink(report);
   if (options.feasibility) {
@@ -643,6 +654,7 @@ LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const std::vector<Cost>& durations,
                          const platform::CostModel& model,
                          const LintOptions& options) {
+  require_schedule_of(g, s);
   LintReport report;
   Sink sink(report);
   if (options.feasibility) {
@@ -657,6 +669,7 @@ LintReport lint_flb(const TaskGraph& g, const Schedule& s,
                     const std::vector<FlbTraceRow>& rows,
                     const platform::CostModel& model,
                     const LintOptions& options) {
+  require_schedule_of(g, s);
   LintReport report;
   Sink sink(report);
   if (options.feasibility) {

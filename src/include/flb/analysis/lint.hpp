@@ -108,6 +108,8 @@ const std::vector<RuleInfo>& rule_catalogue();
 /// Lint any scheduler's output: feasibility-tier error rules plus the
 /// quality tier. `model` prices communication and admission — pass
 /// platform::CostModel::clique(s.num_procs()) for the paper's machine.
+/// Throws flb::Error when `s` is sized for a different number of tasks
+/// than `g` has (as do the two entry points below).
 LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const platform::CostModel& model,
                          const LintOptions& options = {});

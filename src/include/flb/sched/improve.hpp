@@ -41,7 +41,7 @@ struct ImproveResult {
 /// assignment re-timed by list scheduling (which may differ slightly from
 /// s.makespan() when s was built with a different intra-processor order).
 /// Tasks are swept in descending finish time so makespan-critical tasks
-/// move first.
+/// move first. Throws flb::Error unless `s` is a complete schedule of `g`.
 ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
                                const ImproveOptions& options = {});
 
@@ -58,6 +58,7 @@ struct AnnealOptions {
 /// (random single-task processor moves, timing re-derived per proposal).
 /// Escapes the single-move local optima hill climbing gets stuck in, at
 /// `iterations` full re-evaluations of cost. Keeps the best schedule seen.
+/// Throws flb::Error unless `s` is a complete schedule of `g`.
 ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
                               const AnnealOptions& options = {});
 

@@ -44,7 +44,8 @@ struct Violation {
 ///  * a task starts no earlier than FT(pred) for same-processor
 ///    predecessors and FT(pred) + comm for remote ones.
 /// Comparisons use a small absolute tolerance to absorb floating-point
-/// accumulation.
+/// accumulation. Throws flb::Error when `s` is sized for a different
+/// number of tasks than `g` has.
 std::vector<Violation> validate_schedule(const TaskGraph& g,
                                          const Schedule& s,
                                          double tolerance = 1e-9);

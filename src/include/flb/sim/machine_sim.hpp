@@ -257,11 +257,12 @@ struct SimResult {
 };
 
 /// Execute `s` (a complete schedule of `g`) on the simulated machine.
-/// Throws flb::Error if the schedule is incomplete, an option is out of
-/// range, or — absent fault injection — its dispatch order deadlocks
-/// (impossible for schedules accepted by validate_schedule). With a fault
-/// plan, starvation is a legitimate outcome and is reported through
-/// SimResult::unfinished instead of an exception.
+/// Throws flb::Error if the schedule is incomplete or sized for another
+/// task count, an option is out of range, or — absent fault injection —
+/// its dispatch order deadlocks (impossible for schedules accepted by
+/// validate_schedule). With a fault plan, starvation is a legitimate
+/// outcome and is reported through SimResult::unfinished instead of an
+/// exception.
 SimResult simulate(const TaskGraph& g, const Schedule& s,
                    const SimOptions& options = {});
 

@@ -14,8 +14,11 @@ namespace flb {
 
 ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
                                const ImproveOptions& options) {
-  FLB_REQUIRE(s.complete(), "improve_schedule: schedule is incomplete");
   const TaskId n = g.num_tasks();
+  FLB_REQUIRE(s.num_tasks() == n,
+              "improve_schedule: the schedule was built for a graph with a "
+              "different task count");
+  FLB_REQUIRE(s.complete(), "improve_schedule: schedule is incomplete");
   const ProcId procs = s.num_procs();
 
   std::vector<ProcId> assignment(n);
@@ -71,10 +74,13 @@ ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
 
 ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
                               const AnnealOptions& options) {
+  const TaskId n = g.num_tasks();
+  FLB_REQUIRE(s.num_tasks() == n,
+              "anneal_schedule: the schedule was built for a graph with a "
+              "different task count");
   FLB_REQUIRE(s.complete(), "anneal_schedule: schedule is incomplete");
   FLB_REQUIRE(options.initial_temp_fraction > 0.0,
               "anneal_schedule: temperature fraction must be positive");
-  const TaskId n = g.num_tasks();
   const ProcId procs = s.num_procs();
 
   std::vector<ProcId> assignment(n);

@@ -79,6 +79,9 @@ std::string to_string(const SimEvent& event) {
 SimResult simulate(const TaskGraph& g, const Schedule& s,
                    const SimOptions& options) {
   const TaskId n = g.num_tasks();
+  FLB_REQUIRE(s.num_tasks() == n,
+              "simulate: the schedule was built for a graph with a different "
+              "task count");
   FLB_REQUIRE(s.complete(), "simulate: schedule is incomplete");
   FLB_REQUIRE(options.latency_factor >= 0.0,
               "simulate: latency factor must be non-negative");

@@ -82,6 +82,11 @@ TEST(Improve, RejectsIncompleteSchedule) {
   Schedule s(2, 4);
   s.assign(0, 0, 0.0, 1.0);
   EXPECT_THROW((void)improve_schedule(g, s), Error);
+  const test::MismatchedSchedules other;
+  EXPECT_THROW((void)improve_schedule(other.large, other.of_small), Error);
+  EXPECT_THROW((void)improve_schedule(other.small, other.of_large), Error);
+  EXPECT_THROW((void)anneal_schedule(other.large, other.of_small), Error);
+  EXPECT_THROW((void)anneal_schedule(other.small, other.of_large), Error);
 }
 
 // --- Simulated annealing -----------------------------------------------------------

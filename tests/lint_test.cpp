@@ -214,6 +214,23 @@ TEST(LintFeasibility, UnscheduledTaskAndWrongDurationAndPrecedence) {
   EXPECT_TRUE(has_rule(r3, "precedence")) << rules_of(r3);
 }
 
+// A schedule of another graph is the caller's error, not a finding, with or
+// without the feasibility tier.
+TEST(LintFeasibility, RejectsScheduleOfAnotherGraph) {
+  const test::MismatchedSchedules other;
+  const platform::CostModel model = platform::CostModel::clique(3);
+  LintOptions quality_only;
+  quality_only.feasibility = false;
+  for (const LintOptions& options : {LintOptions{}, quality_only}) {
+    EXPECT_THROW(
+        (void)lint_schedule(other.large, other.of_small, model, options),
+        Error);
+    EXPECT_THROW(
+        (void)lint_schedule(other.small, other.of_large, model, options),
+        Error);
+  }
+}
+
 /// `s` with task `t` re-placed at [start, finish] on `p`.
 Schedule moved(const Schedule& s, TaskId t, ProcId p, Cost start,
                Cost finish) {

@@ -161,6 +161,9 @@ TEST(MachineSim, RejectsIncompleteSchedule) {
   Schedule s(2, 4);
   s.assign(0, 0, 0.0, 1.0);
   EXPECT_THROW((void)simulate(g, s), Error);
+  const test::MismatchedSchedules other;
+  EXPECT_THROW((void)simulate(other.large, other.of_small), Error);
+  EXPECT_THROW((void)simulate(other.small, other.of_large), Error);
 }
 
 TEST(MachineSim, RejectsNegativeLatency) {

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "flb/core/flb.hpp"
 #include "flb/graph/task_graph.hpp"
 #include "flb/sched/schedule.hpp"
 #include "flb/sched/validator.hpp"
@@ -50,6 +51,16 @@ inline TaskGraph small_diamond() {
   b.add_edge(c, d, 3);
   return std::move(b).build();
 }
+
+/// Complete FLB schedules of a V=20 and a V=60 Random graph, each to be
+/// checked against the other's graph: an entry point that indexes a
+/// schedule by its graph's task ids must reject both pairings.
+struct MismatchedSchedules {
+  TaskGraph small = make_workload("Random", 20, WorkloadParams{});
+  TaskGraph large = make_workload("Random", 60, WorkloadParams{});
+  Schedule of_small = FlbScheduler().run(small, 3);
+  Schedule of_large = FlbScheduler().run(large, 3);
+};
 
 /// Deterministic fuzzing corpus: a spread of random DAG shapes that the
 /// property tests sweep. Index selects shape and seed.

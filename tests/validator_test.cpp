@@ -46,6 +46,22 @@ TEST(Validator, DetectsUnscheduledTask) {
   EXPECT_EQ(unscheduled, 3);
 }
 
+TEST(Validator, RejectsScheduleOfAnotherGraph) {
+  const test::MismatchedSchedules other;
+  const std::vector<Cost> large_durations(other.large.num_tasks(),
+                                          kUndefinedTime);
+  const std::vector<Cost> small_durations(other.small.num_tasks(),
+                                          kUndefinedTime);
+  EXPECT_THROW((void)validate_schedule(other.large, other.of_small), Error);
+  EXPECT_THROW((void)validate_schedule(other.small, other.of_large), Error);
+  EXPECT_THROW(
+      (void)validate_schedule(other.large, other.of_small, large_durations),
+      Error);
+  EXPECT_THROW(
+      (void)validate_schedule(other.small, other.of_large, small_durations),
+      Error);
+}
+
 TEST(Validator, DetectsWrongDuration) {
   TaskGraph g = test::small_diamond();
   Schedule s(2, 4);
