@@ -1,15 +1,20 @@
 #include "flb/sim/machine_sim.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flb/core/flb.hpp"
+#include "flb/runtime/recovery_runtime.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sched/validator.hpp"
 #include "flb/util/error.hpp"
+#include "flb/util/fnv1a.hpp"
 #include "flb/workloads/paper_example.hpp"
 #include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
@@ -335,6 +340,136 @@ TEST(MachineSim, SingleProcessorIgnoresNetwork) {
     SimResult r = simulate(g, s, options);
     EXPECT_NEAR(r.makespan, g.total_comp(), 1e-9);
     EXPECT_EQ(r.messages, 0u);
+  }
+}
+
+// --- Faulted replays are bit-identical ---------------------------------------
+
+// One row per fault plan. Each row replays the FLB schedules of 14 fuzz
+// graphs on 4 processors with the event log on, the plan's instants scaled
+// to each schedule's makespan, and chains an FNV-1a hash over every start
+// and finish bit, the fault counters, the dropped edges and the event-log
+// text, so a change to event handling that moves a replayed instant, a
+// counter or a logged event moves a digest.
+struct FaultedReplayGolden {
+  const char* name;
+  std::uint64_t digest;
+};
+
+const FaultedReplayGolden kFaultedReplays[] = {
+    {"kill", 0x6fd499c6f2ac2cb2ull},
+    {"kill-rejoin-requeue", 0x6d3c8988ca379229ull},
+    {"message-loss-delay-drop", 0x50d2c2ecb5e2c620ull},
+    {"partition-reroute", 0xe6b5a98137039f1eull},
+    {"partition-hold-for-heal", 0x6757c7639c8120e6ull},
+    {"partition-permanent-cut", 0x592102e655ad046cull},
+    {"checkpoints", 0x5e6427bf18bdbd72ull},
+    {"slowdowns", 0x9f5d049d9aed5ad7ull},
+    {"single-port-send", 0x68bde0be685d900bull},
+    {"single-port-send-recv", 0x0d08eb54bfba88f8ull},
+};
+
+// The plan and options of row `row` for a schedule of makespan `span` on 4
+// processors.
+void faulted_row(std::size_t row, Cost span, FaultPlan& plan,
+                 SimOptions& options) {
+  plan.seed = 11 + row;
+  auto cut = [&](ProcId a, ProcId b, Cost from, Cost until) {
+    PartitionFault f;
+    f.proc_a = a;
+    f.proc_b = b;
+    f.time = from;
+    f.until = until;
+    plan.partitions.push_back(f);
+  };
+  switch (row) {
+    case 0:
+      plan.failures.push_back({1, 0.3 * span});
+      break;
+    case 1:  // unstarted work on p2 returns to the queue and runs after
+      plan.failures.push_back({2, 0.2 * span});
+      plan.rejoins.push_back({2, 0.45 * span});
+      options.honor_start_times = true;
+      break;
+    case 2:  // one retry: about 6% of remote messages are dropped
+      plan.message.loss_probability = 0.25;
+      plan.message.delay_probability = 0.3;
+      plan.message.max_retries = 1;
+      plan.message.retry_timeout = 0.01 * span;
+      break;
+    case 3:  // p0 ~ p1 is down, a detour through p2 or p3 is live
+      cut(0, 1, 0.1 * span, 0.6 * span);
+      break;
+    case 4:  // p3 is cut off from everyone until the heal
+      for (ProcId p = 0; p < 3; ++p) cut(p, 3, 0.2 * span, 0.5 * span);
+      break;
+    case 5:  // p3 is cut off for good: its messages are dropped
+      for (ProcId p = 0; p < 3; ++p)
+        cut(p, 3, 0.4 * span, kInfiniteTime);
+      break;
+    case 6:
+      plan.checkpoint.interval = 0.02 * span;
+      plan.checkpoint.overhead = 0.002 * span;
+      plan.failures.push_back({1, 0.35 * span});
+      plan.rejoins.push_back({1, 0.6 * span});
+      plan.failures.push_back({3, 0.5 * span});
+      break;
+    case 7:
+      plan.slowdowns.push_back({1, 0.1 * span, 0.5, 0.4 * span});
+      plan.slowdowns.push_back({2, 0.2 * span, 0.7, kInfiniteTime});
+      plan.slowdowns.push_back({1, 0.3 * span, 0.8, 0.7 * span});
+      plan.runtime_spread = 0.2;
+      break;
+    default:  // rows 8 and 9: the single-port networks
+      plan.failures.push_back({3, 0.5 * span});
+      plan.message.delay_probability = 0.3;
+      options.network = row == 8 ? SimNetwork::kSinglePortSend
+                                 : SimNetwork::kSinglePortSendRecv;
+      break;
+  }
+}
+
+void add_cost(Fnv1a& h, Cost c) { h.add_u64(std::bit_cast<std::uint64_t>(c)); }
+
+TEST(MachineSimGolden, FaultedReplaysBitIdentical) {
+  for (std::size_t row = 0; row < std::size(kFaultedReplays); ++row) {
+    Fnv1a h;
+    std::size_t events = 0;
+    for (std::size_t i = 0; i < 14; ++i) {
+      const TaskGraph g = test::fuzz_graph(i);
+      const Schedule s = FlbScheduler().run(g, 4);
+      FaultPlan plan;
+      SimOptions options;
+      faulted_row(row, s.makespan(), plan, options);
+      std::vector<SimEvent> log;
+      options.faults = &plan;
+      options.event_log = &log;
+      const SimResult r = simulate(g, s, options);
+      for (TaskId t = 0; t < g.num_tasks(); ++t) {
+        add_cost(h, r.start[t]);
+        add_cost(h, r.finish[t]);
+      }
+      for (const Cost c : {r.makespan, r.network_busy, r.work_lost,
+                           r.dead_proc_idle, r.work_saved,
+                           r.checkpoint_overhead, r.reroute_extra})
+        add_cost(h, c);
+      for (const std::size_t c :
+           {r.messages, r.retries, r.dropped_messages, r.rejoins,
+            r.checkpoints_taken, r.rerouted_messages, r.partition_dropped,
+            r.unfinished.size(), r.dropped_edges.size()})
+        h.add_u64(c);
+      for (const auto& [from, to] : r.dropped_edges) {
+        h.add_u64(from);
+        h.add_u64(to);
+      }
+      for (const Cost c : r.checkpointed) add_cost(h, c);
+      for (const Cost c : r.proc_work_lost) add_cost(h, c);
+      h.add(runtime::event_log_text(log));
+      events += log.size();
+    }
+    EXPECT_EQ(h.value(), kFaultedReplays[row].digest)
+        << "{\"" << kFaultedReplays[row].name << "\", 0x" << std::hex
+        << h.value() << "ull}, (" << std::dec << events << " events)";
   }
 }
 
