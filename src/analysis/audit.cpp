@@ -392,9 +392,6 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
                          const AuditOptions& opt, Sink& sink) {
   const ProcId procs = result.schedule.num_procs();
   const TaskId n = g.num_tasks();
-  std::vector<std::size_t> edge_offset(n + 1, 0);
-  for (TaskId t = 0; t < n; ++t)
-    edge_offset[t + 1] = edge_offset[t] + g.out_degree(t);
 
   std::size_t drops = 0;
   std::size_t partition_drops = 0;
@@ -460,7 +457,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
       continue;
     }
     const MessageOutcome fate =
-        resolve_message(world, edge_offset[ev.task] + pos);
+        resolve_message(world, g.out_edge_begin(ev.task) + pos);
     if (fate.dropped) {
       const Cost expected = finish + fate.retry_delay;
       if (!near(ev.time, expected, opt.tolerance)) {

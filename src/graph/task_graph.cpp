@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "flb/util/error.hpp"
@@ -70,6 +72,9 @@ void TaskGraphBuilder::add_edge(TaskId from, TaskId to, Cost comm) {
 TaskGraph TaskGraphBuilder::build() && {
   const std::size_t n = comp_.size();
   const std::size_t m = edges_.size();
+  FLB_REQUIRE(m <= std::numeric_limits<std::uint32_t>::max(),
+              "build: " + std::to_string(m) +
+                  " edges do not fit the 32-bit edge ids");
 
   // Detect duplicate edges by sorting a copy of (from, to).
   {
@@ -104,10 +109,13 @@ TaskGraph TaskGraphBuilder::build() && {
   }
   g.succ_.resize(m);
   g.pred_.resize(m);
+  g.pred_edge_.resize(m);
   std::vector<std::size_t> scur(g.succ_off_.begin(), g.succ_off_.end() - 1);
   std::vector<std::size_t> pcur(g.pred_off_.begin(), g.pred_off_.end() - 1);
   for (const Edge& e : edges_) {
-    g.succ_[scur[e.from]++] = {e.to, e.comm};
+    const std::size_t id = scur[e.from]++;
+    g.succ_[id] = {e.to, e.comm};
+    g.pred_edge_[pcur[e.to]] = static_cast<std::uint32_t>(id);
     g.pred_[pcur[e.to]++] = {e.from, e.comm};
   }
 

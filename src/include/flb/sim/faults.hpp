@@ -367,7 +367,8 @@ struct MessageOutcome {
 };
 
 /// Resolve the outcome of the message travelling along the edge with global
-/// slot index `edge_slot` (the CSR successor index used by the simulator).
+/// slot index `edge_slot`: the edge's TaskGraph edge id, i.e. its index in
+/// the successor CSR (TaskGraph::out_edge_begin).
 MessageOutcome resolve_message(const FaultPlan& plan, std::size_t edge_slot);
 
 /// The deterministic runtime-perturbation factor for task `t` (1.0 when the

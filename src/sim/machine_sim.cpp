@@ -158,7 +158,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
   std::vector<Cost> proc_free(procs, 0.0);
   std::vector<Cost> send_free(procs, 0.0);
   std::vector<Cost> recv_free(procs, 0.0);
-  std::vector<bool> dead(procs, false);
+  std::vector<char> dead(procs, 0);
 
   // Piecewise-constant per-processor speed profiles (flb::platform), plus a
   // cost model that owns every message price in this simulator: a clique,
@@ -182,18 +182,17 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
     result.proc_work_lost.assign(procs, 0.0);
   }
 
-  // arrival[e] for remote edges, indexed like g's successor CSR; local
-  // edges are handled through `finished`. A dropped message leaves its slot
-  // at kUndefinedTime forever and marks the consumer starved.
+  // arrival[e] for remote edges, indexed by the graph's edge id: the
+  // producer writes slot out_edge_begin + i, the consumer reads it through
+  // in_edge_ids. Local edges are handled through `finished`. A dropped
+  // message leaves its slot at kUndefinedTime forever and marks the
+  // consumer starved.
   std::vector<Cost> arrival(g.num_edges(), kUndefinedTime);
-  std::vector<std::size_t> edge_offset(n + 1, 0);
-  for (TaskId t = 0; t < n; ++t)
-    edge_offset[t + 1] = edge_offset[t] + g.out_degree(t);
 
-  std::vector<bool> finished(n, false);
-  std::vector<bool> dispatched(n, false);
-  std::vector<bool> killed(n, false);   // dispatched, then lost to a failure
-  std::vector<bool> starved(n, false);  // an input message was dropped
+  std::vector<char> finished(n, 0);
+  std::vector<char> dispatched(n, 0);
+  std::vector<char> killed(n, 0);   // dispatched, then lost to a failure
+  std::vector<char> starved(n, 0);  // an input message was dropped
   // Dispatch generation per task (see Event::epoch); only ever bumped in
   // honor_start_times mode, when a failure returns unstarted work to the
   // queue.
@@ -209,16 +208,6 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
         (*options.work_override)[t] != kUndefinedTime)
       return (*options.work_override)[t];
     return plan ? g.comp(t) * runtime_factor(*plan, t) : g.comp(t);
-  };
-
-  // Position of each (pred -> t) edge inside pred's successor list, so the
-  // consumer can find its arrival slot.
-  auto arrival_slot = [&](TaskId pred, TaskId to) -> std::size_t {
-    auto succs = g.successors(pred);
-    for (std::size_t i = 0; i < succs.size(); ++i)
-      if (succs[i].node == to) return edge_offset[pred] + i;
-    FLB_ASSERT(false);
-    return 0;
   };
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
@@ -276,12 +265,15 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
       // Continuation mode: ST(t) is a release instant, not a replayed time.
       if (options.honor_start_times) start = std::max(start, s.start(t));
       const Cost cold = rejoined_at[p];
-      for (const Adj& a : g.predecessors(t)) {
+      const auto preds = g.predecessors(t);
+      const auto in_ids = g.in_edge_ids(t);
+      for (std::size_t i = 0; i < preds.size(); ++i) {
+        const Adj& a = preds[i];
         Cost avail;
         if (s.proc(a.node) == p) {
           avail = result.finish[a.node];
         } else {
-          avail = arrival[arrival_slot(a.node, t)];
+          avail = arrival[in_ids[i]];
           FLB_ASSERT(avail != kUndefinedTime);
         }
         // Cold caches: data that reached p at or before the reboot was
@@ -290,7 +282,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
           avail = cold + net.message_cost(a.comm);
         start = std::max(start, avail);
       }
-      dispatched[t] = true;
+      dispatched[t] = 1;
       result.start[t] = start;
       if (plan != nullptr) {
         platform::SpeedProfile::Trace tr =
@@ -315,7 +307,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
     if (ev.kind == Event::kFailure) {
       const ProcId p = static_cast<ProcId>(ev.task);
       if (dead[p]) continue;  // duplicate failure entry
-      dead[p] = true;
+      dead[p] = 1;
       // Kill every dispatched-but-unfinished task on p. Dispatch runs
       // ahead of simulated time, so this covers both the task physically
       // executing at ev.time (its unprotected work is lost; durable
@@ -329,14 +321,14 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
         // re-dispatched if the processor rejoins. Only work physically in
         // flight at the strike is lost.
         if (options.honor_start_times && result.start[t] >= ev.time) {
-          dispatched[t] = false;
+          dispatched[t] = 0;
           ++epoch[t];
           result.start[t] = kUndefinedTime;
           result.finish[t] = kUndefinedTime;
           requeued = true;
           continue;
         }
-        killed[t] = true;
+        killed[t] = 1;
         platform::SpeedProfile::Trace tr =
             profiles[p].run(result.start[t], work_of(t), ckpt_of(t), ev.time);
         if (log != nullptr)
@@ -360,7 +352,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
     if (ev.kind == Event::kRejoin) {
       const ProcId p = static_cast<ProcId>(ev.task);
       if (!dead[p]) continue;  // canonicalization makes this unreachable
-      dead[p] = false;
+      dead[p] = 0;
       rejoined_at[p] = ev.time;
       // Every dispatched-but-unfinished task on p was killed at the kill
       // instant (or, in honor_start_times mode, returned to the queue), so
@@ -374,7 +366,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
     TaskId t = ev.task;
     if (killed[t]) continue;  // stale completion of a task lost to a failure
     if (ev.epoch != epoch[t]) continue;  // canceled dispatch, re-queued
-    finished[t] = true;
+    finished[t] = 1;
     ++completed;
     const ProcId p = s.proc(t);
     if (const CheckpointPolicy cp = ckpt_of(t); cp.enabled()) {
@@ -388,7 +380,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
     // now, in global completion order. Under a fault plan each remote
     // message resolves its loss/delay fate deterministically from its edge
     // slot.
-    std::size_t slot = edge_offset[t];
+    std::size_t slot = g.out_edge_begin(t);
     for (const Adj& a : g.successors(t)) {
       if (s.proc(a.node) != p) {
         Cost cost = net.message_cost(a.comm);
@@ -398,7 +390,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
         if (fate.dropped) {
           ++result.dropped_messages;
           result.dropped_edges.emplace_back(t, a.node);
-          starved[a.node] = true;
+          starved[a.node] = 1;
           // The sender observes the loss once the exhausted retry timeouts
           // have all expired — not at the first attempt.
           if (log != nullptr)
@@ -431,7 +423,7 @@ SimResult simulate(const TaskGraph& g, const Schedule& s,
               ++result.dropped_messages;
               ++result.partition_dropped;
               result.dropped_edges.emplace_back(t, a.node);
-              starved[a.node] = true;
+              starved[a.node] = 1;
               if (log != nullptr)
                 log->push_back({send_start, SimEventKind::kMessageDropped, p,
                                 t, a.node, 0.0});

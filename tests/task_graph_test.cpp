@@ -119,6 +119,49 @@ TEST(TaskGraph, AdjacencyIsConsistentBothWays) {
   EXPECT_EQ(g.out_degree(3), 0u);
 }
 
+// Every predecessor entry's recorded edge id names the edge a linear scan
+// of the producer's successors finds, and edges() lists edges in id order.
+void expect_edge_ids_match_scan(const TaskGraph& g) {
+  const std::vector<Edge> edges = g.edges();
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    const auto preds = g.predecessors(t);
+    const auto ids = g.in_edge_ids(t);
+    ASSERT_EQ(ids.size(), preds.size()) << g.name() << ", task " << t;
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      const auto succs = g.successors(preds[i].node);
+      std::size_t pos = 0;
+      while (pos < succs.size() && succs[pos].node != t) ++pos;
+      ASSERT_LT(pos, succs.size()) << g.name() << ", task " << t;
+      EXPECT_EQ(ids[i], g.out_edge_begin(preds[i].node) + pos)
+          << g.name() << ": edge " << preds[i].node << " -> " << t;
+      ASSERT_LT(ids[i], edges.size());
+      EXPECT_EQ(edges[ids[i]].from, preds[i].node);
+      EXPECT_EQ(edges[ids[i]].to, t);
+    }
+  }
+}
+
+TEST(TaskGraph, InEdgeIdsMatchSuccessorScan) {
+  for (std::size_t i = 0; i < 28; ++i)
+    expect_edge_ids_match_scan(test::fuzz_graph(i));
+  expect_edge_ids_match_scan(test::small_diamond());
+}
+
+// Edges added in shuffled order: the CSR groups them by source in
+// insertion order, and the ids still line up with the scan.
+TEST(TaskGraph, InEdgeIdsSurviveShuffledInsertion) {
+  const TaskGraph ref = make_workload("Laplace", 300, WorkloadParams{});
+  std::vector<Edge> edges = ref.edges();
+  Rng rng(7);
+  rng.shuffle(edges);
+  TaskGraphBuilder b;
+  for (TaskId t = 0; t < ref.num_tasks(); ++t) b.add_task(ref.comp(t));
+  for (const Edge& e : edges) b.add_edge(e.from, e.to, e.comm);
+  const TaskGraph g = std::move(b).build();
+  ASSERT_EQ(g.num_edges(), ref.num_edges());
+  expect_edge_ids_match_scan(g);
+}
+
 TEST(TaskGraph, EntryAndExitLists) {
   TaskGraph g = test::small_diamond();
   EXPECT_EQ(g.entry_tasks(), (std::vector<TaskId>{0}));
