@@ -558,6 +558,34 @@ TEST(FailureDetection, ValidateRejectsBadHeartbeatConfigs) {
   EXPECT_NO_THROW(plan.validate(4));
 }
 
+// Interleaved, repeated and exactly-on-a-belief-boundary horizons (and the
+// instant just before each belief): every query returns, byte for byte,
+// the events of the widest stream at time <= horizon. The past never
+// rewrites, shrinks or reorders, however the horizons jump around between
+// queries, and nothing at or before the horizon is missing — which is what
+// lets the runtime compute a stream once for its widest horizon and answer
+// narrower queries by slicing it.
+template <class Stream>
+void expect_horizon_slices(const Stream& stream, Cost widest,
+                           std::vector<Cost> horizons) {
+  const std::vector<BeliefEvent> full = stream(widest);
+  ASSERT_GE(full.size(), 3u);
+  for (const BeliefEvent& b : full) {
+    horizons.push_back(b.time);
+    horizons.push_back(std::nextafter(b.time, -kInfiniteTime));
+  }
+  for (const Cost h : horizons) {
+    if (h < 0.0) continue;
+    std::vector<BeliefEvent> expected;
+    for (const BeliefEvent& b : full)
+      if (b.time <= h) expected.push_back(b);
+    const std::string cut_text = belief_log_text(stream(h));
+    EXPECT_EQ(cut_text, belief_log_text(expected)) << "horizon " << h;
+    // Asking the same horizon again changes nothing.
+    EXPECT_EQ(belief_log_text(stream(h)), cut_text);
+  }
+}
+
 TEST(FailureDetection, AdversarialHorizonsYieldByteIdenticalPrefixes) {
   FaultPlan world;
   world.seed = 5;
@@ -568,26 +596,40 @@ TEST(FailureDetection, AdversarialHorizonsYieldByteIdenticalPrefixes) {
   world.failures.push_back({2, 15.0});
 
   FailureDetector det(world, 3);
-  const std::vector<BeliefEvent> full = det.beliefs(40.0);
-  ASSERT_GE(full.size(), 3u);
-  const std::string full_text = belief_log_text(full);
+  expect_horizon_slices([&](Cost h) { return det.beliefs(h); }, 40.0,
+                        {40.0, 3.0, 25.0, 3.0, 9.0, 9.0, 0.0, 33.0});
+}
 
-  // Interleaved, repeated and exactly-on-a-belief-boundary horizons: every
-  // query returns a byte-identical prefix of the full stream. The past
-  // never rewrites, shrinks or reorders, no matter how the horizons jump
-  // around between queries.
-  std::vector<Cost> horizons = {40.0, 3.0, 25.0, 3.0, 9.0, 9.0, 0.0, 33.0};
-  for (const BeliefEvent& b : full) horizons.push_back(b.time);
-  for (const Cost h : horizons) {
-    const std::vector<BeliefEvent> cut = det.beliefs(h);
-    const std::string cut_text = belief_log_text(cut);
-    ASSERT_LE(cut_text.size(), full_text.size());
-    EXPECT_EQ(cut_text, full_text.substr(0, cut_text.size()))
-        << "horizon " << h;
-    for (const BeliefEvent& b : cut) EXPECT_LE(b.time, h);
-    // Asking the same horizon again changes nothing.
-    EXPECT_EQ(belief_log_text(det.beliefs(h)), cut_text);
-  }
+// The gossip aggregate is prefix-stable too, under heartbeat losses and
+// delays, a kill and rejoin, and partial partitions that open, heal and
+// stay cut: the cluster-wide level about a subject moves only at candidate
+// instants at or before the horizon.
+TEST(FailureDetection, QuorumHorizonsYieldByteIdenticalPrefixes) {
+  FaultPlan world;
+  world.seed = 9;
+  world.heartbeat.period = 1.0;
+  world.heartbeat.loss_probability = 0.25;
+  world.heartbeat.delay_probability = 0.3;
+  world.failures.push_back({1, 6.0});
+  world.rejoins.push_back({1, 14.0});
+  world.failures.push_back({3, 21.0});
+  PartitionFault blip;
+  blip.proc_a = 0;
+  blip.proc_b = 2;
+  blip.time = 4.0;
+  blip.until = 11.5;
+  world.partitions.push_back(blip);
+  PartitionFault cut;
+  cut.proc_a = 2;
+  cut.proc_b = 4;
+  cut.time = 17.0;
+  world.partitions.push_back(cut);
+
+  FailureDetector det(world, 5);
+  for (const ProcId quorum : {ProcId{1}, ProcId{2}})
+    expect_horizon_slices(
+        [&](Cost h) { return det.quorum_beliefs(quorum, h); }, 40.0,
+        {40.0, 3.0, 25.0, 3.0, 11.5, 11.5, 0.0, 17.0, 33.0});
 }
 
 TEST(FailureDetection, ObserverZeroIsTheLegacyStreamAndViewsDiverge) {
