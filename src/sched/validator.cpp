@@ -68,20 +68,28 @@ std::vector<Violation> validate(const TaskGraph& g, const Schedule& s,
     }
   }
 
-  // Per-processor exclusivity: sort each processor's tasks by start, then
-  // sweep with a running maximum finish. Two executions conflict only when
-  // they share positive measure, so zero-duration tasks neither trigger
-  // nor mask an overlap; tracking the running maximum (rather than just
-  // the previous task) also catches a long task engulfing a later short
-  // one. We deliberately re-sort rather than trust the Schedule's order.
+  // Per-processor exclusivity: order each processor's tasks by (start,
+  // id), then sweep with a running maximum finish. Two executions conflict
+  // only when they share positive measure, so zero-duration tasks neither
+  // trigger nor mask an overlap; tracking the running maximum (rather than
+  // just the previous task) also catches a long task engulfing a later
+  // short one. We deliberately check the order rather than trust the
+  // Schedule's, sorting only a processor whose tasks are out of order. One
+  // buffer, sized for the busiest processor, serves every processor.
+  auto by_start = [&](TaskId a, TaskId b) {
+    return std::make_tuple(s.start(a), a) < std::make_tuple(s.start(b), b);
+  };
+  std::size_t busiest = 0;
+  for (ProcId p = 0; p < s.num_procs(); ++p)
+    busiest = std::max(busiest, s.tasks_on(p).size());
+  std::vector<TaskId> tasks;
+  tasks.reserve(busiest);
   for (ProcId p = 0; p < s.num_procs(); ++p) {
-    auto span = s.tasks_on(p);
-    std::vector<TaskId> tasks;
-    for (TaskId t : span)
+    tasks.clear();
+    for (TaskId t : s.tasks_on(p))
       if (finite[t]) tasks.push_back(t);
-    std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-      return std::make_tuple(s.start(a), a) < std::make_tuple(s.start(b), b);
-    });
+    if (!std::is_sorted(tasks.begin(), tasks.end(), by_start))
+      std::sort(tasks.begin(), tasks.end(), by_start);
     Cost max_finish = -kInfiniteTime;
     TaskId max_task = kInvalidTask;
     for (TaskId cur : tasks) {
