@@ -424,7 +424,7 @@ Schedule FlbScheduler::run_instrumented(const TaskGraph& g, ProcId num_procs,
   return out;
 }
 
-Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
+Schedule FlbScheduler::resume(const TaskGraph& g, Schedule prefix,
                               platform::CostModel& model, FlbStats* stats) {
   FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
               "FLB resume: prefix was sized for a different graph");
@@ -435,10 +435,9 @@ Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
     FLB_REQUIRE(model.speed(p) <= 1.0,
                 "FLB resume: speed factors must be in (0, 1]");
   model.validate(g);
-  Schedule out = prefix;
-  Engine engine(g, out, scratch_, model, options_);
+  Engine engine(g, prefix, scratch_, model, options_);
   engine.run(nullptr, stats);
-  return out;
+  return prefix;
 }
 
 }  // namespace flb

@@ -149,10 +149,12 @@ class FlbScheduler final : public Scheduler {
   ///    route steers placement; the reservations stay in `model`
   ///    (model.occupancies() is the run's commit log).
   ///
+  /// `prefix` is taken by value and completed in place: pass an rvalue to
+  /// resume without copying it.
   /// Fills `stats` when it is not null. Throws flb::Error unless `prefix`
   /// is sized for `g` and for the model's processor count, every speed is
   /// at most 1, and the model fits `g` (CostModel::validate).
-  [[nodiscard]] Schedule resume(const TaskGraph& g, const Schedule& prefix,
+  [[nodiscard]] Schedule resume(const TaskGraph& g, Schedule prefix,
                                 platform::CostModel& model,
                                 FlbStats* stats = nullptr);
 

@@ -283,13 +283,14 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
   // admits rejoined processors from their rejoin instant with cold caches
   // (the Availability::recovery rule). The FLB step and the greedy fallback
   // price against the same machine, and link-busy reservations the
-  // continuation commits stay in its model. Both continuations resume on
-  // the caller's FLB engine, so the second reuses the scratch the first
-  // sized instead of allocating (and page-faulting in) a fresh one.
+  // continuation commits stay in its model, whose log only the installed
+  // continuation copies out. Both continuations resume on the caller's FLB
+  // engine, so the second reuses the scratch the first sized instead of
+  // allocating (and page-faulting in) a fresh one.
   struct Continuation {
     Schedule schedule;
     RepairStrategy used;
-    std::vector<platform::LinkOccupancy> occupancies;
+    platform::CostModel model;
   };
   auto continuation = [&](const std::vector<bool>& mask,
                           bool recovery) -> Continuation {
@@ -310,10 +311,17 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
     platform::CostModel model = machine(std::move(a));
     Schedule s = out.schedule;  // the fixed prefix
     if (strategy == RepairStrategy::kFlbResume)
-      s = flb.resume(g, s, model);
+      s = flb.resume(g, std::move(s), model);
     else
       greedy_continuation(g, s, model);
-    return {std::move(s), strategy, model.occupancies()};
+    return {std::move(s), strategy, std::move(model)};
+  };
+  // The occupancy log is copied, not moved, out of the model: a copy is
+  // sized exactly, where the model's log keeps its spare growth capacity.
+  auto install = [&](Continuation& c) {
+    out.schedule = std::move(c.schedule);
+    out.used = c.used;
+    out.link_occupancies = c.model.occupancies();
   };
 
   if (out.migrated_tasks > 0) {
@@ -325,25 +333,18 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
       // survivor is guaranteed above, so the recovery continuation is the
       // only feasible repair regardless of options.give_back.
       Continuation c = continuation(reachable(alive), true);
-      out.schedule = std::move(c.schedule);
-      out.used = c.used;
-      out.link_occupancies = std::move(c.occupancies);
+      install(c);
     } else if (!options.give_back || !any_recovery) {
       Continuation c = continuation(reachable(never_killed), false);
-      out.schedule = std::move(c.schedule);
-      out.used = c.used;
-      out.link_occupancies = std::move(c.occupancies);
+      install(c);
     } else {
       // Opportunistic give-back: keep the strictly better of the
       // no-give-back baseline and the recovery-aware continuation, so the
       // repaired makespan is never worse than refusing the rejoins.
       Continuation base = continuation(reachable(never_killed), false);
       Continuation rec = continuation(reachable(alive), true);
-      Continuation& chosen =
-          rec.schedule.makespan() < base.schedule.makespan() ? rec : base;
-      out.schedule = std::move(chosen.schedule);
-      out.used = chosen.used;
-      out.link_occupancies = std::move(chosen.occupancies);
+      install(rec.schedule.makespan() < base.schedule.makespan() ? rec
+                                                                 : base);
     }
   } else {
     RepairStrategy strategy = options.strategy;
