@@ -2,7 +2,8 @@
 // a fixed paper-scale instance (plus FLB's warm serving path), the
 // addressable-heap operations FLB's inner loop is built from, the
 // platform cost-model pricing hot path every scheduling decision now routes
-// through, and the schedule digest and text export.
+// through, the schedule digest and text export, and the recovery
+// controller's two inner layers: a faulted replay and one whole episode.
 
 #include <benchmark/benchmark.h>
 
@@ -10,8 +11,11 @@
 
 #include "flb/core/flb.hpp"
 #include "flb/platform/cost_model.hpp"
+#include "flb/runtime/recovery_runtime.hpp"
 #include "flb/sched/export.hpp"
 #include "flb/sched/scheduler.hpp"
+#include "flb/sim/faults.hpp"
+#include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/arena.hpp"
 #include "flb/util/dary_heap.hpp"
@@ -258,6 +262,67 @@ void BM_WriteScheduleText(benchmark::State& state) {
                           s.num_scheduled());
 }
 BENCHMARK(BM_WriteScheduleText)->Unit(benchmark::kMicrosecond);
+
+// The recovery path on its high-fan-out case: Laplace at V~2000 (out-degree
+// up to 196) on 8 processors, where p3 is killed at 30% of the FLB makespan
+// and rejoins at 50%.
+struct RecoveryCase {
+  TaskGraph g;
+  Schedule nominal;
+  FaultPlan plan;
+};
+
+const RecoveryCase& recovery_case() {
+  static const RecoveryCase c = [] {
+    WorkloadParams params;
+    params.ccr = 1.0;
+    params.seed = 1;
+    TaskGraph g = make_workload("Laplace", 2000, params);
+    Schedule nominal = FlbScheduler().run(g, 8);
+    const Cost span = nominal.makespan();
+    FaultPlan plan;
+    plan.failures.push_back({3, 0.3 * span});
+    plan.rejoins.push_back({3, 0.5 * span});
+    plan.heartbeat.period = 0.02 * span;
+    return RecoveryCase{std::move(g), std::move(nominal), std::move(plan)};
+  }();
+  return c;
+}
+
+// One replay as the recovery controller runs it: the kill/rejoin plan,
+// start times honored (unstarted work on p3 requeues) and the event log on.
+// One item = one task.
+void BM_Simulate(benchmark::State& state) {
+  const RecoveryCase& c = recovery_case();
+  std::vector<SimEvent> log;
+  SimOptions options;
+  options.faults = &c.plan;
+  options.event_log = &log;
+  options.honor_start_times = true;
+  for (auto _ : state) {
+    const SimResult r = simulate(c.g, c.nominal, options);
+    benchmark::DoNotOptimize(r.makespan);
+    benchmark::DoNotOptimize(log.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          c.g.num_tasks());
+}
+BENCHMARK(BM_Simulate)->Unit(benchmark::kMicrosecond);
+
+// One whole detector-mode episode of the same case: heartbeat beliefs with
+// speculation, every replay, repair and continuation check included.
+void BM_OnlineRecovery(benchmark::State& state) {
+  const RecoveryCase& c = recovery_case();
+  runtime::RuntimeOptions options;
+  options.use_detector = true;
+  options.speculate = true;
+  for (auto _ : state) {
+    const runtime::RuntimeResult r =
+        runtime::run_online_recovery(c.g, c.nominal, c.plan, options);
+    benchmark::DoNotOptimize(r.schedule_digest);
+  }
+}
+BENCHMARK(BM_OnlineRecovery)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
