@@ -64,6 +64,16 @@
 /// allocated in global event-time order, which makes all three models
 /// deterministic.
 ///
+/// Cost: a fault-free clique replay takes O(V log V + E) time and O(V + E)
+/// memory. Each completion pops one event off a binary heap, each edge is
+/// visited once by its producer (which writes the message's arrival slot,
+/// indexed by the graph's edge id) and once by its consumer (which reads
+/// that slot through TaskGraph::in_edge_ids, in O(1)). Faults add their own
+/// work on top: a kill walks its processor's task list, a requeue rewinds
+/// it, each message checks its link against the outage windows and one
+/// sent across a cut link searches for a detour (O(P^2) link checks), and
+/// a task's finish integrates its processor's speed profile.
+///
 /// Slowdown faults give each processor a piecewise-constant speed profile:
 /// the speed at any instant is the product of the factors of all slowdowns
 /// active then (a fault is active on [time, until)). Segment speeds are
