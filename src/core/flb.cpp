@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "flb/core/scratch.hpp"
-#include "flb/graph/properties.hpp"
 #include "flb/platform/cost_model.hpp"
 #include "flb/util/error.hpp"
 #include "flb/util/rng.hpp"
@@ -85,7 +84,7 @@ class Engine {
   void init_tie_priorities(const FlbOptions& opts) {
     switch (opts.tie_break) {
       case FlbTieBreak::kBottomLevel:
-        bottom_levels_into(g_, s_.tie, s_.topo_order, s_.degree);
+        std::ranges::copy(g_.bottom_levels(), s_.tie.begin());
         break;
       case FlbTieBreak::kTaskId:
         std::fill(s_.tie.begin(), s_.tie.end(), 0.0);

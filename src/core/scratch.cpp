@@ -16,8 +16,6 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   ep = arena_.alloc<ProcId>(v);
   unscheduled_preds = arena_.alloc<std::uint32_t>(v);
   unfiled_next = arena_.alloc<TaskId>(v);
-  topo_order = arena_.alloc<TaskId>(v);
-  degree = arena_.alloc<std::uint32_t>(v);
 
   non_ep.bind(arena_, v);
   emt_ep_heap.reset(arena_, v, p);

@@ -45,8 +45,8 @@ void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
   const TaskId n = g.num_tasks();
   FLB_ASSERT(bl.size() == n);
   topological_order_into(g, order, indeg);
-  // Same arithmetic as bottom_levels_impl(with_comm=true), so results are
-  // bit-identical to the vector flavour.
+  // Same arithmetic as the levels TaskGraphBuilder::build stores, so
+  // results are bit-identical to TaskGraph::bottom_levels().
   for (std::size_t i = n; i-- > 0;) {
     TaskId t = order[i];
     Cost best = 0.0;
@@ -56,32 +56,21 @@ void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
   }
 }
 
-namespace {
+std::vector<Cost> bottom_levels(const TaskGraph& g) {
+  const std::span<const Cost> bl = g.bottom_levels();
+  return {bl.begin(), bl.end()};
+}
 
-// Shared implementation for the two bottom-level flavours.
-std::vector<Cost> bottom_levels_impl(const TaskGraph& g, bool with_comm) {
+std::vector<Cost> computation_bottom_levels(const TaskGraph& g) {
   std::vector<TaskId> order = topological_order(g);
   std::vector<Cost> bl(g.num_tasks(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TaskId t = *it;
     Cost best = 0.0;
-    for (const Adj& a : g.successors(t)) {
-      Cost via = bl[a.node] + (with_comm ? a.comm : 0.0);
-      best = std::max(best, via);
-    }
+    for (const Adj& a : g.successors(t)) best = std::max(best, bl[a.node]);
     bl[t] = g.comp(t) + best;
   }
   return bl;
-}
-
-}  // namespace
-
-std::vector<Cost> bottom_levels(const TaskGraph& g) {
-  return bottom_levels_impl(g, /*with_comm=*/true);
-}
-
-std::vector<Cost> computation_bottom_levels(const TaskGraph& g) {
-  return bottom_levels_impl(g, /*with_comm=*/false);
 }
 
 std::vector<Cost> top_levels(const TaskGraph& g) {

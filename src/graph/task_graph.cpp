@@ -134,6 +134,17 @@ TaskGraph TaskGraphBuilder::build() && {
   }
   FLB_REQUIRE(seen == n, "build: the task graph contains a cycle");
 
+  // Bottom levels over the reverse of that order, with the arithmetic of
+  // bottom_levels_into.
+  g.bottom_levels_.assign(n, 0.0);
+  for (std::size_t i = n; i-- > 0;) {
+    const TaskId t = queue[i];
+    Cost best = 0.0;
+    for (const Adj& a : g.successors(t))
+      best = std::max(best, g.bottom_levels_[a.node] + a.comm);
+    g.bottom_levels_[t] = g.comp_[t] + best;
+  }
+
   return g;
 }
 

@@ -15,8 +15,8 @@
 ///
 /// One FLB run needs O(V + P) working state: the SoA ready-task arrays
 /// (tie priority, LMT, EMT, enabling processor, unscheduled-predecessor
-/// counts), five indexed heaps, the per-processor unfiled lists, and two
-/// temporaries for the bottom-level sweep. Before this refactor the engine
+/// counts), five indexed heaps and the per-processor unfiled lists; the
+/// bottom levels come precomputed with the graph. Before this refactor the engine
 /// rebuilt all of it with fresh `std::vector`s on every `schedule()` call,
 /// so per-run allocation — not the O(log W + log P) step — dominated wall
 /// time at serving volume (visible as FLB losing to MCP in
@@ -82,10 +82,6 @@ class Scratch {
   std::span<TaskId> unfiled_head;  ///< first member (kInvalidTask = empty)
   std::span<TaskId> unfiled_tail;  ///< last member, where appends go
   std::span<TaskId> unfiled_min;   ///< member with the least EMT key
-
-  // -- Temporaries for the tie-priority sweep -----------------------------
-  std::span<TaskId> topo_order;     ///< topological order workspace
-  std::span<std::uint32_t> degree;  ///< in-degree workspace
 
   // -- Exact-pricing rows (parallel arrays indexed by processor id) -------
   std::span<Cost> proc_est;      ///< EST of the scanned task on each proc

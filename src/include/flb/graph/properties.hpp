@@ -73,13 +73,14 @@ std::vector<TaskId> priority_order(const TaskGraph& g, KeyOf&& key_of) {
   return order;
 }
 
-/// Bottom levels (computation + communication), indexed by task id.
+/// Bottom levels (computation + communication), indexed by task id: a copy
+/// of the levels the graph stores (TaskGraph::bottom_levels()).
 std::vector<Cost> bottom_levels(const TaskGraph& g);
 
-/// Allocation-free bottom_levels() writing into caller storage: `bl`,
-/// `order` and `indeg` must all have size num_tasks(). Identical arithmetic
-/// (and therefore bit-identical results) to the vector flavour. `order` and
-/// `indeg` are scratch, clobbered.
+/// Recompute the bottom levels into caller storage, without allocating:
+/// `bl`, `order` and `indeg` must all have size num_tasks(). Identical
+/// arithmetic (and therefore bit-identical results) to the stored levels.
+/// `order` and `indeg` are scratch, clobbered.
 void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
                         std::span<TaskId> order,
                         std::span<std::uint32_t> indeg);

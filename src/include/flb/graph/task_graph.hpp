@@ -37,7 +37,10 @@ class TaskGraphBuilder;
 /// the two adjacency arrays (16 bytes per edge each) the builder records
 /// each predecessor entry's edge id (in_edge_ids, 4 bytes per edge), so
 /// state kept per edge, such as a replay's message arrivals, is reachable
-/// from both endpoints in O(1).
+/// from both endpoints in O(1), and each task's bottom level (8 bytes per
+/// task), swept once over the topological order its acyclicity check
+/// computes, so an engine that resumes on one graph many times reads them
+/// instead of re-deriving them.
 class TaskGraph {
  public:
   TaskGraph() = default;
@@ -76,6 +79,14 @@ class TaskGraph {
   /// std::uint32_t per edge and rejects graphs whose edge ids do not fit.
   [[nodiscard]] std::span<const std::uint32_t> in_edge_ids(TaskId t) const {
     return {pred_edge_.data() + pred_off_[t], pred_off_[t + 1] - pred_off_[t]};
+  }
+
+  /// Bottom level of every task, indexed by task id: comp(t) plus the
+  /// longest (communication + computation) path from t to an exit task.
+  /// Bit-identical to bottom_levels_into (graph/properties.hpp), which
+  /// performs the same arithmetic over the same successor lists.
+  [[nodiscard]] std::span<const Cost> bottom_levels() const {
+    return bottom_levels_;
   }
 
   /// In-degree of t.
@@ -123,6 +134,7 @@ class TaskGraph {
   std::vector<std::size_t> succ_off_, pred_off_;
   std::vector<Adj> succ_, pred_;
   std::vector<std::uint32_t> pred_edge_;  ///< edge id of each pred_ entry
+  std::vector<Cost> bottom_levels_;       ///< see bottom_levels()
   Cost total_comp_ = 0.0;
   Cost total_comm_ = 0.0;
   std::string name_;

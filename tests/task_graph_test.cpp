@@ -1,10 +1,14 @@
 #include "flb/graph/task_graph.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flb/graph/dot.hpp"
+#include "flb/graph/properties.hpp"
 #include "flb/graph/serialize.hpp"
 #include "flb/util/error.hpp"
 #include "test_support.hpp"
@@ -139,6 +143,18 @@ void expect_edge_ids_match_scan(const TaskGraph& g) {
       EXPECT_EQ(edges[ids[i]].to, t);
     }
   }
+  // The bottom levels build() stores equal a fresh sweep bit for bit.
+  const TaskId n = g.num_tasks();
+  std::vector<Cost> swept(n);
+  std::vector<TaskId> order(n);
+  std::vector<std::uint32_t> indeg(n);
+  bottom_levels_into(g, swept, order, indeg);
+  const std::span<const Cost> stored = g.bottom_levels();
+  ASSERT_EQ(stored.size(), n) << g.name();
+  for (TaskId t = 0; t < n; ++t)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stored[t]),
+              std::bit_cast<std::uint64_t>(swept[t]))
+        << g.name() << ", task " << t;
 }
 
 TEST(TaskGraph, InEdgeIdsMatchSuccessorScan) {
