@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "flb/graph/task_graph.hpp"
 #include "flb/platform/cost_model.hpp"
+#include "flb/platform/speed_profile.hpp"
 #include "flb/sched/schedule.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sim/topology.hpp"
@@ -266,7 +268,142 @@ struct SimResult {
   [[nodiscard]] bool complete() const { return unfinished.empty(); }
 };
 
-/// Execute `s` (a complete schedule of `g`) on the simulated machine.
+/// The simulator's event loop as an object that can pause: simulate() is a
+/// Replay started and run to completion, and a caller that needs only the
+/// start of an execution stops it early and pays only for what it replayed.
+///
+/// Pause contract. advance(T) processes every pending event with time <= T
+/// (completions, failures, rejoins) in exactly the order simulate() does,
+/// so pausing changes nothing: a replay advanced any number of times and
+/// then run() equals simulate() bit for bit. While paused at reached() = T:
+///  * a task whose finish is <= T has its final start and finish; a task
+///    already dispatched past T carries a tentative start and finish that
+///    a later failure may still void (simulate() reports a killed task as
+///    never started);
+///  * the event log holds every event with time <= T, unsorted, plus the
+///    schedule-independent machine events (failures, rejoins, slowdowns,
+///    link outages) of the whole plan and any drop already announced for
+///    later; run() sorts it;
+///  * counters, dropped_edges (a prefix of the final list) and makespan
+///    (the latest finish so far) cover the processed events; unfinished,
+///    dead_proc_idle and link_occupancies are filled by run().
+///
+/// start() keeps every buffer of the previous replay, so a caller that
+/// replays one graph repeatedly stops allocating once the buffers have
+/// grown. The graph, the schedule, the fault plan, the topology and the
+/// event log must outlive the replay and stay unchanged until the next
+/// start(); the work and checkpoint-interval overrides are copied by
+/// start(), so the caller may change them while the replay is paused.
+///
+/// Cost: a whole replay costs what simulate() costs; a replay paused at T
+/// has paid for the events at or before T plus the dispatches they
+/// triggered, and each advance() costs only the events it processes.
+class Replay {
+ public:
+  /// Begin replaying `s` on `g` under `options`, discarding the previous
+  /// replay. Validates exactly as simulate() does and throws the same
+  /// flb::Error messages.
+  void start(const TaskGraph& g, const Schedule& s,
+             const SimOptions& options = {});
+
+  /// Process every pending event with time <= `until`; a no-op at or
+  /// before reached() and after run().
+  void advance(Cost until);
+
+  /// Process every remaining event and finish the result. Throws
+  /// flb::Error when a fault-free replay's dispatch order deadlocks.
+  void run();
+
+  /// True once run() has finished the result.
+  [[nodiscard]] bool done() const { return done_; }
+
+  /// Every event at or before this instant has been processed:
+  /// -kInfiniteTime right after start(), kInfiniteTime after run().
+  [[nodiscard]] Cost reached() const { return reached_; }
+
+  /// Tasks that have completed so far.
+  [[nodiscard]] TaskId completed() const { return completed_; }
+
+  /// The result so far (see the pause contract above).
+  [[nodiscard]] const SimResult& result() const { return result_; }
+
+  /// Move the result out; start() must be called before the next use.
+  [[nodiscard]] SimResult take_result() { return std::move(result_); }
+
+ private:
+  /// Simulation event: (time, kind, sequence) so simultaneous events
+  /// resolve deterministically. Completions at time T are processed before
+  /// a failure at T — a task finishing exactly when its processor dies
+  /// survives, and its output messages are considered in flight.
+  struct Event {
+    enum Kind { kCompletion = 0, kFailure = 1, kRejoin = 2 };
+    Cost time;
+    int kind;
+    std::size_t seq;
+    TaskId task;  ///< completing task, or the processor for kFailure/kRejoin
+    /// Dispatch generation of a completion: a task returned to the queue by
+    /// a failure (honor_start_times mode) bumps its epoch, so the stale
+    /// completion of the canceled dispatch is ignored when it surfaces.
+    std::size_t epoch = 0;
+    bool operator>(const Event& other) const {
+      return std::tie(time, kind, seq) >
+             std::tie(other.time, other.kind, other.seq);
+    }
+  };
+
+  void push(const Event& ev);
+  void try_dispatch(ProcId p);
+  void process(const Event& ev);
+  [[nodiscard]] Cost work_of(TaskId t) const;
+  [[nodiscard]] CheckpointPolicy ckpt_of(TaskId t) const;
+
+  const TaskGraph* g_ = nullptr;
+  const Schedule* s_ = nullptr;
+  const FaultPlan* plan_ = nullptr;  ///< null when absent or trivial
+  SimNetwork network_ = SimNetwork::kContentionFree;
+  bool routed_ = false;
+  bool honor_start_times_ = false;
+  std::vector<SimEvent>* log_ = nullptr;
+  ResolvedFaults resolved_;
+  std::vector<LinkOutage> outages_;
+  CheckpointPolicy ckpt_;
+  /// Bottom levels gating checkpoints (min_downstream > 0); else empty.
+  std::span<const Cost> downstream_;
+  bool has_work_override_ = false;
+  bool has_ckpt_override_ = false;
+  std::vector<Cost> work_override_;
+  std::vector<Cost> ckpt_override_;
+
+  SimResult result_;
+  bool done_ = false;
+  Cost reached_ = -kInfiniteTime;
+  TaskId completed_ = 0;
+  std::size_t seq_ = 0;
+  std::vector<Event> events_;  ///< binary min-heap on Event's order
+
+  std::vector<std::size_t> dispatch_idx_;  ///< next task per processor
+  std::vector<Cost> proc_free_;
+  std::vector<Cost> send_free_;
+  std::vector<Cost> recv_free_;
+  std::vector<char> dead_;
+  /// Instant each processor last rebooted (kUndefinedTime = never).
+  std::vector<Cost> rejoined_at_;
+  std::vector<platform::SpeedProfile> profiles_;
+  /// Owns every message price: the clique, or the link-busy model of a
+  /// routed replay.
+  platform::CostModel net_ = platform::CostModel::clique(1);
+  /// Arrival per remote edge, indexed by the graph's edge id.
+  std::vector<Cost> arrival_;
+  std::vector<char> finished_;
+  std::vector<char> dispatched_;
+  std::vector<char> killed_;   ///< dispatched, then lost to a failure
+  std::vector<char> starved_;  ///< an input message was dropped
+  std::vector<std::size_t> epoch_;
+  std::vector<std::size_t> pending_preds_;
+};
+
+/// Execute `s` (a complete schedule of `g`) on the simulated machine: a
+/// Replay started and run to completion.
 /// Throws flb::Error if the schedule is incomplete or sized for another
 /// task count, an option is out of range, or — absent fault injection —
 /// its dispatch order deadlocks (impossible for schedules accepted by

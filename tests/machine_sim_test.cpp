@@ -1,9 +1,12 @@
 #include "flb/sim/machine_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "flb/sched/validator.hpp"
 #include "flb/util/error.hpp"
 #include "flb/util/fnv1a.hpp"
+#include "flb/util/rng.hpp"
 #include "flb/workloads/paper_example.hpp"
 #include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
@@ -470,6 +474,90 @@ TEST(MachineSimGolden, FaultedReplaysBitIdentical) {
     EXPECT_EQ(h.value(), kFaultedReplays[row].digest)
         << "{\"" << kFaultedReplays[row].name << "\", 0x" << std::hex
         << h.value() << "ull}, (" << std::dec << events << " events)";
+  }
+}
+
+// A Replay paused at seeded random instants and then run to completion
+// equals simulate() bit for bit, and every pause shows exactly the final
+// part of the execution: each task the full replay finishes by the pause
+// has its final start and finish, and the log holds every event at or
+// before the pause. One Replay serves every case, so restarts on kept
+// buffers are covered too.
+TEST(Replay, PausedReplaysEqualSimulate) {
+  auto bits = [](Cost c) { return std::bit_cast<std::uint64_t>(c); };
+  Replay replay;
+  Rng rng(2024);
+  for (std::size_t row = 0; row < std::size(kFaultedReplays); ++row) {
+    for (std::size_t i = 0; i < 14; ++i) {
+      const TaskGraph g = test::fuzz_graph(i);
+      const Schedule s = FlbScheduler().run(g, 4);
+      FaultPlan plan;
+      SimOptions options;
+      faulted_row(row, s.makespan(), plan, options);
+      options.faults = &plan;
+      std::vector<SimEvent> want_log;
+      options.event_log = &want_log;
+      const SimResult want = simulate(g, s, options);
+      const std::string name = std::string(kFaultedReplays[row].name) +
+                               ", graph " + std::to_string(i);
+
+      std::vector<SimEvent> log;
+      options.event_log = &log;
+      replay.start(g, s, options);
+      std::vector<Cost> pauses(4);
+      for (Cost& t : pauses) t = rng.uniform(0.0, 1.2 * want.makespan);
+      std::sort(pauses.begin(), pauses.end());
+      for (const Cost t : pauses) {
+        replay.advance(t);
+        ASSERT_FALSE(replay.done()) << name;
+        EXPECT_EQ(replay.reached(), t) << name;
+        const SimResult& got = replay.result();
+        for (TaskId u = 0; u < g.num_tasks(); ++u) {
+          if (want.finish[u] == kUndefinedTime || want.finish[u] > t) continue;
+          EXPECT_EQ(bits(got.start[u]), bits(want.start[u])) << name;
+          EXPECT_EQ(bits(got.finish[u]), bits(want.finish[u])) << name;
+        }
+        std::vector<SimEvent> seen;
+        for (const SimEvent& e : log)
+          if (e.time <= t) seen.push_back(e);
+        std::sort(seen.begin(), seen.end());
+        std::vector<SimEvent> due;
+        for (const SimEvent& e : want_log)
+          if (e.time <= t) due.push_back(e);
+        EXPECT_EQ(runtime::event_log_text(seen), runtime::event_log_text(due))
+            << name << " at " << t;
+      }
+      replay.run();
+      ASSERT_TRUE(replay.done()) << name;
+      const SimResult& got = replay.result();
+      for (TaskId u = 0; u < g.num_tasks(); ++u) {
+        EXPECT_EQ(bits(got.start[u]), bits(want.start[u])) << name;
+        EXPECT_EQ(bits(got.finish[u]), bits(want.finish[u])) << name;
+      }
+      for (const auto& [a, b] :
+           {std::pair{got.makespan, want.makespan},
+            {got.network_busy, want.network_busy},
+            {got.work_lost, want.work_lost},
+            {got.dead_proc_idle, want.dead_proc_idle},
+            {got.work_saved, want.work_saved},
+            {got.checkpoint_overhead, want.checkpoint_overhead},
+            {got.reroute_extra, want.reroute_extra}})
+        EXPECT_EQ(bits(a), bits(b)) << name;
+      EXPECT_EQ(got.messages, want.messages) << name;
+      EXPECT_EQ(got.retries, want.retries) << name;
+      EXPECT_EQ(got.dropped_messages, want.dropped_messages) << name;
+      EXPECT_EQ(got.rejoins, want.rejoins) << name;
+      EXPECT_EQ(got.checkpoints_taken, want.checkpoints_taken) << name;
+      EXPECT_EQ(got.rerouted_messages, want.rerouted_messages) << name;
+      EXPECT_EQ(got.partition_dropped, want.partition_dropped) << name;
+      EXPECT_EQ(got.unfinished, want.unfinished) << name;
+      EXPECT_EQ(got.dropped_edges, want.dropped_edges) << name;
+      EXPECT_EQ(got.checkpointed, want.checkpointed) << name;
+      EXPECT_EQ(got.proc_work_lost, want.proc_work_lost) << name;
+      EXPECT_EQ(runtime::event_log_text(log),
+                runtime::event_log_text(want_log))
+          << name;
+    }
   }
 }
 
