@@ -106,11 +106,25 @@ void FailureDetector::subject_beliefs(ProcId o, ProcId p, Cost until,
                                       std::vector<BeliefEvent>& out) const {
   // Any threshold crossing at or before `until` depends only on arrivals
   // at or before `until`; beats emitted up to `until` (plus the delay
-  // slack) cover every arrival that can matter.
-  const auto last_beat = static_cast<std::uint64_t>(
-      std::floor(until / hb_.period + hb_.delay_factor + 1.0));
+  // slack) cover every arrival that can matter. The count is clamped
+  // before the conversion: a widened window can exceed what std::uint64_t
+  // holds.
+  const double beats = std::floor(until / hb_.period + hb_.delay_factor + 1.0);
+  const auto last_beat = static_cast<std::uint64_t>(std::min(beats, 0x1p63));
+  // A beat emitted at or after p's permanent death, or after a permanent
+  // cut of the (o, p) link, is never heard (arrival() returns
+  // kInfiniteTime for it), so the walk stops at the first such beat.
+  Cost silent_from = kInfiniteTime;
+  if (!down_[p].empty() && down_[p].back().second == kInfiniteTime)
+    silent_from = down_[p].back().first;
+  if (o != p)
+    for (const LinkOutage& w : outages_)
+      if (w.a == std::min(o, p) && w.b == std::max(o, p) &&
+          w.until == kInfiniteTime)
+        silent_from = std::min(silent_from, w.time);
   std::vector<Cost> arrivals;  // observer o heard p at these instants
   for (std::uint64_t k = 1; k <= last_beat; ++k) {
+    if (static_cast<Cost>(k) * hb_.period >= silent_from) break;
     const Cost a = arrival(o, p, k);
     if (a != kInfiniteTime && a <= until) arrivals.push_back(a);
   }
