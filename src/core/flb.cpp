@@ -1,6 +1,7 @@
 #include "flb/core/flb.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 
 #include "flb/core/scratch.hpp"
@@ -58,13 +59,19 @@ class Engine {
     init_lists();
   }
 
-  void run(const FlbObserver* observer, FlbStats* stats) {
+  /// Place every unplaced task, or stop at the first one that finishes
+  /// after `bound`: the tasks placed until then are exactly those an
+  /// unbounded run places first, since no decision reads the bound.
+  void run(const FlbObserver* observer, FlbStats* stats,
+           Cost bound = kInfiniteTime) {
     const TaskId remaining = g_.num_tasks() - sched_.num_scheduled();
-    for (TaskId step = 0; step < remaining; ++step) {
-      schedule_one(observer);
+    TaskId placed = 0;
+    while (placed < remaining) {
+      ++placed;
+      if (schedule_one(observer) > bound) break;
     }
-    FLB_ASSERT(sched_.complete());
-    stats_.iterations = remaining;
+    FLB_ASSERT(placed < remaining || sched_.complete());
+    stats_.iterations = placed;
     stats_.heap_ops = s_.non_ep.operations() + s_.emt_ep_heap.operations() +
                       s_.lmt_ep_heap.operations() +
                       s_.active_procs.operations() +
@@ -128,7 +135,8 @@ class Engine {
   }
 
   // The paper's ScheduleTask followed by the three update procedures.
-  void schedule_one(const FlbObserver* observer) {
+  // Returns the placed task's finish.
+  Cost schedule_one(const FlbObserver* observer) {
     // Candidate (a): EP-type task with min EST on its enabling processor.
     const bool have_ep = !s_.active_procs.empty();
     ProcId p1 = kInvalidProc;
@@ -182,7 +190,8 @@ class Engine {
     // start may be later than the EST the pair was selected on.
     const Cost start =
         link_busy_ ? model_.commit_inputs(g_, sched_, t, p, prt(p)) : est;
-    sched_.assign(t, p, start, start + duration(t, p));
+    const Cost finish = start + duration(t, p);
+    sched_.assign(t, p, start, finish);
     --ready_count_;
     if (choose_ep) {
       ++stats_.ep_selections;
@@ -202,6 +211,7 @@ class Engine {
     update_proc_lists(p);
     update_ready_tasks(t);
     stats_.max_ready = std::max(stats_.max_ready, ready_count_);
+    return finish;
   }
 
   // PRT(p) just grew when p received `placed`: EP tasks enabled by p whose
@@ -424,7 +434,8 @@ Schedule FlbScheduler::run_instrumented(const TaskGraph& g, ProcId num_procs,
 }
 
 Schedule FlbScheduler::resume(const TaskGraph& g, Schedule prefix,
-                              platform::CostModel& model, FlbStats* stats) {
+                              platform::CostModel& model, FlbStats* stats,
+                              Cost bound) {
   FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
               "FLB resume: prefix was sized for a different graph");
   FLB_REQUIRE(model.num_procs() == prefix.num_procs(),
@@ -434,8 +445,9 @@ Schedule FlbScheduler::resume(const TaskGraph& g, Schedule prefix,
     FLB_REQUIRE(model.speed(p) <= 1.0,
                 "FLB resume: speed factors must be in (0, 1]");
   model.validate(g);
+  FLB_REQUIRE(!std::isnan(bound), "FLB resume: the bound must not be NaN");
   Engine engine(g, prefix, scratch_, model, options_);
-  engine.run(nullptr, stats);
+  engine.run(nullptr, stats, bound);
   return prefix;
 }
 
