@@ -20,6 +20,7 @@
 #include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
+#include "flb/util/rng.hpp"
 #include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
 
@@ -440,7 +441,11 @@ TEST(RecoveryRepair, AllProcessorsKilledButOneRejoins) {
 // The recovery controller resumes every repair of an episode on one FLB
 // engine. A warm engine must place exactly what a fresh one places however
 // the repairs before it sized and dirtied its scratch: from one repair to
-// the next the graph size, the processor count and the pricing all change.
+// the next the graph size, the processor count and the pricing all change,
+// and a link-busy repair abandons the continuations its serial floor
+// beats part-way through. The serial floor wins the larger link-busy
+// repair here, so each link-busy step also resumes FLB to completion on
+// the step's baseline model, warm and fresh.
 TEST(Repair, SharedSchedulerMatchesFreshScheduler) {
   const Topology mesh = Topology::mesh2d(4, 4);
   struct Step {
@@ -449,15 +454,22 @@ TEST(Repair, SharedSchedulerMatchesFreshScheduler) {
     ProcId procs;
     const Topology* topology;
     bool link_busy;
+    RepairStrategy expected;  // the winning continuation's strategy
   };
+  constexpr RepairStrategy kFlb = RepairStrategy::kFlbResume;
+  constexpr RepairStrategy kGreedy = RepairStrategy::kGreedy;
   const Step steps[] = {
-      {"LU", 2000, 8, nullptr, false},      {"Laplace", 120, 16, &mesh, false},
-      {"Laplace", 2000, 16, &mesh, true},   {"LU", 120, 4, nullptr, false},
-      {"Stencil", 2000, 4, nullptr, false}, {"LU", 120, 16, &mesh, true},
+      {"LU", 2000, 8, nullptr, false, kFlb},
+      {"Laplace", 120, 16, &mesh, false, kFlb},
+      {"Laplace", 2000, 16, &mesh, true, kGreedy},
+      {"LU", 120, 4, nullptr, false, kFlb},
+      {"Stencil", 2000, 4, nullptr, false, kFlb},
+      {"LU", 120, 16, &mesh, true, kFlb},
   };
   FlbScheduler shared;
   std::uint64_t seed = 1;
   std::size_t reservations = 0;
+  std::size_t resumed_reservations = 0;
   for (const Step& step : steps) {
     WorkloadParams params;
     params.ccr = 5.0;
@@ -479,15 +491,111 @@ TEST(Repair, SharedSchedulerMatchesFreshScheduler) {
     const std::string what = std::string(step.family) + " V=" +
                              std::to_string(g.num_tasks()) +
                              " P=" + std::to_string(step.procs);
-    EXPECT_EQ(warm.used, RepairStrategy::kFlbResume) << what;
+    EXPECT_EQ(warm.used, step.expected) << what;
     EXPECT_EQ(schedule_digest(warm.schedule), schedule_digest(fresh.schedule))
         << what;
     EXPECT_EQ(warm.durations, fresh.durations) << what;
     EXPECT_EQ(warm.link_occupancies.size(), fresh.link_occupancies.size())
         << what;
-    if (step.link_busy) reservations += warm.link_occupancies.size();
+    if (!step.link_busy) continue;
+    reservations += warm.link_occupancies.size();
+
+    // The baseline continuation's machine, resumed to completion: the
+    // executed prefix kept, processor 1 refused, the rest admitted from
+    // the kill.
+    Schedule prefix(step.procs, g.num_tasks());
+    for (TaskId t = 0; t < g.num_tasks(); ++t)
+      if (partial.finish[t] != kUndefinedTime)
+        prefix.assign(t, nominal.proc(t), partial.start[t], partial.finish[t]);
+    platform::Availability a;
+    a.alive.assign(step.procs, true);
+    a.alive[1] = false;
+    a.release = 0.3 * span;
+    platform::CostModel warm_model = platform::CostModel::link_busy(mesh);
+    warm_model.set_availability(a);
+    platform::CostModel fresh_model = platform::CostModel::link_busy(mesh);
+    fresh_model.set_availability(std::move(a));
+    const Schedule warm_flb = shared.resume(g, prefix, warm_model);
+    const Schedule fresh_flb = FlbScheduler().resume(g, prefix, fresh_model);
+    ASSERT_TRUE(warm_flb.complete()) << what;
+    EXPECT_EQ(schedule_digest(warm_flb), schedule_digest(fresh_flb)) << what;
+    EXPECT_EQ(warm_model.occupancies().size(),
+              fresh_model.occupancies().size())
+        << what;
+    resumed_reservations += warm_model.occupancies().size();
   }
   EXPECT_GT(reservations, 0u);  // the link-busy repairs reserved links
+  EXPECT_GT(resumed_reservations, 0u);  // and so did the full resumes
+}
+
+// Link-busy repair over generated inputs: fuzz graphs on every zoo
+// interconnect of two or more processors, each under a seeded kill ->
+// rejoin plan. Every continuation is feasible for its durations and
+// reserves each link for one transfer at a time; a warm engine repairs
+// exactly as a fresh one; and admitting the rejoined processor never
+// lengthens the repair, since give-back only adds a candidate. On three
+// or more processors a greedy repair is the serial floor's, and the sweep
+// sees it win and lose.
+TEST(Repair, LinkBusyRepairSweep) {
+  Rng rng(2024);
+  FlbScheduler shared;
+  std::size_t index = 0;
+  std::size_t repairs = 0;
+  std::size_t floor_wins = 0;
+  std::size_t parallel_wins = 0;
+  for (const Topology& topo : test::topology_zoo()) {
+    const ProcId procs = topo.num_nodes();
+    if (procs < 2) continue;
+    for (int round = 0; round < 2; ++round) {
+      const TaskGraph g = test::fuzz_graph(index++ % 12);
+      const Schedule nominal = FlbScheduler().run(g, procs);
+      const Cost span = nominal.makespan();
+      const auto victim = static_cast<ProcId>(rng.next_below(procs));
+      const Cost kill = span * rng.uniform(0.1, 0.5);
+      FaultPlan plan;
+      plan.failures.push_back({victim, kill});
+      plan.rejoins.push_back({victim, kill + span * rng.uniform(0.05, 0.4)});
+      const SimResult partial = simulate(g, nominal, with_faults(plan));
+      RepairOptions opts;
+      opts.horizon = kill;
+      opts.topology = &topo;
+      opts.link_busy = true;
+      const std::string what = g.name() + " on " + std::to_string(procs) +
+                               " nodes, victim " + std::to_string(victim);
+
+      const RepairResult warm =
+          repair_schedule(g, nominal, partial, plan, opts, shared);
+      const RepairResult fresh =
+          repair_schedule(g, nominal, partial, plan, opts);
+      for (const Violation& v :
+           validate_schedule(g, warm.schedule, warm.durations))
+        ADD_FAILURE() << what << ": " << to_string(v);
+      for (const Violation& v :
+           validate_link_occupancies(topo, warm.link_occupancies))
+        ADD_FAILURE() << what << ": " << to_string(v);
+      EXPECT_EQ(warm.used, fresh.used) << what;
+      EXPECT_EQ(schedule_digest(warm.schedule),
+                schedule_digest(fresh.schedule))
+          << what;
+      EXPECT_EQ(warm.link_occupancies.size(), fresh.link_occupancies.size())
+          << what;
+
+      opts.give_back = false;
+      const RepairResult refused =
+          repair_schedule(g, nominal, partial, plan, opts, shared);
+      for (const Violation& v :
+           validate_schedule(g, refused.schedule, refused.durations))
+        ADD_FAILURE() << what << ", no give-back: " << to_string(v);
+      EXPECT_LE(warm.schedule.makespan(), refused.schedule.makespan())
+          << what;
+      ++repairs;
+      if (procs > 2 && warm.migrated_tasks > 0)
+        ++(warm.used == RepairStrategy::kGreedy ? floor_wins : parallel_wins);
+    }
+  }
+  EXPECT_GT(repairs, 60u);
+  EXPECT_GT(floor_wins, 0u);
+  EXPECT_GT(parallel_wins, 0u);
 }
 
 // --- Routed-topology repair determinism (mirrors the clique test) ------------
