@@ -2,8 +2,9 @@
 // a fixed paper-scale instance (plus FLB's warm serving path), the
 // addressable-heap operations FLB's inner loop is built from, the
 // platform cost-model pricing hot path every scheduling decision now routes
-// through, the schedule digest and text export, and the recovery
-// controller's two inner layers: a faulted replay and one whole episode.
+// through, the schedule digest and text export, the recovery controller's
+// two inner layers (a faulted replay and one whole episode), and one
+// link-busy repair on a mesh.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "flb/platform/cost_model.hpp"
 #include "flb/runtime/recovery_runtime.hpp"
 #include "flb/sched/export.hpp"
+#include "flb/sched/repair.hpp"
 #include "flb/sched/scheduler.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sim/machine_sim.hpp"
@@ -323,6 +325,38 @@ void BM_OnlineRecovery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OnlineRecovery)->Unit(benchmark::kMillisecond);
+
+// One link-busy repair on a contended interconnect: Laplace at V~2000 and
+// CCR 5 on a 4x4 mesh, where p5 is killed at 30% of the FLB makespan and
+// rejoins at 50%. The repair is taken at the kill, on one warm FLB engine,
+// and keeps the best of the baseline, give-back and serial-floor
+// continuations.
+void BM_LinkBusyRepair(benchmark::State& state) {
+  const Topology mesh = Topology::mesh2d(4, 4);
+  WorkloadParams params;
+  params.ccr = 5.0;
+  params.seed = 1;
+  const TaskGraph g = make_workload("Laplace", 2000, params);
+  const Schedule nominal = FlbScheduler().run(g, mesh.num_nodes());
+  const Cost span = nominal.makespan();
+  FaultPlan plan;
+  plan.failures.push_back({5, 0.3 * span});
+  plan.rejoins.push_back({5, 0.5 * span});
+  SimOptions sim;
+  sim.faults = &plan;
+  const SimResult partial = simulate(g, nominal, sim);
+  RepairOptions options;
+  options.horizon = 0.3 * span;
+  options.topology = &mesh;
+  options.link_busy = true;
+  FlbScheduler flb;
+  for (auto _ : state) {
+    const RepairResult r =
+        repair_schedule(g, nominal, partial, plan, options, flb);
+    benchmark::DoNotOptimize(r.schedule.makespan());
+  }
+}
+BENCHMARK(BM_LinkBusyRepair)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
