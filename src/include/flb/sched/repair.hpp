@@ -45,7 +45,8 @@
 ///    is passed, so repeated repairs reuse its warm scratch.
 ///  * kGreedy appends remaining tasks in topological order, each on the
 ///    processor minimizing its earliest start — the graceful-degradation
-///    path, used automatically when fewer than two processors survive.
+///    path, used automatically when a continuation admits fewer than two
+///    processors.
 ///
 /// Data produced by tasks that finished on a dead processor is assumed to
 /// be recoverable (in flight or replicated); consumers pay the normal
@@ -73,12 +74,32 @@
 /// The reservations the chosen continuation committed are returned in
 /// RepairResult::link_occupancies, auditable with
 /// validate_link_occupancies.
+///
+/// Serial floor: under link-busy pricing a third candidate places the
+/// whole remainder on one processor — the one of the baseline's set (the
+/// recovery continuation's, when the baseline has none) that the fixed
+/// prefix's outputs reach with the fewest hop-weighted bytes, the smaller
+/// id on a tie. EST pricing sees when a message arrives, not how long it
+/// holds its links from the transfers behind it, so on a contended
+/// interconnect this floor can beat both parallel continuations. A
+/// link-busy repair is never longer than its floor; on equal makespans
+/// the baseline wins, then the recovery continuation, then the floor.
+///
+/// The floor is computed first, and each later candidate is resumed with
+/// the best makespan so far as its bound (FlbScheduler::resume): it stops
+/// at the first placed task that finishes after the bound and is dropped,
+/// since its makespan could only be larger. No decision reads the bound,
+/// so the installed continuation is exactly the best of the fully
+/// computed candidates. Clique and routed repairs use the bound between
+/// the baseline and the recovery continuation only.
 
 namespace flb {
 
 /// How the continuation schedule is computed.
 enum class RepairStrategy {
-  kAuto,       ///< kFlbResume with >= 2 survivors, else kGreedy
+  /// Per continuation: kFlbResume with >= 2 admitted processors, else
+  /// kGreedy (so the serial floor is greedy).
+  kAuto,
   kFlbResume,  ///< the incremental FLB step over the survivors
   kGreedy,     ///< topological min-EST append (degraded mode)
 };
@@ -108,12 +129,14 @@ struct RepairOptions {
   /// Price the continuation's communication with the store-and-forward
   /// link-busy cost model (requires `topology`): placements reserve their
   /// incoming routes, so transfers crossing a contended link queue behind
-  /// earlier reservations instead of overlapping for free.
+  /// earlier reservations instead of overlapping for free. Also adds the
+  /// one-processor serial floor to the candidates.
   bool link_busy = false;
   /// Admit processors that the plan rejoins after a reboot (keeping the
   /// better of the recovery-aware and no-give-back continuations). False
   /// restricts placement to never-killed processors — the baseline the
-  /// give-back is measured against.
+  /// give-back is measured against. Since give-back only adds a
+  /// candidate, true never gives a longer repair.
   bool give_back = true;
   /// Suspected-dead processors (runtime/failure_detector.hpp): each one is
   /// listed as failed in `plan` — the controller believes it died and
