@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "flb/sim/machine_sim.hpp"
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
+#include "flb/util/fnv1a.hpp"
 #include "flb/util/rng.hpp"
 #include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
@@ -535,10 +537,15 @@ TEST(Repair, SharedSchedulerMatchesFreshScheduler) {
 // exactly as a fresh one; and admitting the rejoined processor never
 // lengthens the repair, since give-back only adds a candidate. On three
 // or more processors a greedy repair is the serial floor's, and the sweep
-// sees it win and lose.
+// sees it win and lose. Every repair's schedule, strategy and link log
+// are chained into one pinned digest.
 TEST(Repair, LinkBusyRepairSweep) {
   Rng rng(2024);
   FlbScheduler shared;
+  Fnv1a digest;
+  auto bits = [&](double v) {
+    digest.add_u64(std::bit_cast<std::uint64_t>(v));
+  };
   std::size_t index = 0;
   std::size_t repairs = 0;
   std::size_t floor_wins = 0;
@@ -588,14 +595,22 @@ TEST(Repair, LinkBusyRepairSweep) {
         ADD_FAILURE() << what << ", no give-back: " << to_string(v);
       EXPECT_LE(warm.schedule.makespan(), refused.schedule.makespan())
           << what;
+      digest.add_u64(schedule_digest(warm.schedule));
+      digest.add_u64(static_cast<std::uint64_t>(warm.used));
+      for (const platform::LinkOccupancy& o : warm.link_occupancies) {
+        digest.add_u64(o.link);
+        bits(o.begin);
+        bits(o.end);
+      }
       ++repairs;
       if (procs > 2 && warm.migrated_tasks > 0)
         ++(warm.used == RepairStrategy::kGreedy ? floor_wins : parallel_wins);
     }
   }
-  EXPECT_GT(repairs, 60u);
-  EXPECT_GT(floor_wins, 0u);
-  EXPECT_GT(parallel_wins, 0u);
+  EXPECT_EQ(repairs, 74u);
+  EXPECT_EQ(floor_wins, 21u);
+  EXPECT_EQ(parallel_wins, 47u);
+  EXPECT_EQ(digest.value(), 0x66b26224f1b2e68cull);
 }
 
 // --- Routed-topology repair determinism (mirrors the clique test) ------------
