@@ -10,10 +10,19 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   const std::size_t v = num_tasks;
   const std::size_t p = num_procs;
 
+  // Every span below comes from one block: a cold prepare allocates once.
+  arena_.reserve(3 * Arena::footprint<Cost>(v) +
+                 Arena::footprint<std::uint32_t>(v) +
+                 Arena::footprint<TaskId>(v) +
+                 DaryIndexedHeap<TaskKey>::footprint(v) +
+                 2 * DaryHeapForest<TaskKey>::footprint(v) +
+                 2 * DaryIndexedHeap<ProcKey>::footprint(p) +
+                 3 * Arena::footprint<TaskId>(p) +
+                 2 * Arena::footprint<Cost>(p));
+
   tie = arena_.alloc<Cost>(v);
   lmt = arena_.alloc<Cost>(v);
   emt_ep = arena_.alloc<Cost>(v);
-  ep = arena_.alloc<ProcId>(v);
   unscheduled_preds = arena_.alloc<std::uint32_t>(v);
   unfiled_next = arena_.alloc<TaskId>(v);
 

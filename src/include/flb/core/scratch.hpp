@@ -14,9 +14,10 @@
 /// the "scheduling as a service" refactor's core layer.
 ///
 /// One FLB run needs O(V + P) working state: the SoA ready-task arrays
-/// (tie priority, LMT, EMT, enabling processor, unscheduled-predecessor
-/// counts), five indexed heaps and the per-processor unfiled lists; the
-/// bottom levels come precomputed with the graph. Before this refactor the engine
+/// (tie priority, LMT, EMT on the enabling processor, unscheduled-
+/// predecessor counts), five indexed heaps and the per-processor unfiled
+/// lists; the bottom levels come precomputed with the graph, and the
+/// bottom-level tie-break reads them there. Before this refactor the engine
 /// rebuilt all of it with fresh `std::vector`s on every `schedule()` call,
 /// so per-run allocation — not the O(log W + log P) step — dominated wall
 /// time at serving volume (visible as FLB losing to MCP in
@@ -31,10 +32,13 @@
 /// flush never touches the EP heaps at all.
 ///
 /// A Scratch owns one monotonic Arena and re-carves every structure out of
-/// it in prepare(), called at the top of each run. The arena is reset —
-/// not reallocated — between runs, so any run no larger than the largest
-/// one seen performs **zero heap allocations** on the scheduling path
-/// (pinned by tests/flb_alloc_test.cpp). A Scratch is single-threaded by
+/// it in prepare(), called at the top of each run. prepare() reserves the
+/// run's whole (V, P) footprint as one block, and blocks are not
+/// zero-filled, so a cold engine makes one allocation and faults in only
+/// the pages the run writes. The arena is reset — not reallocated —
+/// between runs, so any run no larger than the largest one seen performs
+/// **zero heap allocations** on the scheduling path (pinned by
+/// tests/flb_alloc_test.cpp). A Scratch is single-threaded by
 /// design: the concurrent batch driver (flb::serve) gives each worker its
 /// own.
 ///
@@ -62,19 +66,23 @@ class Scratch {
   Scratch& operator=(Scratch&&) noexcept = default;
 
   /// Re-dimension every structure for a (num_tasks, num_procs) run:
-  /// rewind the arena and re-carve all spans and heap bindings. O(V + P);
+  /// rewind the arena, reserve the run's footprint in one block and
+  /// re-carve all spans and heap bindings from it. O(V + P);
   /// allocation-free once the arena has grown to cover the largest run
-  /// seen.
+  /// seen. Span contents are undefined until the engine writes them.
   void prepare(TaskId num_tasks, ProcId num_procs);
 
   [[nodiscard]] TaskId num_tasks() const { return tasks_; }
   [[nodiscard]] ProcId num_procs() const { return procs_; }
 
+  /// The arena every span is carved from (read-only: block count and
+  /// footprint).
+  [[nodiscard]] const Arena& arena() const { return arena_; }
+
   // -- SoA ready-task state (parallel arrays indexed by task id) ----------
-  std::span<Cost> tie;        ///< tie-break priority (bottom level et al.)
+  std::span<Cost> tie;        ///< tie-break priority (kTaskId, kRandom)
   std::span<Cost> lmt;        ///< last message arrival time
   std::span<Cost> emt_ep;     ///< EMT on the enabling processor
-  std::span<ProcId> ep;       ///< enabling processor (kInvalidProc = none)
   std::span<std::uint32_t> unscheduled_preds;  ///< pending predecessor count
   std::span<TaskId> unfiled_next;  ///< next member of the same unfiled list
 

@@ -144,6 +144,12 @@ class DaryIndexedHeap {
     ops_ = 0;
   }
 
+  /// The most arena bytes bind(arena, capacity) takes (Arena::footprint).
+  [[nodiscard]] static constexpr std::size_t footprint(std::size_t capacity) {
+    return Arena::footprint<Node>(capacity) +
+           Arena::footprint<std::size_t>(capacity);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return pos_.size(); }
@@ -278,6 +284,12 @@ class DaryHeapForest {
     num_heaps_ = num_heaps;
     for (std::size_t h = 0; h < num_heaps_; ++h) heaps_[h].clear();
     ops_ = 0;
+  }
+
+  /// The most arena bytes reset(arena, num_items, ·) takes; the per-heap
+  /// arrays are not in the arena.
+  [[nodiscard]] static constexpr std::size_t footprint(std::size_t num_items) {
+    return 2 * Arena::footprint<std::size_t>(num_items);
   }
 
   [[nodiscard]] std::size_t num_items() const { return pos_.size(); }
