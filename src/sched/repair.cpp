@@ -294,23 +294,34 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
   }
   out.migrated_tasks = n - out.schedule.num_scheduled();
 
-  // One continuation over a given admission mask. `recovery` additionally
-  // admits rejoined processors from their rejoin instant with cold caches
-  // (the Availability::recovery rule). The FLB step and the greedy fallback
-  // price against the same machine, and link-busy reservations the
-  // continuation commits stay in its model, whose log only the installed
-  // continuation copies out. Every continuation resumes on the caller's
-  // FLB engine, so each after the first reuses the scratch the first sized
-  // instead of allocating (and page-faulting in) a fresh one. A
-  // continuation stops at the first placed task that finishes after
-  // `bound`, and its schedule is then incomplete.
-  struct Continuation {
+  // A candidate slot: one continuation's schedule, the strategy that
+  // placed it, and the machine it priced against, whose link log holds the
+  // reservations it committed. A repair keeps two slots, the best
+  // continuation so far and the trial being computed, and builds each on
+  // first use. A trial re-arms its slot: the fixed prefix is copy-assigned
+  // into the schedule, and the model gets the trial's availability and
+  // free links, keeping its speeds, work and extra time (the same for
+  // every candidate). So the buffers the slot's last candidate grew are
+  // reused, and the slots swap roles only when the trial wins.
+  struct Slot {
     Schedule schedule;
     RepairStrategy used;
     platform::CostModel model;
   };
-  auto continuation = [&](const std::vector<bool>& mask, bool recovery,
-                          Cost bound) -> Continuation {
+  std::optional<Slot> slots[2];
+
+  // One continuation over a given admission mask, computed into `slot`.
+  // `recovery` additionally admits rejoined processors from their rejoin
+  // instant with cold caches (the Availability::recovery rule). The FLB
+  // step and the greedy fallback price against the slot's machine.
+  // Every continuation resumes on the caller's FLB engine, so each after
+  // the first reuses the scratch the first sized instead of allocating
+  // (and page-faulting in) a fresh one. A continuation stops at the first
+  // placed task that finishes after `bound`, and its schedule is then
+  // incomplete.
+  auto continuation = [&](std::optional<Slot>& slot,
+                          const std::vector<bool>& mask, bool recovery,
+                          Cost bound) {
     ProcId admitted = 0;
     for (ProcId p = 0; p < procs; ++p)
       if (mask[p]) ++admitted;
@@ -325,13 +336,19 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
       a.release = release;
       a.alive = mask;
     }
-    platform::CostModel model = machine(std::move(a));
-    Schedule s = out.schedule;  // the fixed prefix
+    if (slot) {
+      slot->schedule = out.schedule;  // the fixed prefix
+      slot->model.set_availability(std::move(a));
+      slot->model.reset_links();
+      slot->used = strategy;
+    } else {
+      slot.emplace(Slot{out.schedule, strategy, machine(std::move(a))});
+    }
     if (strategy == RepairStrategy::kFlbResume)
-      s = flb.resume(g, std::move(s), model, nullptr, bound);
+      slot->schedule = flb.resume(g, std::move(slot->schedule), slot->model,
+                                  nullptr, bound);
     else
-      greedy_continuation(g, s, model, bound);
-    return {std::move(s), strategy, std::move(model)};
+      greedy_continuation(g, slot->schedule, slot->model, bound);
   };
 
   // The serial floor's processor among `mask`: the one the fixed prefix's
@@ -386,16 +403,19 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
     const bool has_floor =
         options.link_busy && std::ranges::count(floor_from, true) > 1;
 
-    std::optional<Continuation> best;
+    int best = -1;  // the slot holding the best continuation so far
     int best_rank = 0;
     auto consider = [&](const std::vector<bool>& mask, bool recovery,
                         int rank) {
-      const Cost bound = best ? best->schedule.makespan() : kInfiniteTime;
-      Continuation c = continuation(mask, recovery, bound);
-      if (!c.schedule.complete()) return;  // a task finished after bound
-      const Cost mk = c.schedule.makespan();
+      const int trial = best == 0 ? 1 : 0;
+      const Cost bound =
+          best < 0 ? kInfiniteTime : slots[best]->schedule.makespan();
+      continuation(slots[trial], mask, recovery, bound);
+      const Schedule& s = slots[trial]->schedule;
+      if (!s.complete()) return;  // a task finished after bound
+      const Cost mk = s.makespan();
       if (mk > bound || (mk == bound && rank > best_rank)) return;
-      best = std::move(c);
+      best = trial;
       best_rank = rank;
     };
     if (has_floor) {
@@ -405,13 +425,14 @@ RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
     }
     if (has_base) consider(base_mask, false, 0);
     if (has_rec) consider(rec_mask, true, 1);
-    FLB_ASSERT(best.has_value());
+    FLB_ASSERT(best >= 0);
     // The occupancy log is copied, not moved, out of the model: a copy is
     // sized exactly, where the model's log keeps its spare growth
     // capacity.
-    out.schedule = std::move(best->schedule);
-    out.used = best->used;
-    out.link_occupancies = best->model.occupancies();
+    Slot& won = *slots[best];
+    out.schedule = std::move(won.schedule);
+    out.used = won.used;
+    out.link_occupancies = won.model.occupancies();
   } else {
     RepairStrategy strategy = options.strategy;
     if (strategy == RepairStrategy::kAuto)
