@@ -159,12 +159,17 @@ class CostModel {
 
   // -- Execution ----------------------------------------------------------
 
-  /// Related-machines speed factors, all > 0 (empty = unit speeds).
+  /// Related-machines speed factors, all finite and > 0 (empty = unit
+  /// speeds). Throws flb::Error otherwise, or unless it covers
+  /// num_procs() entries.
   void set_speeds(std::vector<double> speeds);
   /// Per-task work override (empty = graph costs; kUndefinedTime entries
-  /// fall back to the graph) — checkpoint-resumed remainders.
+  /// fall back to the graph) — checkpoint-resumed remainders. Throws
+  /// flb::Error on a NaN, infinite or negative entry other than
+  /// kUndefinedTime, the rule simulate() applies to its work override.
   void set_work(std::vector<Cost> work);
   /// Per-task additive wall time after speed scaling (empty = none).
+  /// Throws flb::Error on a NaN, infinite or negative entry.
   void set_extra_time(std::vector<Cost> extra);
 
   /// Check that this model fits `g` before pricing it: the per-task work

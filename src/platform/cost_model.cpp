@@ -67,10 +67,11 @@ void CostModel::set_availability(Availability a) {
 
 void CostModel::set_speeds(std::vector<double> speeds) {
   FLB_REQUIRE(speeds.empty() || speeds.size() == procs_,
-              "CostModel: speeds must cover every processor");
+              "CostModel::set_speeds: speeds must cover every processor");
   double inv_sum = 0.0;
   for (double s : speeds) {
-    FLB_REQUIRE(s > 0.0, "CostModel: speeds must be positive");
+    FLB_REQUIRE(std::isfinite(s) && s > 0.0,
+                "CostModel::set_speeds: speeds must be finite and positive");
     inv_sum += 1.0 / s;
   }
   speeds_ = std::move(speeds);
@@ -78,9 +79,20 @@ void CostModel::set_speeds(std::vector<double> speeds) {
       speeds_.empty() ? 1.0 : inv_sum / static_cast<double>(speeds_.size());
 }
 
-void CostModel::set_work(std::vector<Cost> work) { work_ = std::move(work); }
+// The rule simulate() applies to SimOptions::work_override.
+void CostModel::set_work(std::vector<Cost> work) {
+  for (Cost w : work)
+    FLB_REQUIRE(w == kUndefinedTime || (std::isfinite(w) && w >= 0.0),
+                "CostModel::set_work: entries must be finite and "
+                "non-negative (or kUndefinedTime)");
+  work_ = std::move(work);
+}
 
 void CostModel::set_extra_time(std::vector<Cost> extra) {
+  for (Cost e : extra)
+    FLB_REQUIRE(std::isfinite(e) && e >= 0.0,
+                "CostModel::set_extra_time: entries must be finite and "
+                "non-negative");
   extra_ = std::move(extra);
 }
 

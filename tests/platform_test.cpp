@@ -891,6 +891,39 @@ TEST(CostModelTest, RejectsMalformedConfiguration) {
   EXPECT_THROW(m.set_speeds({1.0, 0.0}), Error);     // non-positive speed
   EXPECT_THROW(m.set_speeds({1.0, -1.0}), Error);
   EXPECT_THROW(m.set_latency_factor(-1.0), Error);
+  // Per-entry rules, checked at the setter and named in the error: a NaN,
+  // infinite or negative entry would otherwise surface later as an
+  // infeasible assignment or an infinite (or, with an infinite speed,
+  // zero) makespan.
+  const auto setter_error = [&](auto set) {
+    try {
+      set();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const Cost nan = std::nan("");
+  for (const Cost bad : {nan, kInfiniteTime, -kInfiniteTime, -0.5}) {
+    EXPECT_NE(setter_error([&] { m.set_work({1.0, bad}); })
+                  .find("CostModel::set_work"),
+              std::string::npos)
+        << bad;
+    EXPECT_NE(setter_error([&] { m.set_extra_time({bad, 0.0}); })
+                  .find("CostModel::set_extra_time"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_THROW(m.set_extra_time({kUndefinedTime, 0.0}), Error);
+  for (const Cost bad : {nan, kInfiniteTime})
+    EXPECT_NE(setter_error([&] { m.set_speeds({bad, 1.0}); })
+                  .find("CostModel::set_speeds"),
+              std::string::npos)
+        << bad;
+  // Work's kUndefinedTime sentinel (fall back to the graph) and zero
+  // entries stay allowed.
+  m.set_work({kUndefinedTime, 0.0});
+  m.set_extra_time({0.0, 0.0});
   EXPECT_THROW(CostModel::clique(0), Error);
   const auto rejects = [&](Availability a) {
     EXPECT_THROW(m.set_availability(std::move(a)), Error);
