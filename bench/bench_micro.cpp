@@ -328,10 +328,12 @@ BENCHMARK(BM_OnlineRecovery)->Unit(benchmark::kMillisecond);
 
 // One link-busy repair on a contended interconnect: Laplace at V~2000 and
 // CCR 5 on a 4x4 mesh, where p5 is killed at 30% of the FLB makespan and
-// rejoins at 50%. The repair is taken at the kill, on one warm FLB engine,
-// and keeps the best of the baseline, give-back and serial-floor
-// continuations.
-void BM_LinkBusyRepair(benchmark::State& state) {
+// rejoins at 50%. The repair is taken at the kill and keeps the best of
+// the baseline, give-back and serial-floor continuations. A warm repair
+// resumes on one FLB engine kept across iterations; a cold one goes
+// through the convenience overload, which builds a fresh engine per call,
+// as one-off callers and perfbench's repair-mesh workload do.
+void BM_LinkBusyRepairOn(benchmark::State& state, bool warm) {
   const Topology mesh = Topology::mesh2d(4, 4);
   WorkloadParams params;
   params.ccr = 5.0;
@@ -352,11 +354,19 @@ void BM_LinkBusyRepair(benchmark::State& state) {
   FlbScheduler flb;
   for (auto _ : state) {
     const RepairResult r =
-        repair_schedule(g, nominal, partial, plan, options, flb);
+        warm ? repair_schedule(g, nominal, partial, plan, options, flb)
+             : repair_schedule(g, nominal, partial, plan, options);
     benchmark::DoNotOptimize(r.schedule.makespan());
   }
 }
+void BM_LinkBusyRepair(benchmark::State& state) {
+  BM_LinkBusyRepairOn(state, true);
+}
+void BM_LinkBusyRepairCold(benchmark::State& state) {
+  BM_LinkBusyRepairOn(state, false);
+}
 BENCHMARK(BM_LinkBusyRepair)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LinkBusyRepairCold)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
