@@ -92,6 +92,14 @@
 /// so the installed continuation is exactly the best of the fully
 /// computed candidates. Clique and routed repairs use the bound between
 /// the baseline and the recovery continuation only.
+///
+/// The candidates run in two reusable slots, the best so far and the
+/// trial, each holding a schedule, a cost model and its reservation log.
+/// A trial copies the fixed prefix into its slot's schedule and re-arms
+/// the slot's model with its availability and free links, keeping the
+/// buffers the slot's last candidate grew, so a three-candidate link-busy
+/// repair builds two of each instead of three. The installed reservation
+/// log is copied out at its exact size.
 
 namespace flb {
 
@@ -227,8 +235,10 @@ struct RepairResult {
 /// the latest death time, raised to the horizon when one is given and to
 /// the latest observed finish of any rolled-back task. Throws flb::Error if
 /// the plan is malformed, kills every processor, or dropped messages under
-/// DroppedDataPolicy::kRefuse. Resumes on a default-constructed FLB engine;
-/// the overload below takes the caller's.
+/// DroppedDataPolicy::kRefuse. Resumes on a default-constructed FLB engine,
+/// whose scratch is one allocation, and keeps no state between calls; a
+/// caller that repairs repeatedly passes its own engine to the overload
+/// below.
 RepairResult repair_schedule(const TaskGraph& g, const Schedule& nominal,
                              const SimResult& partial, const FaultPlan& plan,
                              const RepairOptions& options = {});
