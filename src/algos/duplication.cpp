@@ -106,8 +106,7 @@ Cost DupSchedule::makespan() const {
 }
 
 std::vector<Violation> validate_dup_schedule(const TaskGraph& g,
-                                             const DupSchedule& s,
-                                             double tolerance) {
+                                             const DupSchedule& s) {
   std::vector<Violation> out;
   auto report = [&](Violation::Kind kind, TaskId t, std::string detail) {
     out.push_back({kind, t, std::move(detail)});
@@ -120,11 +119,11 @@ std::vector<Violation> validate_dup_schedule(const TaskGraph& g,
       continue;
     }
     for (const Placement& pl : s.instances(t)) {
-      if (pl.start < -tolerance) {
+      if (pl.start < -kTimeTolerance) {
         report(Violation::Kind::kNegativeStart, t,
                "task " + std::to_string(t) + " instance starts before 0");
       }
-      if (std::abs(pl.finish - (pl.start + g.comp(t))) > tolerance) {
+      if (std::abs(pl.finish - (pl.start + g.comp(t))) > kTimeTolerance) {
         report(Violation::Kind::kWrongDuration, t,
                "task " + std::to_string(t) + " instance has wrong duration");
       }
@@ -140,8 +139,8 @@ std::vector<Violation> validate_dup_schedule(const TaskGraph& g,
     TaskId max_task = kInvalidTask;
     for (TaskId cur : tasks) {
       const Placement& pl = s.placement_on(cur, p);
-      bool zero_duration = pl.finish <= pl.start + tolerance;
-      if (!zero_duration && pl.start < max_finish - tolerance) {
+      bool zero_duration = pl.finish <= pl.start + kTimeTolerance;
+      if (!zero_duration && pl.start < max_finish - kTimeTolerance) {
         std::ostringstream os;
         os << "instances of " << max_task << " and " << cur
            << " overlap on processor " << p;
@@ -164,7 +163,7 @@ std::vector<Violation> validate_dup_schedule(const TaskGraph& g,
         for (const Placement& src : s.instances(a.node))
           best = std::min(best,
                           src.finish + (src.proc == pl.proc ? 0.0 : a.comm));
-        if (pl.start < best - tolerance) {
+        if (pl.start < best - kTimeTolerance) {
           std::ostringstream os;
           os << "instance of task " << t << " on p" << pl.proc
              << " starts at " << pl.start << " before data from "
@@ -177,9 +176,8 @@ std::vector<Violation> validate_dup_schedule(const TaskGraph& g,
   return out;
 }
 
-bool is_valid_dup_schedule(const TaskGraph& g, const DupSchedule& s,
-                           double tolerance) {
-  return validate_dup_schedule(g, s, tolerance).empty();
+bool is_valid_dup_schedule(const TaskGraph& g, const DupSchedule& s) {
+  return validate_dup_schedule(g, s).empty();
 }
 
 namespace {

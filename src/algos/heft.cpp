@@ -17,7 +17,7 @@ std::vector<Cost> upward_ranks(const TaskGraph& g,
     TaskId t = *it;
     Cost best = 0.0;
     for (const Adj& a : g.successors(t))
-      best = std::max(best, model.message_cost(a.comm) + rank[a.node]);
+      best = std::max(best, a.comm + rank[a.node]);
     rank[t] = model.mean_exec_work(model.work_of(g, t)) + best;
   }
   return rank;
@@ -33,7 +33,7 @@ std::vector<Cost> downward_ranks(const TaskGraph& g,
     for (const Adj& a : g.predecessors(t))
       best = std::max(best, rank[a.node] +
                                 model.mean_exec_work(model.work_of(g, a.node)) +
-                                model.message_cost(a.comm));
+                                a.comm);
     rank[t] = best;
   }
   return rank;

@@ -33,7 +33,6 @@ constexpr const char* kPartitionPairing = "audit-partition-pairing";
 constexpr const char* kPartitionDrop = "audit-partition-drop";
 constexpr const char* kBeliefCausality = "audit-belief-causality";
 constexpr const char* kQuorumSoundness = "audit-quorum-soundness";
-constexpr const char* kReservationOverlap = "audit-reservation-overlap";
 constexpr const char* kCheckpointProvenance = "audit-checkpoint-provenance";
 constexpr const char* kRepairProvenance = "audit-repair-provenance";
 constexpr const char* kResultConsistency = "audit-result-consistency";
@@ -57,7 +56,9 @@ class Sink {
   LintReport& report_;
 };
 
-bool near(double a, double b, double tol) { return std::fabs(a - b) <= tol; }
+bool near(double a, double b) {
+  return std::fabs(a - b) <= kTimeTolerance;
+}
 
 bool machine_level(SimEventKind k) {
   switch (k) {
@@ -388,8 +389,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
 
 void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
                          const std::vector<LinkOutage>& outages,
-                         const RuntimeResult& result,
-                         const AuditOptions& opt, Sink& sink) {
+                         const RuntimeResult& result, Sink& sink) {
   const ProcId procs = result.schedule.num_procs();
   const TaskId n = g.num_tasks();
 
@@ -460,7 +460,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
         resolve_message(world, g.out_edge_begin(ev.task) + pos);
     if (fate.dropped) {
       const Cost expected = finish + fate.retry_delay;
-      if (!near(ev.time, expected, opt.tolerance)) {
+      if (!near(ev.time, expected)) {
         Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
         d.task = ev.task;
         d.proc = ev.proc;
@@ -507,7 +507,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
           "that restores a path");
       continue;
     }
-    if (!near(ev.time, send_start, opt.tolerance)) {
+    if (!near(ev.time, send_start)) {
       Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
       d.task = ev.task;
       d.proc = ev.proc;
@@ -632,8 +632,8 @@ void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
     for (std::size_t i = 0; i < beliefs.size(); ++i) {
       const BeliefEvent& b = beliefs[i];
       if (i >= stream.size() || stream[i].key() != b.key() ||
-          !near(stream[i].last_heard, b.last_heard, opt.tolerance) ||
-          !near(stream[i].score, b.score, opt.tolerance)) {
+          !near(stream[i].last_heard, b.last_heard) ||
+          !near(stream[i].score, b.score)) {
         Diagnostic& d = sink.emit(kBeliefCausality, Severity::kError);
         d.proc = b.proc;
         d.step = i;
@@ -658,7 +658,7 @@ void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
       const auto kmax = static_cast<std::uint64_t>(b.time / period) + 2;
       bool audible = false;
       for (std::uint64_t k = 1; k <= kmax && !audible; ++k)
-        audible = near(det.arrival(b.proc, k), b.time, opt.tolerance);
+        audible = near(det.arrival(b.proc, k), b.time);
       if (!audible) {
         Diagnostic& d = sink.emit(kBeliefCausality, Severity::kError);
         d.proc = b.proc;
@@ -730,53 +730,10 @@ void quorum_soundness_rule(
   }
 }
 
-// --- audit-reservation-overlap ----------------------------------------------
-
-void reservation_overlap_rule(
-    const std::vector<platform::LinkOccupancy>& occupancies,
-    const AuditOptions& opt, Sink& sink) {
-  std::map<std::size_t, std::vector<std::pair<Cost, Cost>>> per_link;
-  for (std::size_t i = 0; i < occupancies.size(); ++i) {
-    const platform::LinkOccupancy& r = occupancies[i];
-    if (!std::isfinite(r.begin) || !std::isfinite(r.end) || r.begin < 0.0 ||
-        r.end < r.begin) {
-      Diagnostic& d = sink.emit(kReservationOverlap, Severity::kError);
-      d.step = i;
-      d.message = "reservation " + std::to_string(i) + " on link " +
-                  std::to_string(r.link) + " is malformed ([" +
-                  format_compact(r.begin) + ", " + format_compact(r.end) +
-                  "))";
-      d.hint = "a LinkOccupancy interval must be finite with 0 <= begin <= "
-               "end";
-      continue;
-    }
-    per_link[r.link].push_back({r.begin, r.end});
-  }
-  for (auto& [link, intervals] : per_link) {
-    std::sort(intervals.begin(), intervals.end());
-    for (std::size_t i = 1; i < intervals.size(); ++i) {
-      if (intervals[i].first < intervals[i - 1].second - opt.tolerance) {
-        Diagnostic& d = sink.emit(kReservationOverlap, Severity::kError);
-        d.expected = intervals[i - 1].second;
-        d.actual = intervals[i].first;
-        d.message = "link " + std::to_string(link) + " reservations [" +
-                    format_compact(intervals[i - 1].first) + ", " +
-                    format_compact(intervals[i - 1].second) + ") and [" +
-                    format_compact(intervals[i].first) + ", " +
-                    format_compact(intervals[i].second) + ") overlap";
-        d.hint = "link-busy pricing reserves each link exclusively; "
-                 "overlapping reservations mean a transfer was priced over "
-                 "bandwidth already committed";
-      }
-    }
-  }
-}
-
 // --- audit-checkpoint-provenance --------------------------------------------
 
 void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
-                                const RuntimeResult& result,
-                                const AuditOptions& opt, Sink& sink) {
+                                const RuntimeResult& result, Sink& sink) {
   const TaskId n = g.num_tasks();
   const std::vector<Cost> bl = bottom_levels(g);
   // Last kill event per task — SimResult::checkpointed keeps the last
@@ -808,7 +765,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
         result.durations[ev.task] != kUndefinedTime &&
         std::isfinite(result.durations[ev.task]))
       bound = std::max(bound, result.durations[ev.task]);
-    if (ev.value > bound + opt.tolerance) {
+    if (ev.value > bound + kTimeTolerance) {
       Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
       d.task = ev.task;
       d.proc = ev.proc;
@@ -823,10 +780,10 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
                "performed — an inflated claim would resurrect computation "
                "that never happened";
     }
-    if (ev.value > opt.tolerance && !world.checkpoint.enabled())
+    if (ev.value > kTimeTolerance && !world.checkpoint.enabled())
       bad("the plan checkpoints nothing",
           "with checkpointing disabled a killed task restarts from zero");
-    else if (ev.value > opt.tolerance && !world.checkpoint.covers(bl[ev.task]))
+    else if (ev.value > kTimeTolerance && !world.checkpoint.covers(bl[ev.task]))
       bad("the criticality threshold does not cover this task",
           "CheckpointPolicy::min_downstream gates durable writes by bottom "
           "level; an uncovered task can save nothing");
@@ -836,7 +793,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
                               ? result.execution.checkpointed[t]
                               : 0.0;
     if (last_kill[t] == static_cast<std::size_t>(-1)) {
-      if (recorded > opt.tolerance) {
+      if (recorded > kTimeTolerance) {
         Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
         d.task = t;
         d.actual = recorded;
@@ -850,7 +807,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
       continue;
     }
     const SimEvent& ev = result.events[last_kill[t]];
-    if (!near(ev.value, recorded, opt.tolerance)) {
+    if (!near(ev.value, recorded)) {
       Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
       d.task = t;
       d.step = last_kill[t];
@@ -910,23 +867,23 @@ void repair_provenance_rule(const RuntimeResult& result,
       earliest = std::min(earliest, b.time);
       latest = std::max(latest, b.time);
     }
-    if (!near(earliest, inv.observed_at, opt.tolerance))
+    if (!near(earliest, inv.observed_at))
       bad("its earliest batched observation is at " +
               format_compact(earliest) + ", not the claimed " +
               format_compact(inv.observed_at),
           "observed_at is the timestamp of the batch's first new "
           "observation");
-    if (latest > inv.observed_at + opt.debounce + opt.tolerance)
+    if (latest > inv.observed_at + opt.debounce + kTimeTolerance)
       bad("a batched observation at " + format_compact(latest) +
               " lies beyond the debounce window ending at " +
               format_compact(inv.observed_at + opt.debounce),
           "a batch spans [observed_at, observed_at + debounce]");
-    if (inv.horizon + opt.tolerance < inv.observed_at + opt.debounce)
+    if (inv.horizon + kTimeTolerance < inv.observed_at + opt.debounce)
       bad("its horizon " + format_compact(inv.horizon) +
               " does not cover the debounce window",
           "the repair horizon is at least the end of the window the "
           "controller waited out");
-    if (inv.horizon < prev_horizon - opt.tolerance)
+    if (inv.horizon < prev_horizon - kTimeTolerance)
       bad("its horizon " + format_compact(inv.horizon) +
               " regresses below the previous reaction's " +
               format_compact(prev_horizon),
@@ -987,11 +944,11 @@ void result_consistency_rule(const FaultPlan& world,
   for (const Cost f : result.execution.finish)
     if (f != kUndefinedTime && std::isfinite(f))
       makespan = std::max(makespan, f);
-  if (!near(result.execution.makespan, makespan, opt.tolerance))
+  if (!near(result.execution.makespan, makespan))
     bad("the execution's makespan is not the latest completed finish",
         "SimResult::makespan is max finish over completed tasks", makespan,
         result.execution.makespan);
-  if (!near(result.makespan, result.execution.makespan, opt.tolerance))
+  if (!near(result.makespan, result.execution.makespan))
     bad("the result's makespan disagrees with its execution",
         "RuntimeResult::makespan restates the final execution's makespan",
         result.execution.makespan, result.makespan);
@@ -1034,8 +991,6 @@ const std::vector<RuleInfo>& audit_rule_catalogue() {
       {kQuorumSoundness, Severity::kError,
        "every cluster-wide suspicion is backed by >= quorum eligible "
        "concurring observers"},
-      {kReservationOverlap, Severity::kError,
-       "per-link reservations are well-formed and pairwise disjoint"},
       {kCheckpointProvenance, Severity::kError,
        "no kill claims more durably checkpointed work than the task ran or "
        "than the policy covers"},
@@ -1098,11 +1053,9 @@ LintReport audit_runtime(const TaskGraph& g, const FaultPlan& world,
   event_order_rule(g, result, sink);
   liveness_pairing_rule(resolved, result, sink);
   partition_pairing_rule(outages, result, sink);
-  partition_drop_rule(g, world, outages, result, options, sink);
-  checkpoint_provenance_rule(g, world, result, options, sink);
+  partition_drop_rule(g, world, outages, result, sink);
+  checkpoint_provenance_rule(g, world, result, sink);
   repair_provenance_rule(result, options, sink);
-  if (options.occupancies != nullptr)
-    reservation_overlap_rule(*options.occupancies, options, sink);
   if (detector_ok) {
     const FailureDetector det(world, procs);
     belief_causality_rule(world, det, result, options, sink);

@@ -6,7 +6,6 @@
 
 #include "flb/sched/metrics.hpp"
 #include "flb/sched/validator.hpp"
-#include "flb/util/error.hpp"
 #include "flb/util/table.hpp"
 
 namespace flb::analysis {
@@ -75,15 +74,6 @@ const char* feasibility_rule(Violation::Kind kind) {
   return "feasibility";
 }
 
-// Every tier indexes the graph by the schedule's task ids. The check is
-// made here, not only in the validator, because the quality and theorem
-// tiers also run with the feasibility tier off.
-void require_schedule_of(const TaskGraph& g, const Schedule& s) {
-  FLB_REQUIRE(s.num_tasks() == g.num_tasks(),
-              "lint: the schedule was built for a graph with a different "
-              "task count");
-}
-
 // --- Feasibility tier ------------------------------------------------------
 
 void emit_violations(const std::vector<Violation>& violations,
@@ -98,19 +88,6 @@ void emit_violations(const std::vector<Violation>& violations,
     d.hint = "the schedule is not executable on the paper's machine model; "
              "re-derive it or fix the producing scheduler";
   }
-}
-
-void feasibility_rules(const TaskGraph& g, const Schedule& s,
-                       const LintOptions& opt, Sink& sink) {
-  emit_violations(validate_schedule(g, s, opt.tolerance), s, sink);
-}
-
-// Durations-aware variant for continuation schedules, where FT - ST may
-// legitimately differ from comp(t).
-void feasibility_rules(const TaskGraph& g, const Schedule& s,
-                       const std::vector<Cost>& durations,
-                       const LintOptions& opt, Sink& sink) {
-  emit_violations(validate_schedule(g, s, durations, opt.tolerance), s, sink);
 }
 
 // partitioned-link: a remote message scheduled across a link that the fault
@@ -163,8 +140,7 @@ Cost data_ready(const TaskGraph& g, const Schedule& s,
 }
 
 void quality_rules(const TaskGraph& g, const Schedule& s,
-                   const platform::CostModel& model, const LintOptions& opt,
-                   Sink& sink) {
+                   const platform::CostModel& model, Sink& sink) {
   // idle-gap: a processor sits idle in front of a task whose inputs were
   // already usable there — a list scheduler respecting the ETF criterion
   // never leaves such a gap.
@@ -172,13 +148,13 @@ void quality_rules(const TaskGraph& g, const Schedule& s,
     Cost prev = model.admission(p);
     for (TaskId t : s.tasks_on(p)) {
       const Cost start = s.start(t);
-      if (start > prev + opt.tolerance) {
+      if (start > prev + kTimeTolerance) {
         const Cost ready = data_ready(g, s, model, t, p);
         const Cost earliest = ready == kUndefinedTime
                                   ? kUndefinedTime
                                   : std::max(ready, prev);
         if (earliest != kUndefinedTime &&
-            start > earliest + opt.tolerance) {
+            start > earliest + kTimeTolerance) {
           Diagnostic& d = sink.emit("idle-gap", Severity::kWarn);
           d.task = t;
           d.proc = p;
@@ -213,7 +189,7 @@ void quality_rules(const TaskGraph& g, const Schedule& s,
     if (!all_on_q || s.proc(t) == q || !model.alive(q)) continue;
     const Cost duration = s.finish(t) - s.start(t);
     const Cost slot = s.earliest_gap(q, local_ready, duration);
-    if (slot <= s.start(t) + opt.tolerance) {
+    if (slot <= s.start(t) + kTimeTolerance) {
       Diagnostic& d = sink.emit("remote-placement", Severity::kWarn);
       d.task = t;
       d.proc = s.proc(t);
@@ -252,13 +228,11 @@ class TraceReplay {
  public:
   TraceReplay(const TaskGraph& g, const Schedule& s,
               const std::vector<FlbTraceRow>& rows,
-              const platform::CostModel& model, const LintOptions& opt,
-              Sink& sink)
+              const platform::CostModel& model, Sink& sink)
       : g_(g),
         s_(s),
         rows_(rows),
         model_(model),
-        opt_(opt),
         sink_(sink),
         num_procs_(s.num_procs()),
         placed_(g.num_tasks(), false),
@@ -391,7 +365,7 @@ class TraceReplay {
   void check_prt_monotone(std::size_t i) {
     const FlbTraceRow& row = rows_[i];
     const Cost ready = eff_prt(row.proc);
-    if (row.start + opt_.tolerance < ready) {
+    if (row.start + kTimeTolerance < ready) {
       Diagnostic& d = sink_.emit("prt-monotone", Severity::kError);
       d.step = i;
       d.task = row.task;
@@ -421,7 +395,7 @@ class TraceReplay {
     Cost lmt = 0.0;
     ProcId ep = kInvalidProc;
     for (const Adj& in : g_.predecessors(t)) {
-      const Cost arrival = finish_[in.node] + model_.message_cost(in.comm);
+      const Cost arrival = finish_[in.node] + in.comm;
       if (arrival > lmt || ep == kInvalidProc) {
         lmt = arrival;
         ep = proc_[in.node];
@@ -470,7 +444,7 @@ class TraceReplay {
       for (const Adj& in : g_.predecessors(t))
         emt = std::max(emt, arrival_at(in, ep));
       const Cost expected = std::max(emt, eff_prt(ep));
-      if (std::abs(row.start - expected) > opt_.tolerance) {
+      if (std::abs(row.start - expected) > kTimeTolerance) {
         Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
         d.step = i;
         d.task = t;
@@ -493,7 +467,7 @@ class TraceReplay {
     Cost min_prt = kInfiniteTime;
     for (ProcId p = 0; p < num_procs_; ++p)
       if (model_.alive(p)) min_prt = std::min(min_prt, eff_prt(p));
-    if (eff_prt(row.proc) > min_prt + opt_.tolerance) {
+    if (eff_prt(row.proc) > min_prt + kTimeTolerance) {
       Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
       d.step = i;
       d.task = t;
@@ -510,7 +484,7 @@ class TraceReplay {
       return;
     }
     const Cost expected = std::max(lmt, eff_prt(row.proc));
-    if (std::abs(row.start - expected) > opt_.tolerance) {
+    if (std::abs(row.start - expected) > kTimeTolerance) {
       Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
       d.step = i;
       d.task = t;
@@ -543,7 +517,7 @@ class TraceReplay {
           where = p;
         }
       }
-      if (best + opt_.tolerance < row.start) {
+      if (best + kTimeTolerance < row.start) {
         Diagnostic& d = sink_.emit("etf-conformance", Severity::kError);
         d.step = i;
         d.task = c;
@@ -575,7 +549,6 @@ class TraceReplay {
   const Schedule& s_;
   const std::vector<FlbTraceRow>& rows_;
   const platform::CostModel& model_;
-  const LintOptions& opt_;
   Sink& sink_;
   ProcId num_procs_;
   std::vector<bool> placed_;
@@ -636,17 +609,18 @@ const std::vector<RuleInfo>& rule_catalogue() {
   return rules;
 }
 
+// The feasibility tier runs first, so the validator rejects a schedule of
+// another graph before any tier indexes the graph by its task ids.
+// Continuation schedules pass their durations: FT - ST may legitimately
+// differ from comp(t) there.
 LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const platform::CostModel& model,
                          const LintOptions& options) {
-  require_schedule_of(g, s);
   LintReport report;
   Sink sink(report);
-  if (options.feasibility) {
-    feasibility_rules(g, s, options, sink);
-    partition_rules(g, s, options, sink);
-  }
-  if (options.quality) quality_rules(g, s, model, options, sink);
+  emit_violations(validate_schedule(g, s), s, sink);
+  partition_rules(g, s, options, sink);
+  if (options.quality) quality_rules(g, s, model, sink);
   return report;
 }
 
@@ -654,14 +628,11 @@ LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const std::vector<Cost>& durations,
                          const platform::CostModel& model,
                          const LintOptions& options) {
-  require_schedule_of(g, s);
   LintReport report;
   Sink sink(report);
-  if (options.feasibility) {
-    feasibility_rules(g, s, durations, options, sink);
-    partition_rules(g, s, options, sink);
-  }
-  if (options.quality) quality_rules(g, s, model, options, sink);
+  emit_violations(validate_schedule(g, s, durations), s, sink);
+  partition_rules(g, s, options, sink);
+  if (options.quality) quality_rules(g, s, model, sink);
   return report;
 }
 
@@ -669,18 +640,15 @@ LintReport lint_flb(const TaskGraph& g, const Schedule& s,
                     const std::vector<FlbTraceRow>& rows,
                     const platform::CostModel& model,
                     const LintOptions& options) {
-  require_schedule_of(g, s);
   LintReport report;
   Sink sink(report);
-  if (options.feasibility) {
-    feasibility_rules(g, s, options, sink);
-    partition_rules(g, s, options, sink);
-  }
+  emit_violations(validate_schedule(g, s), s, sink);
+  partition_rules(g, s, options, sink);
   if (options.theorems) {
-    TraceReplay replay(g, s, rows, model, options, sink);
+    TraceReplay replay(g, s, rows, model, sink);
     replay.run();
   }
-  if (options.quality) quality_rules(g, s, model, options, sink);
+  if (options.quality) quality_rules(g, s, model, sink);
   return report;
 }
 

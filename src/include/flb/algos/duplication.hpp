@@ -93,14 +93,13 @@ class DupSchedule {
 /// Feasibility check for duplication schedules: every task has at least
 /// one instance; instances have the right duration and never overlap on a
 /// processor; every instance starts no earlier than the best possible
-/// arrival from each predecessor (over that predecessor's instances).
+/// arrival from each predecessor (over that predecessor's instances), each
+/// within kTimeTolerance.
 std::vector<Violation> validate_dup_schedule(const TaskGraph& g,
-                                             const DupSchedule& s,
-                                             double tolerance = 1e-9);
+                                             const DupSchedule& s);
 
 /// True iff validate_dup_schedule reports nothing.
-bool is_valid_dup_schedule(const TaskGraph& g, const DupSchedule& s,
-                           double tolerance = 1e-9);
+bool is_valid_dup_schedule(const TaskGraph& g, const DupSchedule& s);
 
 /// DSH-style duplication scheduler. Tasks are taken in descending
 /// bottom-level order (ready tasks only); each is evaluated on every

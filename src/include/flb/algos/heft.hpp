@@ -36,7 +36,7 @@ namespace flb {
 
 /// HEFT's upward ranks: rank_u(t) = w(t) + max over succ (comm + rank_u),
 /// with w(t) the mean execution time of t's (possibly overridden) work over
-/// all processors and message weights scaled by the model's latency factor.
+/// all processors and comm the edge's cost, as the paper prices a message.
 /// Throws flb::Error unless the model fits g (CostModel::validate).
 std::vector<Cost> upward_ranks(const TaskGraph& g,
                                const platform::CostModel& model);

@@ -4,7 +4,6 @@
 
 #include "flb/analysis/lint.hpp"
 #include "flb/graph/task_graph.hpp"
-#include "flb/platform/cost_model.hpp"
 #include "flb/runtime/recovery_runtime.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sim/machine_sim.hpp"
@@ -48,8 +47,6 @@
 ///    suspicion/confirmation is backed by at least `quorum` observers that
 ///    are alive with an uncut direct link to the subject and whose own
 ///    re-derived streams concur.
-///  * **audit-reservation-overlap** — per-link LinkOccupancy reservations
-///    are well-formed and pairwise disjoint.
 ///  * **audit-checkpoint-provenance** — no kill event claims more durably
 ///    checkpointed work than the task ever ran, none claims any under a
 ///    policy that does not cover the task, and the final claims agree with
@@ -62,6 +59,11 @@
 ///    completeness flags are recomputed and must match.
 ///  * **audit-config** — the audit options describe an episode the plan
 ///    can actually produce (detector modes need a heartbeat section, ...).
+///
+/// Time comparisons allow kTimeTolerance (util/types.hpp) of slack. An
+/// episode holds no link-reservation log (the runtime prices the clique);
+/// validate_link_occupancies (sched/validator.hpp) checks the logs that
+/// link-busy resumes, repairs and routed replays produce.
 
 namespace flb::analysis {
 
@@ -69,7 +71,6 @@ namespace flb::analysis {
 /// the episode used; the auditor needs them to re-derive expectations (it
 /// never reads the controller's state).
 struct AuditOptions {
-  double tolerance = 1e-9;  ///< absolute slack for time comparisons
   /// The controller's debounce window (RuntimeOptions::debounce): every
   /// repair batch must fit [observed_at, observed_at + debounce].
   Cost debounce = 0.0;
@@ -81,10 +82,6 @@ struct AuditOptions {
   bool use_gossip = false;
   /// Concurring-observer threshold of the gossip aggregate.
   ProcId quorum = 2;
-  /// Optional per-link reservation log to audit (not owned; e.g.
-  /// platform::CostModel::occupancies() of a link-busy pricing model).
-  /// nullptr skips audit-reservation-overlap.
-  const std::vector<platform::LinkOccupancy>* occupancies = nullptr;
 };
 
 /// The audit rule catalogue (stable ids; documented in docs/analysis.md).

@@ -29,8 +29,8 @@
 /// Three rule tiers (see docs/analysis.md for the rule catalogue with
 /// paper citations):
 ///
-///  * **feasibility** (error) — the validator's constraints lifted into
-///    diagnostics, so any scheduler's output can be linted;
+///  * **feasibility** (error, always run) — the validator's constraints
+///    lifted into diagnostics, so any scheduler's output can be linted;
 ///  * **theorems** (error) — FLB/ETF selection invariants, decidable from
 ///    the execution trace: etf-conformance, ep-classification,
 ///    prt-monotone, trace-schedule-consistency;
@@ -64,12 +64,11 @@ struct Diagnostic {
   std::string hint;                ///< how to fix or where to look
 };
 
-/// Which rule tiers run and with what tolerance.
+/// Which rule tiers run beside the feasibility tier, which always does.
+/// Time comparisons allow kTimeTolerance (util/types.hpp) of slack.
 struct LintOptions {
-  double tolerance = 1e-9;  ///< absolute slack for time comparisons
-  bool feasibility = true;  ///< validator-tier error rules
-  bool theorems = true;     ///< FLB selection-invariant rules (needs a trace)
-  bool quality = true;      ///< warn/info rules
+  bool theorems = true;  ///< FLB selection-invariant rules (needs a trace)
+  bool quality = true;   ///< warn/info rules
   /// Optional fault plan (not owned; must outlive the call). When set and
   /// it declares partial partitions, the feasibility tier additionally runs
   /// rule `partitioned-link`: no remote message may be scheduled across a

@@ -23,7 +23,7 @@
 ///  * **Communication** — `comm(src, dst, bytes, depart)` in three modes:
 ///    - kClique: the paper's contention-free clique (Section 2); O(1) per
 ///      query, which preserves FLB's O(V(log W + log P) + E) bound;
-///    - kRoutedHops: `bytes * latency * hops(src, dst)` over a Topology's
+///    - kRoutedHops: `bytes * hops(src, dst)` over a Topology's
 ///      deterministic shortest routes — distance-aware, contention-free;
 ///    - kLinkBusy: store-and-forward over the route against per-link
 ///      reservations — each hop begins when both the message and the link
@@ -40,8 +40,8 @@
 ///  * **Availability** — alive processors, admission instants (global
 ///    release + per-processor rejoin times) and cold-cache horizons,
 ///    folded into `arrival()`: warm local data is free, local data
-///    predating a reboot is re-fetched at `cold + message cost`, and remote
-///    data pays the mode's network price.
+///    predating a reboot is re-fetched at `cold + bytes`, and remote data
+///    pays the mode's network price.
 ///
 /// From the three answers it prices the paper's EST for every placement
 /// engine: inputs_ready(), inputs_ready_row(), min_est() and
@@ -50,9 +50,11 @@
 /// A fresh model (any factory, nothing else set) has unit speeds, graph
 /// costs and every processor admitted from 0; CostModel::clique(P) is then
 /// exactly the paper's machine. Its arithmetic is the paper's operation
-/// for operation (a message costs `bytes * latency`, latency 1.0 unless
-/// set), so clique-mode FLB schedules are bit-identical to the paper's
-/// pricing — guarded by the golden digests in tests/platform_test.cpp.
+/// for operation (a message costs its edge's `bytes`, the comm(t, t') of
+/// Section 2, with no multiplier), so clique-mode FLB schedules are
+/// bit-identical to the paper's pricing — guarded by the golden digests
+/// in tests/platform_test.cpp. A what-if sweep over message costs scales
+/// the graph's edge costs instead.
 
 namespace flb::platform {
 
@@ -211,15 +213,6 @@ class CostModel {
 
   // -- Communication ------------------------------------------------------
 
-  /// Scales every message cost (what-if latency sweeps); default 1.0.
-  void set_latency_factor(Cost factor);
-  [[nodiscard]] Cost latency_factor() const { return latency_; }
-
-  /// Single-transfer price of a message of nominal cost `bytes`.
-  [[nodiscard]] Cost message_cost(Cost bytes) const {
-    return bytes * latency_;
-  }
-
   /// The instant data departing `src` at `depart` becomes usable on `dst`.
   /// Same-processor transfers are free in every mode. Link-busy probes the
   /// current reservations without claiming them — call commit() for the
@@ -227,22 +220,22 @@ class CostModel {
   [[nodiscard]] Cost comm(ProcId src, ProcId dst, Cost bytes,
                           Cost depart) const {
     if (src == dst) return depart;
-    if (mode_ == CommMode::kClique) return depart + message_cost(bytes);
+    if (mode_ == CommMode::kClique) return depart + bytes;
     if (mode_ == CommMode::kRoutedHops)
-      return depart + message_cost(bytes) * routed_hops(src, dst);
+      return depart + bytes * routed_hops(src, dst);
     return probe_route(src, dst, bytes, depart);
   }
 
   /// Cold-cache-aware arrival of a predecessor output produced on `src`
   /// (finishing at `finish`) at a consumer on `dst`: warm local data is
   /// free; local data predating dst's reboot is re-fetched at
-  /// cold_horizon + message cost (a fresh flat transfer); remote data pays
+  /// cold_horizon + bytes (a fresh flat transfer); remote data pays
   /// comm().
   [[nodiscard]] Cost arrival(ProcId src, ProcId dst, Cost bytes,
                              Cost finish) const {
     if (src == dst) {
       const Cost cold = avail_.cold_horizon(dst);
-      if (cold > 0.0 && finish <= cold) return cold + message_cost(bytes);
+      if (cold > 0.0 && finish <= cold) return cold + bytes;
       return finish;
     }
     return comm(src, dst, bytes, finish);
@@ -341,7 +334,6 @@ class CostModel {
   double mean_inverse_speed_ = 1.0;
   std::vector<Cost> work_;   // empty = graph costs
   std::vector<Cost> extra_;  // empty = none
-  Cost latency_ = 1.0;
 
   std::vector<Cost> link_free_;  // link-busy: per-link next free instant
   std::vector<LinkOccupancy> occupancies_;

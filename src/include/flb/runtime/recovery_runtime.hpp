@@ -52,11 +52,12 @@
 ///    triggers one repair, not one per strike — no repair storms. The
 ///    repair horizon is the end of the debounce window (the controller
 ///    waited that long to see the burst settle).
-///  * *Bounded retry with exponential backoff*: when a processor that just
-///    received migrated work fails again mid-recovery, the next repair's
-///    release is pushed back by 2^(attempt-1) time units; after
-///    `max_retries` such re-strikes the controller stops trusting the
-///    optimizing engine and degrades permanently to the greedy fallback.
+///  * *Bounded retry with exponential backoff* (fixed, not an option):
+///    when a processor that just received migrated work fails again
+///    mid-recovery, the next repair's release is pushed back by
+///    2^(attempt-1) time units; past three such re-strikes the controller
+///    stops trusting the optimizing engine and degrades permanently to the
+///    greedy fallback.
 ///  * *Graceful degradation*: whenever fewer than two processors are
 ///    observed alive, the repair uses the greedy topological min-EST
 ///    fallback instead of the resumed FLB engine.
@@ -139,11 +140,6 @@ struct RuntimeOptions {
   /// is the earliest unobserved event; the repair horizon is the window's
   /// end. 0 still coalesces events at the same instant.
   Cost debounce = 0.0;
-  /// Bounded retry: how often a repair-target processor may fail again
-  /// mid-recovery before the controller degrades to greedy for good. The
-  /// first re-strike delays the release by one time unit, and each further
-  /// one doubles the delay.
-  std::size_t max_retries = 3;
   /// Check every continuation with the linter's feasibility tier, which
   /// runs the durations-aware validator, before installing it (throws on
   /// failure).
@@ -296,7 +292,7 @@ struct RuntimeResult {
   std::size_t confirmations = 0;
   /// Wall time + communication the cancelled speculations burned on
   /// duplicate placements that had already started when their suspect was
-  /// exonerated (priced through platform::CostModel; first-completion-wins
+  /// exonerated (each remote input at its edge cost; first-completion-wins
   /// keeps whatever finished, this is the bill for the rest).
   Cost speculative_waste = 0.0;
   /// Duplicate placements counted into speculative_waste.

@@ -13,15 +13,13 @@
 /// bench_improvement ablation to measure how much makespan each
 /// algorithm's schedule leaves on the table — a proxy for distance from
 /// local optimality that puts the one-step heuristics' quality in
-/// perspective.
+/// perspective. Hill climbing makes at most four full sweeps; annealing
+/// starts at a temperature of 5% of the starting makespan.
 
 namespace flb {
 
 /// Options for improve_schedule.
 struct ImproveOptions {
-  /// Full sweeps over the task set before giving up (each sweep tries to
-  /// move every task to every other processor).
-  std::size_t max_passes = 4;
   /// Hard cap on schedule re-evaluations (each is one O(V log W + E) list
   /// scheduling run); bounds worst-case cost on large instances.
   std::size_t max_evaluations = 20000;
@@ -36,7 +34,9 @@ struct ImproveResult {
   std::size_t evaluations = 0;  ///< schedules evaluated
 };
 
-/// First-improvement hill climbing from `s`'s assignment. The result is
+/// First-improvement hill climbing from `s`'s assignment, for up to four
+/// full sweeps (each tries to move every task to every other processor)
+/// or until a sweep accepts no move. The result is
 /// always feasible; its makespan never exceeds the makespan of the input
 /// assignment re-timed by list scheduling (which may differ slightly from
 /// s.makespan() when s was built with a different intra-processor order).
@@ -48,14 +48,13 @@ ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
 /// Options for anneal_schedule.
 struct AnnealOptions {
   std::size_t iterations = 5000;  ///< single-task-move proposals
-  /// Initial acceptance temperature as a fraction of the starting
-  /// makespan; cools geometrically to ~1e-3 of it over the run.
-  double initial_temp_fraction = 0.05;
   std::uint64_t seed = 1;
 };
 
 /// Simulated annealing over the same move space as improve_schedule
 /// (random single-task processor moves, timing re-derived per proposal).
+/// The acceptance temperature starts at 5% of the starting makespan and
+/// cools geometrically to 1e-3 of that over the run.
 /// Escapes the single-move local optima hill climbing gets stuck in, at
 /// `iterations` full re-evaluations of cost. Keeps the best schedule seen.
 /// Throws flb::Error unless `s` is a complete schedule of `g`.

@@ -35,18 +35,17 @@ struct TaskBinding {
 };
 
 /// Classify every task of a complete schedule. Ties between processor and
-/// data constraints resolve to the data side (the message was the *reason*
-/// the processor could not be released earlier elsewhere).
+/// data constraints (within kTimeTolerance) resolve to the data side (the
+/// message was the *reason* the processor could not be released earlier
+/// elsewhere).
 std::vector<TaskBinding> classify_bindings(const TaskGraph& g,
-                                           const Schedule& s,
-                                           double tolerance = 1e-9);
+                                           const Schedule& s);
 
 /// The binding chain of the makespan: starting from the latest-finishing
 /// task, repeatedly step to the blocker until an entry/slack-bound task.
 /// Returned in execution order (first element starts the chain). Its
 /// total computation plus gaps spans the whole makespan.
-std::vector<TaskId> critical_chain(const TaskGraph& g, const Schedule& s,
-                                   double tolerance = 1e-9);
+std::vector<TaskId> critical_chain(const TaskGraph& g, const Schedule& s);
 
 /// Utilization summary of a complete schedule.
 struct UtilizationReport {
@@ -61,8 +60,8 @@ struct UtilizationReport {
 };
 
 /// Compute the report (classify_bindings included).
-UtilizationReport analyze_utilization(const TaskGraph& g, const Schedule& s,
-                                      double tolerance = 1e-9);
+UtilizationReport analyze_utilization(const TaskGraph& g,
+                                      const Schedule& s);
 
 /// Short human-readable name of a binding kind.
 const char* to_string(Binding binding);

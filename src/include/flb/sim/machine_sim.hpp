@@ -51,8 +51,8 @@
 ///    work that was in flight at the kill stays lost (repair's job), and
 ///    any input data that reached the processor before the reboot — local
 ///    predecessor outputs and already-delivered messages alike — must be
-///    re-fetched, priced at rejoin_time + comm * latency_factor on the
-///    consumer's start (not accounted as network traffic).
+///    re-fetched, priced at rejoin_time + comm on the consumer's start
+///    (not accounted as network traffic).
 ///  * SimOptions::event_log turns the simulator into an *observable*
 ///    machine: every fault and recovery is also emitted as a timestamped
 ///    SimEvent, the input of the online recovery controller
@@ -160,11 +160,10 @@ struct SimOptions {
   /// instead of send + cost: store-and-forward over the route, each hop
   /// waiting for its link. Requires SimNetwork::kContentionFree and a
   /// trivial fault plan or none (a routed replay models neither ports nor
-  /// faults); simulate() throws flb::Error otherwise.
+  /// faults); simulate() throws flb::Error otherwise. Every message costs
+  /// its edge's comm per transfer (per hop when routed); a what-if sweep
+  /// over message costs scales the graph's edge costs.
   const Topology* topology = nullptr;
-  /// Multiplies every communication cost (1.0 = the graph's costs). Allows
-  /// what-if sweeps without regenerating graphs.
-  Cost latency_factor = 1.0;
   /// Optional fault injection (see faults.hpp). Not owned; must outlive the
   /// simulate() call. With a non-trivial plan the execution may be partial:
   /// check SimResult::complete() before trusting the makespan, or hand the
@@ -389,8 +388,9 @@ class Replay {
   /// Instant each processor last rebooted (kUndefinedTime = never).
   std::vector<Cost> rejoined_at_;
   std::vector<platform::SpeedProfile> profiles_;
-  /// Owns every message price: the clique, or the link-busy model of a
-  /// routed replay.
+  /// The link-busy model of a routed replay, whose commits price and
+  /// reserve its messages; a clique replay prices by the graph's edge
+  /// costs and leaves this a clique.
   platform::CostModel net_ = platform::CostModel::clique(1);
   /// Arrival per remote edge, indexed by the graph's edge id.
   std::vector<Cost> arrival_;

@@ -31,4 +31,9 @@ inline constexpr Cost kUndefinedTime = -1.0;
 /// Positive infinity, used as the identity for min-reductions over times.
 inline constexpr Cost kInfiniteTime = std::numeric_limits<Cost>::infinity();
 
+/// Absolute slack of every checker's time comparisons (the validators, the
+/// schedule analysis, the linter and the runtime auditor): it absorbs the
+/// round-off of summed costs, and nothing else.
+inline constexpr Cost kTimeTolerance = 1e-9;
+
 }  // namespace flb

@@ -106,19 +106,12 @@ void CostModel::validate(const TaskGraph& g) const {
   FLB_REQUIRE(admitted, "CostModel: at least one processor must be admitted");
 }
 
-void CostModel::set_latency_factor(Cost factor) {
-  FLB_REQUIRE(factor >= 0.0,
-              "CostModel: latency factor must be non-negative");
-  latency_ = factor;
-}
-
 Cost CostModel::probe_route(ProcId src, ProcId dst, Cost bytes,
                             Cost depart) const {
-  const Cost hop_time = message_cost(bytes);
   Cost clock = depart;
   for (std::size_t link : topo_->route(src, dst)) {
     const Cost begin = std::max(clock, link_free_[link]);
-    clock = begin + hop_time;
+    clock = begin + bytes;
   }
   return clock;
 }
@@ -126,14 +119,13 @@ Cost CostModel::probe_route(ProcId src, ProcId dst, Cost bytes,
 void CostModel::arrivals(ProcId src, Cost bytes, Cost finish,
                          std::span<Cost> out) const {
   FLB_ASSERT(out.size() == procs_);
-  const Cost hop_time = message_cost(bytes);
   switch (mode_) {
     case CommMode::kClique:
-      std::fill(out.begin(), out.end(), finish + hop_time);
+      std::fill(out.begin(), out.end(), finish + bytes);
       break;
     case CommMode::kRoutedHops:
       for (ProcId p = 0; p < procs_; ++p)
-        out[p] = finish + hop_time * routed_hops(src, p);
+        out[p] = finish + bytes * routed_hops(src, p);
       break;
     case CommMode::kLinkBusy:
       // Prefix closure: the route to e.node is the route to e.parent plus
@@ -141,7 +133,7 @@ void CostModel::arrivals(ProcId src, Cost bytes, Cost finish,
       // holds the clock probe_route() would carry into that last hop.
       out[src] = finish;
       for (const Topology::TreeEdge& e : topo_->route_tree(src))
-        out[e.node] = std::max(out[e.parent], link_free_[e.link]) + hop_time;
+        out[e.node] = std::max(out[e.parent], link_free_[e.link]) + bytes;
       break;
   }
   out[src] = arrival(src, src, bytes, finish);
@@ -186,16 +178,15 @@ Cost CostModel::commit(ProcId src, ProcId dst, Cost bytes, Cost depart) {
   if (src == dst || mode_ != CommMode::kLinkBusy)
     return comm(src, dst, bytes, depart);
   // Store-and-forward over the deterministic route: each hop takes the
-  // full (scaled) message time; links serialize in commit order. Identical
+  // full message time; links serialize in commit order. Identical
   // arithmetic to the probe, so a probe followed immediately by a commit
   // returns the same instant.
-  const Cost hop_time = message_cost(bytes);
   Cost clock = depart;
   for (std::size_t link : topo_->route(src, dst)) {
     const Cost begin = std::max(clock, link_free_[link]);
-    link_free_[link] = begin + hop_time;
-    occupancies_.push_back({link, begin, begin + hop_time});
-    clock = begin + hop_time;
+    link_free_[link] = begin + bytes;
+    occupancies_.push_back({link, begin, begin + bytes});
+    clock = begin + bytes;
   }
   return clock;
 }

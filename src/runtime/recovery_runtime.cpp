@@ -138,6 +138,9 @@ namespace {
 /// Release delay of the first retry after a repair target fails again;
 /// each further retry doubles it.
 constexpr Cost kBackoffBase = 1.0;
+/// Re-strikes of repair targets the optimizing engine survives; the next
+/// one degrades the controller to the greedy fallback for good.
+constexpr std::size_t kMaxRetries = 3;
 /// Repairs use the greedy fallback below this many observed survivors.
 constexpr ProcId kDegradeBelow = 2;
 /// Self-tuning: the suspect-threshold multiplier grows by this factor per
@@ -184,8 +187,8 @@ SimResult observed_slice(const TaskGraph& g, const SimResult& sim,
 }
 
 // A continuation is validated once: the lint feasibility tier runs the
-// durations-aware validate_schedule at its 1e-9 tolerance and reports each
-// violation as an error diagnostic.
+// durations-aware validate_schedule and reports each violation as an error
+// diagnostic.
 void check_continuation(const TaskGraph& g, const RepairResult& rep,
                         ProcId procs, Cost horizon) {
   analysis::LintOptions lint_options;
@@ -375,8 +378,6 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
   std::vector<Cost> ckpt_interval(n, kUndefinedTime);
   Cost current_tau = 0.0;  // 0 = no estimate yet: keep the plan's interval
 
-  const platform::CostModel waste_model = platform::CostModel::clique(procs);
-
   std::vector<SimEvent> log;
   SimOptions sim_options;
   sim_options.faults = &world;
@@ -527,7 +528,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
                 spec_waste += b.time - sim.start[t];
                 for (const Adj& in : g.predecessors(t))
                   if (current.proc(in.node) != current.proc(t))
-                    spec_waste += waste_model.message_cost(in.comm);
+                    spec_waste += in.comm;
                 ++spec_tasks;
               }
             }
@@ -752,7 +753,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
                            repair_targets[o.bel.proc] != 0;
       if (strike) {
         attempt = ++retry_attempts;
-        if (retry_attempts > options.max_retries) force_greedy = true;
+        if (retry_attempts > kMaxRetries) force_greedy = true;
         break;
       }
     }
@@ -933,7 +934,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     // already-observed prefix never changes under the new policy.
     if (current_tau > 0.0)
       for (TaskId t = 0; t < n; ++t)
-        if (rep.schedule.start(t) >= horizon - 1e-9)
+        if (rep.schedule.start(t) >= horizon - kTimeTolerance)
           ckpt_interval[t] = current_tau;
 
     inv.used = rep.used;
@@ -948,7 +949,7 @@ RuntimeResult run_online_recovery(const TaskGraph& g, const Schedule& nominal,
     repair_targets.assign(procs, 0);
     for (ProcId p = 0; p < procs; ++p)
       for (const TaskId t : rep.schedule.tasks_on(p))
-        if (rep.schedule.start(t) >= rep.release_time - 1e-9) {
+        if (rep.schedule.start(t) >= rep.release_time - kTimeTolerance) {
           repair_targets[p] = 1;
           break;
         }

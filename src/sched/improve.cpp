@@ -12,6 +12,16 @@
 
 namespace flb {
 
+namespace {
+
+/// Full sweeps of improve_schedule before it gives up.
+constexpr std::size_t kMaxPasses = 4;
+/// anneal_schedule's initial temperature, as a fraction of the starting
+/// makespan.
+constexpr double kInitialTempFraction = 0.05;
+
+}  // namespace
+
 ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
                                const ImproveOptions& options) {
   const TaskId n = g.num_tasks();
@@ -30,7 +40,7 @@ ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
   result.final_makespan = result.initial_makespan;
   if (procs == 1 || n == 0) return result;
 
-  for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
     // Sweep tasks in descending finish time of the current schedule: the
     // tasks closing out the makespan are the profitable movers.
     std::vector<TaskId> order(n);
@@ -79,8 +89,6 @@ ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
               "anneal_schedule: the schedule was built for a graph with a "
               "different task count");
   FLB_REQUIRE(s.complete(), "anneal_schedule: schedule is incomplete");
-  FLB_REQUIRE(options.initial_temp_fraction > 0.0,
-              "anneal_schedule: temperature fraction must be positive");
   const ProcId procs = s.num_procs();
 
   std::vector<ProcId> assignment(n);
@@ -92,8 +100,8 @@ ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
   if (procs == 1 || n == 0 || options.iterations == 0) return result;
 
   Rng rng(options.seed);
-  const double t0 = options.initial_temp_fraction *
-                    static_cast<double>(result.initial_makespan);
+  const double t0 =
+      kInitialTempFraction * static_cast<double>(result.initial_makespan);
   // Geometric cooling down to t0 / 1000 across the run.
   const double alpha =
       std::pow(1e-3, 1.0 / static_cast<double>(options.iterations));

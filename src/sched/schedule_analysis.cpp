@@ -7,8 +7,7 @@
 namespace flb {
 
 std::vector<TaskBinding> classify_bindings(const TaskGraph& g,
-                                           const Schedule& s,
-                                           double tolerance) {
+                                           const Schedule& s) {
   FLB_REQUIRE(s.complete(), "classify_bindings: schedule is incomplete");
   const TaskId n = g.num_tasks();
   std::vector<TaskBinding> out(n);
@@ -37,8 +36,8 @@ std::vector<TaskBinding> classify_bindings(const TaskGraph& g,
       // '>=' so ties prefer remote blockers reported last... keep first
       // maximal arrival deterministically, preferring the remote one when
       // arrivals tie (the message is the costlier constraint).
-      if (arrival > data_ready + tolerance ||
-          (arrival > data_ready - tolerance && remote && !data_remote)) {
+      if (arrival > data_ready + kTimeTolerance ||
+          (arrival > data_ready - kTimeTolerance && remote && !data_remote)) {
         data_ready = std::max(data_ready, arrival);
         data_blocker = a.node;
         data_remote = remote;
@@ -46,13 +45,13 @@ std::vector<TaskBinding> classify_bindings(const TaskGraph& g,
     }
 
     Cost bound = std::max(proc_avail, data_ready);
-    if (s.start(t) > bound + tolerance) {
+    if (s.start(t) > bound + kTimeTolerance) {
       out[t] = {Binding::kSlack, kInvalidTask};
-    } else if (bound <= tolerance) {
+    } else if (bound <= kTimeTolerance) {
       out[t] = {Binding::kEntry, kInvalidTask};
-    } else if (data_ready >= proc_avail - tolerance &&
+    } else if (data_ready >= proc_avail - kTimeTolerance &&
                data_blocker != kInvalidTask &&
-               data_ready >= bound - tolerance) {
+               data_ready >= bound - kTimeTolerance) {
       out[t] = {data_remote ? Binding::kRemoteData : Binding::kLocalData,
                 data_blocker};
     } else {
@@ -62,9 +61,8 @@ std::vector<TaskBinding> classify_bindings(const TaskGraph& g,
   return out;
 }
 
-std::vector<TaskId> critical_chain(const TaskGraph& g, const Schedule& s,
-                                   double tolerance) {
-  std::vector<TaskBinding> bindings = classify_bindings(g, s, tolerance);
+std::vector<TaskId> critical_chain(const TaskGraph& g, const Schedule& s) {
+  std::vector<TaskBinding> bindings = classify_bindings(g, s);
   // Latest-finishing task (smallest id on ties for determinism).
   TaskId cur = kInvalidTask;
   for (TaskId t = 0; t < g.num_tasks(); ++t)
@@ -80,8 +78,8 @@ std::vector<TaskId> critical_chain(const TaskGraph& g, const Schedule& s,
   return chain;
 }
 
-UtilizationReport analyze_utilization(const TaskGraph& g, const Schedule& s,
-                                      double tolerance) {
+UtilizationReport analyze_utilization(const TaskGraph& g,
+                                      const Schedule& s) {
   UtilizationReport r;
   r.makespan = s.makespan();
   r.busy_per_proc.assign(s.num_procs(), 0.0);
@@ -93,7 +91,7 @@ UtilizationReport analyze_utilization(const TaskGraph& g, const Schedule& s,
     r.mean_utilization = sum / static_cast<double>(s.num_procs());
   }
 
-  std::vector<TaskBinding> bindings = classify_bindings(g, s, tolerance);
+  std::vector<TaskBinding> bindings = classify_bindings(g, s);
   std::size_t counted = 0, proc = 0, local = 0, remote = 0, slack = 0;
   for (const TaskBinding& b : bindings) {
     if (b.binding == Binding::kEntry) continue;

@@ -60,8 +60,6 @@ void Replay::start(const TaskGraph& g, const Schedule& s,
               "simulate: the schedule was built for a graph with a different "
               "task count");
   FLB_REQUIRE(s.complete(), "simulate: schedule is incomplete");
-  FLB_REQUIRE(options.latency_factor >= 0.0,
-              "simulate: latency factor must be non-negative");
   // Per-task overrides hold a duration or kUndefinedTime (keep the default).
   auto duration_or_default = [](Cost c) {
     return c == kUndefinedTime || (std::isfinite(c) && c >= 0.0);
@@ -160,14 +158,12 @@ void Replay::start(const TaskGraph& g, const Schedule& s,
   recv_free_.assign(procs, 0.0);
   dead_.assign(procs, 0);
 
-  // Piecewise-constant per-processor speed profiles (flb::platform), plus a
-  // cost model that owns every message price in this simulator: a clique,
-  // where remote transfers and cold-cache re-fetches are both
-  // net.message_cost(bytes) = bytes * latency_factor, or the link-busy
-  // model of a routed replay, whose commit() reserves every hop.
+  // Piecewise-constant per-processor speed profiles (flb::platform), plus
+  // the link-busy model a routed replay prices its messages through, whose
+  // commit() reserves every hop. On the clique a remote transfer and a
+  // cold-cache re-fetch both cost the edge's comm.
   net_ = topology != nullptr ? platform::CostModel::link_busy(*topology)
                              : platform::CostModel::clique(procs);
-  net_.set_latency_factor(options.latency_factor);
   profiles_.assign(procs, platform::SpeedProfile{});
   // Instant the processor last rebooted (kUndefinedTime = never): data that
   // reached it at or before this instant was lost with its memory and must
@@ -292,7 +288,7 @@ void Replay::try_dispatch(ProcId p) {
       // Cold caches: data that reached p at or before the reboot was
       // lost with its memory; re-fetch it from the rejoin instant.
       if (cold != kUndefinedTime && avail <= cold)
-        avail = cold + net_.message_cost(a.comm);
+        avail = cold + a.comm;
       start = std::max(start, avail);
     }
     dispatched_[t] = 1;
@@ -407,7 +403,7 @@ void Replay::process(const Event& ev) {
   std::size_t slot = g.out_edge_begin(t);
   for (const Adj& a : g.successors(t)) {
     if (s.proc(a.node) != p) {
-      Cost cost = net_.message_cost(a.comm);
+      Cost cost = a.comm;
       MessageOutcome fate;
       if (plan != nullptr) fate = resolve_message(*plan, slot);
       result_.retries += fate.retries;

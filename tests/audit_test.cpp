@@ -2,8 +2,8 @@
 // episodes in all three controller modes certify with zero errors, and
 // every error rule is demonstrated live by a mutation self-test — a
 // tampered copy of a real episode (reordered events, orphan rejoin, forged
-// quorum confirmation, overlapping reservation, inflated checkpoint claim,
-// ...) must fire exactly the rule built to catch it. Mutations recompute
+// quorum confirmation, inflated checkpoint claim, ...) must fire exactly
+// the rule built to catch it. Mutations recompute
 // the result digests after tampering, so audit-result-consistency stays
 // quiet and cannot mask a weaker rule. Also pins the flb_lint --json
 // report schema with a golden output.
@@ -373,20 +373,6 @@ TEST(RuntimeAuditMutation, ForgedQuorumConfirmationFiresQuorumSoundness) {
   opt.quorum = 2;
   expect_only_rule(audit_runtime(g, world, r, opt),
                    "audit-quorum-soundness");
-}
-
-TEST(RuntimeAuditMutation, OverlappingReservationFiresReservationOverlap) {
-  const TaskGraph g = unit_tasks(12);
-  const FaultPlan world = world_perfect();
-  const RuntimeResult r = episode_perfect(g, world);
-
-  const std::vector<platform::LinkOccupancy> occupancies = {
-      {0, 0.0, 2.0}, {1, 0.0, 1.0}, {0, 1.5, 3.0}};
-  AuditOptions opt;
-  opt.debounce = 0.25;
-  opt.occupancies = &occupancies;
-  expect_only_rule(audit_runtime(g, world, r, opt),
-                   "audit-reservation-overlap");
 }
 
 TEST(RuntimeAuditMutation, InflatedCheckpointClaimFiresCheckpointProvenance) {

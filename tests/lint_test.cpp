@@ -214,21 +214,20 @@ TEST(LintFeasibility, UnscheduledTaskAndWrongDurationAndPrecedence) {
   EXPECT_TRUE(has_rule(r3, "precedence")) << rules_of(r3);
 }
 
-// A schedule of another graph is the caller's error, not a finding, with or
-// without the feasibility tier.
+// A schedule of another graph is the caller's error, not a finding, at
+// every entry point.
 TEST(LintFeasibility, RejectsScheduleOfAnotherGraph) {
   const test::MismatchedSchedules other;
   const platform::CostModel model = platform::CostModel::clique(3);
-  LintOptions quality_only;
-  quality_only.feasibility = false;
-  for (const LintOptions& options : {LintOptions{}, quality_only}) {
-    EXPECT_THROW(
-        (void)lint_schedule(other.large, other.of_small, model, options),
-        Error);
-    EXPECT_THROW(
-        (void)lint_schedule(other.small, other.of_large, model, options),
-        Error);
-  }
+  const std::vector<Cost> durations(other.large.num_tasks(), kUndefinedTime);
+  EXPECT_THROW((void)lint_schedule(other.large, other.of_small, model),
+               Error);
+  EXPECT_THROW((void)lint_schedule(other.small, other.of_large, model),
+               Error);
+  EXPECT_THROW((void)lint_schedule(other.large, other.of_small, durations,
+                                   model),
+               Error);
+  EXPECT_THROW((void)lint_flb(other.large, other.of_small, {}, model), Error);
 }
 
 /// `s` with task `t` re-placed at [start, finish] on `p`.

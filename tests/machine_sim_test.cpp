@@ -136,16 +136,17 @@ TEST(MachineSim, RecvPortSerializesFanin) {
   EXPECT_DOUBLE_EQ(simulate(g, s, spr).makespan, 14.0);
 }
 
-// --- Latency factor -----------------------------------------------------------
+// --- Message-cost sweeps ----------------------------------------------------
+//
+// A what-if sweep over message costs replays the schedule on a copy of the
+// graph with scaled edge costs.
 
 TEST(MachineSim, ZeroLatencyOnlyHelps) {
   for (std::size_t i = 0; i < 8; ++i) {
     TaskGraph g = test::fuzz_graph(i);
     FlbScheduler flb;
     Schedule s = flb.run(g, 3);
-    SimOptions zero;
-    zero.latency_factor = 0.0;
-    EXPECT_LE(simulate(g, s, zero).makespan,
+    EXPECT_LE(simulate(test::scale_comm(g, 0.0), s).makespan,
               simulate(g, s).makespan + 1e-9)
         << g.name();
   }
@@ -156,9 +157,7 @@ TEST(MachineSim, LatencyScalesNetworkBusy) {
   FlbScheduler flb;
   Schedule s = flb.run(g, 3);
   SimResult base = simulate(g, s);
-  SimOptions twice;
-  twice.latency_factor = 2.0;
-  SimResult scaled = simulate(g, s, twice);
+  SimResult scaled = simulate(test::scale_comm(g, 2.0), s);
   EXPECT_NEAR(scaled.network_busy, 2.0 * base.network_busy, 1e-9);
   EXPECT_GE(scaled.makespan, base.makespan - 1e-9);
 }
@@ -173,15 +172,6 @@ TEST(MachineSim, RejectsIncompleteSchedule) {
   const test::MismatchedSchedules other;
   EXPECT_THROW((void)simulate(other.large, other.of_small), Error);
   EXPECT_THROW((void)simulate(other.small, other.of_large), Error);
-}
-
-TEST(MachineSim, RejectsNegativeLatency) {
-  TaskGraph g = test::small_diamond();
-  FlbScheduler flb;
-  Schedule s = flb.run(g, 2);
-  SimOptions options;
-  options.latency_factor = -1.0;
-  EXPECT_THROW((void)simulate(g, s, options), Error);
 }
 
 // Override entries are durations. At -2 a task would finish before it

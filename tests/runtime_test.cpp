@@ -250,15 +250,32 @@ TEST(OnlineRecovery, RepairTargetReStrikeBacksOffThenDegrades) {
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(is_valid_schedule(g, r.schedule, r.durations));
 
-  // With a zero retry budget the same re-strike exhausts it: the controller
-  // stops trusting the optimizing engine and degrades to greedy.
-  RuntimeOptions strict;
-  strict.max_retries = 0;
-  RuntimeResult d = run_online_recovery(g, nominal, world, strict);
-  ASSERT_EQ(d.repairs.size(), 2u);
-  EXPECT_EQ(d.repairs[1].used, RepairStrategy::kGreedy);
+  // The retry budget is three re-strikes. After p0 fails, p1..p4 fail one
+  // after another, each once the previous repair has migrated work onto
+  // it, and each re-strike doubles the release delay. The fourth exhausts
+  // the budget: the controller stops trusting the optimizing engine and
+  // degrades to greedy for good. Two processors survive, so the
+  // degradation is the budget's, not the survivor count's.
+  TaskGraph h = unit_tasks(28);
+  Schedule strip = strip_schedule(28, 7, 4);
+  FaultPlan restrikes;
+  for (ProcId p = 0; p < 5; ++p)
+    restrikes.failures.push_back({p, 0.5 + 2.0 * p});
+  RuntimeResult d = run_online_recovery(h, strip, restrikes);
+  ASSERT_EQ(d.repairs.size(), 5u);
+  // A horizon is the later of the strike and the previous horizon, plus
+  // the delay: 2.5 + 1, 4.5 + 2, 6.5 + 4, 10.5 + 8.
+  const Cost horizons[] = {0.5, 3.5, 6.5, 10.5, 18.5};
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(d.repairs[k].retry_attempt, k);
+    EXPECT_DOUBLE_EQ(d.repairs[k].horizon, horizons[k]);
+    EXPECT_EQ(d.repairs[k].used, k < 4 ? RepairStrategy::kFlbResume
+                                       : RepairStrategy::kGreedy)
+        << "repair " << k;
+  }
   EXPECT_TRUE(d.degraded);
   EXPECT_TRUE(d.complete);
+  EXPECT_TRUE(is_valid_schedule(h, d.schedule, d.durations));
 }
 
 TEST(OnlineRecovery, TotalBlackoutDefersUntilTheRejoinIsObserved) {

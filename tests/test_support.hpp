@@ -52,6 +52,17 @@ inline TaskGraph small_diamond() {
   return std::move(b).build();
 }
 
+/// A copy of `g` whose edges cost `factor` times as much: a what-if sweep
+/// over message costs. Tasks, edges and their successor order (and so
+/// every edge id) are those of `g`.
+inline TaskGraph scale_comm(const TaskGraph& g, Cost factor) {
+  TaskGraphBuilder b;
+  b.set_name(g.name());
+  for (TaskId t = 0; t < g.num_tasks(); ++t) b.add_task(g.comp(t));
+  for (const Edge& e : g.edges()) b.add_edge(e.from, e.to, e.comm * factor);
+  return std::move(b).build();
+}
+
 /// Complete FLB schedules of a V=20 and a V=60 Random graph, each to be
 /// checked against the other's graph: an entry point that indexes a
 /// schedule by its graph's task ids must reject both pairings.

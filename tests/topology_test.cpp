@@ -142,11 +142,8 @@ TEST(Topology, FromLinksDeduplicatesAndValidates) {
 
 /// A routed replay of `s` on `t`.
 SimResult replay(const TaskGraph& g, const Schedule& s, const Topology& t,
-                 Cost latency = 1.0,
                  const std::vector<Cost>* work = nullptr) {
-  return simulate(g, s,
-                  {.topology = &t, .latency_factor = latency,
-                   .work_override = work});
+  return simulate(g, s, {.topology = &t, .work_override = work});
 }
 
 /// Busy time per link, summed from a replay's reservation log.
@@ -284,7 +281,7 @@ TEST(TopologySim, WorkOverrideReplacesDurations) {
   std::vector<Cost> override_work(g.num_tasks(), kUndefinedTime);
   override_work[0] = g.comp(0) * 0.5;
   override_work[1] = 0.0;
-  SimResult r = replay(g, s, ring, 1.0, &override_work);
+  SimResult r = replay(g, s, ring, &override_work);
   ASSERT_TRUE(r.complete());
   EXPECT_NEAR(r.finish[0] - r.start[0], g.comp(0) * 0.5, 1e-9);
   EXPECT_NEAR(r.finish[1] - r.start[1], 0.0, 1e-9);
@@ -293,14 +290,15 @@ TEST(TopologySim, WorkOverrideReplacesDurations) {
 
   // A wrong-sized override is rejected.
   std::vector<Cost> wrong(g.num_tasks() + 1, kUndefinedTime);
-  EXPECT_THROW((void)replay(g, s, ring, 1.0, &wrong), Error);
+  EXPECT_THROW((void)replay(g, s, ring, &wrong), Error);
 }
 
 // --- Bit-identity pin of the routed replay ---------------------------------------
 
 /// The 48 replays of one interconnect: FLB's schedules of fuzz_graph(0..11)
-/// on all of its nodes, each replayed at latency factor 1 and 0.5, without
-/// and with every even task's work overridden to 0.7 x its computation.
+/// on all of its nodes, each replayed on the graph and on a copy with
+/// halved edge costs, without and with every even task's work overridden
+/// to 0.7 x its computation.
 template <typename Replay>
 void for_each_replay(const Topology& t, Replay&& replay) {
   for (std::size_t i = 0; i < 12; ++i) {
@@ -309,9 +307,10 @@ void for_each_replay(const Topology& t, Replay&& replay) {
     const Schedule s = flb.run(g, t.num_nodes());
     std::vector<Cost> work(g.num_tasks(), kUndefinedTime);
     for (TaskId v = 0; v < g.num_tasks(); v += 2) work[v] = 0.7 * g.comp(v);
-    for (const Cost latency : {1.0, 0.5}) {
-      replay(g, s, latency, nullptr);
-      replay(g, s, latency, &work);
+    const TaskGraph halved = test::scale_comm(g, 0.5);
+    for (const TaskGraph* h : {&g, &halved}) {
+      replay(*h, s, nullptr);
+      replay(*h, s, &work);
     }
   }
 }
@@ -372,8 +371,8 @@ TEST(TopologySim, ReplaysBitIdentical) {
     Fnv1a h;
     std::size_t hops = 0;
     for_each_replay(zoo[z], [&](const TaskGraph& g, const Schedule& s,
-                                Cost latency, const std::vector<Cost>* work) {
-      const SimResult r = replay(g, s, zoo[z], latency, work);
+                                const std::vector<Cost>* work) {
+      const SimResult r = replay(g, s, zoo[z], work);
       for (TaskId v = 0; v < g.num_tasks(); ++v) {
         h.add_u64(std::bit_cast<std::uint64_t>(r.start[v]));
         h.add_u64(std::bit_cast<std::uint64_t>(r.finish[v]));
@@ -395,8 +394,8 @@ TEST(TopologySim, ReplaysBitIdentical) {
 TEST(TopologySim, LinkLogHonorsLinkExclusivity) {
   for (const Topology& t : test::topology_zoo()) {
     for_each_replay(t, [&](const TaskGraph& g, const Schedule& s,
-                           Cost latency, const std::vector<Cost>* work) {
-      const SimResult r = replay(g, s, t, latency, work);
+                           const std::vector<Cost>* work) {
+      const SimResult r = replay(g, s, t, work);
       std::size_t hops = 0;
       for (TaskId v = 0; v < g.num_tasks(); ++v)
         for (const Adj& a : g.successors(v))
