@@ -162,9 +162,9 @@ class FlbScheduler final : public Scheduler {
   /// occupancy log is a prefix of the unbounded one. A repair passes the
   /// makespan of the best continuation so far.
   /// Fills `stats` when it is not null. Throws flb::Error unless `prefix`
-  /// is sized for `g` and for the model's processor count, every speed is
-  /// at most 1, the model fits `g` (CostModel::validate) and `bound` is not
-  /// NaN.
+  /// is sized for `g` and for the model's processor count, places no task
+  /// without all its predecessors, every speed is at most 1, the model
+  /// fits `g` (CostModel::validate) and `bound` is not NaN.
   [[nodiscard]] Schedule resume(const TaskGraph& g, Schedule prefix,
                                 platform::CostModel& model,
                                 FlbStats* stats = nullptr,
