@@ -80,6 +80,8 @@ struct BatchOptions {
 /// Schedule every request and return the results in input order. Workers
 /// claim requests via an atomic index and write into distinct slots, so the
 /// result vector is byte-identical for any num_threads (1 == sequential).
+/// Throws flb::Error before any request runs if one has a null graph or
+/// zero processors.
 std::vector<ScheduleResult> schedule_batch(
     const std::vector<ScheduleRequest>& requests,
     const BatchOptions& opts = {});
@@ -114,7 +116,8 @@ class ScheduleService {
   /// Enqueue one request and return its id (dense, starting at 0). Blocks
   /// while the queue is at capacity — backpressure — and counts the wait.
   /// The graph is not owned and must stay alive until the request
-  /// completes. Must not be called after close().
+  /// completes. Must not be called after close(). Throws flb::Error on
+  /// zero processors, before the request is counted or queued.
   std::size_t submit(const TaskGraph& g, ProcId num_procs);
 
   /// Block until every submitted request has completed.

@@ -30,8 +30,13 @@ std::vector<ScheduleResult> schedule_batch(
     const std::vector<ScheduleRequest>& requests, const BatchOptions& opts) {
   FLB_REQUIRE(opts.num_threads >= 1,
               "schedule_batch: at least one worker thread required");
-  for (const ScheduleRequest& r : requests)
+  // Checked here, on the caller's thread: a worker thread has no caller to
+  // hand an flb::Error to.
+  for (const ScheduleRequest& r : requests) {
     FLB_REQUIRE(r.graph != nullptr, "schedule_batch: request with null graph");
+    FLB_REQUIRE(r.num_procs >= 1,
+                "schedule_batch: at least one processor required");
+  }
 
   std::vector<ScheduleResult> results(requests.size());
   if (requests.empty()) return results;
@@ -77,6 +82,10 @@ ScheduleService::ScheduleService(Options opts) : opts_(std::move(opts)) {
 ScheduleService::~ScheduleService() { close(); }
 
 std::size_t ScheduleService::submit(const TaskGraph& g, ProcId num_procs) {
+  // A worker that threw would end the process: reject on the caller's
+  // thread, before the request is counted.
+  FLB_REQUIRE(num_procs >= 1,
+              "ScheduleService::submit: at least one processor required");
   std::unique_lock lock(mu_);
   FLB_REQUIRE(!closing_, "ScheduleService::submit: service is closed");
   if (queue_.size() >= opts_.queue_capacity) {

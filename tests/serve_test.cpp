@@ -11,6 +11,7 @@
 
 #include "flb/core/flb.hpp"
 #include "flb/sched/validator.hpp"
+#include "flb/util/error.hpp"
 #include "flb/workloads/paper_example.hpp"
 #include "test_support.hpp"
 
@@ -117,6 +118,23 @@ TEST(BatchDeterminismTest, EmptyBatchIsFine) {
   EXPECT_TRUE(serve::schedule_batch(requests).empty());
 }
 
+// A zero-processor request is the caller's error. It is rejected with
+// flb::Error on the caller's thread before any request runs: thrown on a
+// worker thread it would end the process instead.
+TEST(BatchDeterminismTest, RejectsZeroProcessorRequest) {
+  const Corpus c = make_corpus();
+  std::vector<serve::ScheduleRequest> requests;
+  for (std::size_t i = 0; i < c.graphs.size(); ++i)
+    requests.push_back({&c.graphs[i], c.procs[i]});
+  requests[3].num_procs = 0;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    serve::BatchOptions opts;
+    opts.num_threads = threads;
+    EXPECT_THROW((void)serve::schedule_batch(requests, opts), Error)
+        << threads << " threads";
+  }
+}
+
 TEST(ScheduleServiceTest, DrainCompletesEverythingIdentically) {
   const Corpus c = make_corpus();
   const std::vector<std::uint64_t> expected = sequential_digests(c);
@@ -172,6 +190,27 @@ TEST(ScheduleServiceTest, CloseIsIdempotentAndDrains) {
   service.close();  // must be a no-op
   EXPECT_EQ(service.stats().completed, 2u);
   EXPECT_EQ(service.result(0).digest, service.result(1).digest);
+}
+
+// submit() rejects a zero-processor request before counting it; the
+// requests around it complete, and the service drains and closes.
+TEST(ScheduleServiceTest, RejectsZeroProcessorRequest) {
+  const Corpus c = make_corpus();
+  const std::vector<std::uint64_t> expected = sequential_digests(c);
+  serve::ScheduleService::Options opts;
+  opts.num_threads = 2;
+  serve::ScheduleService service(opts);
+  EXPECT_EQ(service.submit(c.graphs[0], c.procs[0]), 0u);
+  EXPECT_THROW((void)service.submit(c.graphs[1], 0), Error);
+  EXPECT_EQ(service.submit(c.graphs[2], c.procs[2]), 1u);
+  service.drain();
+  const serve::ServiceStats st = service.stats();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(service.result(0).digest, expected[0]);
+  EXPECT_EQ(service.result(1).digest, expected[2]);
+  service.close();
+  EXPECT_EQ(service.stats().completed, 2u);
 }
 
 TEST(ScheduleServiceTest, KeepSchedulesOption) {
