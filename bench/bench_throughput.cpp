@@ -1,11 +1,13 @@
-// Batch-serving throughput of the arena-backed FLB engine (flb::serve):
-// DAGs/sec and per-request latency percentiles vs worker-thread count on a
-// mixed workload-generator stream. The digest column chains every
-// schedule's FNV-1a digest in request order — it must be identical on
-// every row, which is the end-to-end check that the concurrent batch
-// driver is byte-identical to a sequential run.
+// Serving throughput of the arena-backed FLB engine (flb::serve): DAGs/sec
+// and per-request scheduling-time percentiles vs worker-thread count on a
+// mixed workload-generator stream. Each row runs a ScheduleService whose
+// queue holds the whole stream: one warm-up pass, then one timed pass of
+// submit-all plus drain(). The digest column chains every schedule's
+// FNV-1a digest in request-id order — it must be identical on every row,
+// which is the end-to-end check that the worker pool is byte-identical to
+// a sequential run.
 //
-//   --dags N       requests in the batch (default 64; --smoke: 12)
+//   --dags N       requests in the stream (default 64; --smoke: 12)
 //   --tasks V      target tasks per DAG (default 300; --smoke: 60)
 //   --threads a,b  worker counts to sweep (default 1,2,4,8)
 //   --procs P      processors per request (first entry; default 8)
@@ -21,10 +23,13 @@
 
 namespace {
 
-// Chain per-request digests in input order into one batch fingerprint.
-std::uint64_t chain_digests(const std::vector<flb::serve::ScheduleResult>& rs) {
+// Chain the digests of requests first .. first + count - 1 in id order into
+// one stream fingerprint.
+std::uint64_t chain_digests(const flb::serve::ScheduleService& service,
+                            std::size_t first, std::size_t count) {
   flb::Fnv1a h;
-  for (const auto& r : rs) h.add_u64(r.digest);
+  for (std::size_t id = first; id < first + count; ++id)
+    h.add_u64(service.result(id).digest);
   return h.value();
 }
 
@@ -69,42 +74,44 @@ int main(int argc, char** argv) {
     graphs.push_back(
         make_workload(families[i % families.size()], tasks, params));
   }
-  std::vector<serve::ScheduleRequest> requests;
-  requests.reserve(dags);
-  for (const TaskGraph& g : graphs) requests.push_back({&g, procs});
 
-  std::cout << "Batch throughput: " << dags << " mixed DAGs (V~" << tasks
+  std::cout << "Serving throughput: " << dags << " mixed DAGs (V~" << tasks
             << ", P=" << procs << ") vs worker threads\n\n";
 
   Table table({"threads", "wall ms", "DAGs/s", "speedup", "p50 ms", "p99 ms",
-               "batch digest"});
+               "stream digest"});
   double base_wall = 0.0;
   std::uint64_t base_digest = 0;
   bool first = true;
   for (std::int64_t tc : threads) {
     FLB_REQUIRE(tc >= 1, "--threads entries must be positive");
-    serve::BatchOptions opts;
+    serve::ScheduleService::Options opts;
     opts.num_threads = static_cast<std::size_t>(tc);
-    // One warm-up sweep so steady-state scratch reuse (not first-touch
+    opts.queue_capacity = dags;  // the whole stream: submit never blocks
+    serve::ScheduleService service(opts);
+    // One warm-up pass so steady-state scratch reuse (not first-touch
     // arena growth) is what gets measured.
-    (void)serve::schedule_batch(requests, opts);
+    for (const TaskGraph& g : graphs) (void)service.submit(g, procs);
+    service.drain();
     Stopwatch sw;
-    std::vector<serve::ScheduleResult> results =
-        serve::schedule_batch(requests, opts);
+    for (const TaskGraph& g : graphs) (void)service.submit(g, procs);
+    service.drain();
     const double wall = sw.millis();
 
+    // The timed pass holds request ids dags .. 2 * dags - 1.
     std::vector<double> lat;
-    lat.reserve(results.size());
-    for (const auto& r : results) lat.push_back(r.run_ms);
-    const std::uint64_t digest = chain_digests(results);
+    lat.reserve(dags);
+    for (std::size_t id = dags; id < 2 * dags; ++id)
+      lat.push_back(service.result(id).run_ms);
+    const std::uint64_t digest = chain_digests(service, dags, dags);
     if (first) {
       base_wall = wall;
       base_digest = digest;
       first = false;
     }
     FLB_REQUIRE(digest == base_digest,
-                "bench_throughput: batch digest diverged across thread "
-                "counts — the concurrent driver is not deterministic");
+                "bench_throughput: stream digest diverged across thread "
+                "counts — the worker pool is not deterministic");
     table.add_row({std::to_string(tc), format_fixed(wall, 1),
                    format_fixed(static_cast<double>(dags) * 1000.0 / wall, 1),
                    format_fixed(base_wall / wall, 2),
@@ -117,12 +124,12 @@ int main(int argc, char** argv) {
   } else {
     table.print(std::cout);
   }
-  std::cout << "(identical batch digests across rows = the concurrent "
-               "driver is byte-identical to sequential FLB)\n";
+  std::cout << "(identical stream digests across rows = the worker pool "
+               "is byte-identical to sequential FLB)\n";
 
   if (smoke) {
-    // Exercise the streaming service under TSan: bounded queue, blocking
-    // backpressure, drain, per-request latency accounting.
+    // Exercise the service under TSan with a queue shorter than the
+    // stream: blocking backpressure, drain, per-request latency accounting.
     serve::ScheduleService::Options sopts;
     sopts.num_threads = 4;
     sopts.queue_capacity = 4;  // small on purpose: force backpressure
@@ -132,11 +139,8 @@ int main(int argc, char** argv) {
     serve::ServiceStats st = service.stats();
     FLB_REQUIRE(st.completed == dags,
                 "bench_throughput: service lost requests");
-    Fnv1a chained;
-    for (std::size_t id = 0; id < dags; ++id)
-      chained.add_u64(service.result(id).digest);
-    FLB_REQUIRE(chained.value() == base_digest,
-                "bench_throughput: service digests diverged from the batch");
+    FLB_REQUIRE(chain_digests(service, 0, dags) == base_digest,
+                "bench_throughput: smoke digests diverged from the sweep");
     service.close();
     std::cout << "smoke: service ok (" << st.completed << " completed, "
               << st.backpressure_waits << " backpressure waits)\n";

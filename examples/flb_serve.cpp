@@ -1,13 +1,11 @@
 // flb_serve: scheduling as a service — stream a mixed workload-generator
-// request mix through the concurrent batch driver (flb::serve) and report
-// throughput, per-request latency and the determinism fingerprint.
+// request mix through the worker pool of flb::serve::ScheduleService and
+// report throughput, per-request latency and the determinism check.
 //
-// Two modes are demonstrated:
-//  1. schedule_batch(): the whole request set is known up front; workers
-//     claim requests via an atomic index (results in input order).
-//  2. ScheduleService: requests arrive one at a time against a bounded
-//     queue; submit() blocks when the queue is full (backpressure), and
-//     each request's latency includes its queueing delay.
+// Requests arrive one at a time against a bounded queue; submit() blocks
+// when the queue is full (backpressure), and each request's latency
+// includes its queueing delay. Every digest is checked against a
+// sequential FlbScheduler::run_into of the same request.
 //
 // Usage: flb_serve [--dags N] [--tasks V] [--procs P] [--threads T]
 //                  [--queue Q]
@@ -51,26 +49,11 @@ int main(int argc, char** argv) {
   std::cout << "Serving " << dags << " mixed DAGs (V~" << tasks << ", P="
             << procs << ") on " << threads << " workers\n\n";
 
-  // --- Mode 1: one-shot batch -------------------------------------------
-  std::vector<serve::ScheduleRequest> requests;
-  requests.reserve(dags);
-  for (const TaskGraph& g : graphs) requests.push_back({&g, procs});
-  serve::BatchOptions bopts;
-  bopts.num_threads = threads;
-  Stopwatch sw;
-  std::vector<serve::ScheduleResult> batch =
-      serve::schedule_batch(requests, bopts);
-  const double batch_ms = sw.millis();
-
-  std::cout << "batch:   " << batch_ms << " ms total, "
-            << static_cast<double>(dags) * 1000.0 / batch_ms << " DAGs/s\n";
-
-  // --- Mode 2: streaming service with backpressure ----------------------
   serve::ScheduleService::Options sopts;
   sopts.num_threads = threads;
   sopts.queue_capacity = queue;
   serve::ScheduleService service(sopts);
-  sw.restart();
+  Stopwatch sw;
   for (const TaskGraph& g : graphs) (void)service.submit(g, procs);
   service.drain();
   const double stream_ms = sw.millis();
@@ -79,10 +62,13 @@ int main(int argc, char** argv) {
   std::vector<double> latency;
   latency.reserve(dags);
   bool identical = true;
+  FlbScheduler sequential;
+  Schedule buffer(1, 0);
   for (std::size_t id = 0; id < dags; ++id) {
     const serve::ScheduleResult& r = service.result(id);
     latency.push_back(r.latency_ms);
-    if (r.digest != batch[id].digest) identical = false;
+    sequential.run_into(graphs[id], procs, buffer);
+    if (r.digest != schedule_digest(buffer)) identical = false;
   }
   std::sort(latency.begin(), latency.end());
   const double p50 = latency[latency.size() / 2];
@@ -94,11 +80,11 @@ int main(int argc, char** argv) {
             << " DAGs/s, p50 " << p50 << " ms, p99 " << p99 << " ms, "
             << st.backpressure_waits << " backpressure waits\n";
   std::cout << "digests: "
-            << (identical ? "stream == batch (deterministic)"
+            << (identical ? "stream == sequential (deterministic)"
                           : "MISMATCH — nondeterminism detected!")
             << "\n";
   service.close();
   FLB_REQUIRE(identical,
-              "flb_serve: stream and batch digests must be identical");
+              "flb_serve: stream and sequential digests must be identical");
   return 0;
 }

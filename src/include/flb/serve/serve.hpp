@@ -28,14 +28,11 @@
 ///  * every worker owns one FlbScheduler (and therefore one core::Scratch
 ///    and one reusable Schedule buffer) — no sharing, no locks on the
 ///    scheduling hot path, zero steady-state heap allocation per request;
-///  * `schedule_batch()` fans N graphs over the pool via a single atomic
-///    work index and writes results into distinct pre-sized slots, so the
-///    output is in input order and byte-identical to a sequential run at
-///    any thread count (tests/serve_test.cpp pins the digests);
-///  * `ScheduleService` adds the streaming shape: a bounded FIFO queue
-///    whose submit() blocks while the queue is full (backpressure — the
-///    producer is throttled to the pool's throughput instead of growing an
-///    unbounded backlog), with per-request latency accounting.
+///  * `ScheduleService` feeds the pool from a bounded FIFO queue whose
+///    submit() blocks while the queue is full (backpressure — the producer
+///    is throttled to the pool's throughput instead of growing an
+///    unbounded backlog), keeps each result in the slot of its dense
+///    request id, and accounts per-request latency.
 ///
 /// Determinism note: FLB is deterministic per graph, and requests are
 /// independent, so the only ordering freedom in this layer is which worker
@@ -51,13 +48,6 @@ namespace flb::serve {
 /// directly against the golden tests' and the recovery runtime's.
 using flb::schedule_digest;
 
-/// One scheduling request: a task graph (not owned — it must outlive the
-/// call) and the processor count to schedule it onto.
-struct ScheduleRequest {
-  const TaskGraph* graph = nullptr;
-  ProcId num_procs = 1;
-};
-
 /// What the service hands back per request. The Schedule itself is only
 /// materialized when asked for (keep_schedules): at serving volume the
 /// caller usually wants the digest/makespan/latency triple, and dropping
@@ -69,22 +59,6 @@ struct ScheduleResult {
   double run_ms = 0.0;             ///< scheduling time alone (no queueing)
   std::optional<Schedule> schedule;  ///< set iff keep_schedules
 };
-
-/// Options for schedule_batch().
-struct BatchOptions {
-  std::size_t num_threads = 1;   ///< worker pool size (>= 1)
-  FlbOptions flb;                ///< forwarded to every worker's scheduler
-  bool keep_schedules = false;   ///< copy each Schedule into its result
-};
-
-/// Schedule every request and return the results in input order. Workers
-/// claim requests via an atomic index and write into distinct slots, so the
-/// result vector is byte-identical for any num_threads (1 == sequential).
-/// Throws flb::Error before any request runs if one has a null graph or
-/// zero processors.
-std::vector<ScheduleResult> schedule_batch(
-    const std::vector<ScheduleRequest>& requests,
-    const BatchOptions& opts = {});
 
 /// Aggregate counters of a ScheduleService.
 struct ServiceStats {

@@ -1,73 +1,10 @@
 #include "flb/serve/serve.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "flb/util/error.hpp"
 
 namespace flb::serve {
-
-namespace {
-
-// One worker's processing of one request: schedule through the
-// worker-owned scheduler into its reusable buffer, then fill the slot.
-// Only `out.latency_ms` is left for the caller (it includes queueing).
-void process(FlbScheduler& scheduler, Schedule& buffer, const TaskGraph& g,
-             ProcId num_procs, bool keep_schedule, ScheduleResult& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  scheduler.run_into(g, num_procs, buffer);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.digest = schedule_digest(buffer);
-  out.makespan = buffer.makespan();
-  out.run_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  if (keep_schedule) out.schedule = buffer;
-}
-
-}  // namespace
-
-std::vector<ScheduleResult> schedule_batch(
-    const std::vector<ScheduleRequest>& requests, const BatchOptions& opts) {
-  FLB_REQUIRE(opts.num_threads >= 1,
-              "schedule_batch: at least one worker thread required");
-  // Checked here, on the caller's thread: a worker thread has no caller to
-  // hand an flb::Error to.
-  for (const ScheduleRequest& r : requests) {
-    FLB_REQUIRE(r.graph != nullptr, "schedule_batch: request with null graph");
-    FLB_REQUIRE(r.num_procs >= 1,
-                "schedule_batch: at least one processor required");
-  }
-
-  std::vector<ScheduleResult> results(requests.size());
-  if (requests.empty()) return results;
-
-  // Workers claim requests through one atomic index and write distinct
-  // result slots: no locks on the scheduling path, and the output is in
-  // input order — byte-identical at any thread count.
-  std::atomic<std::size_t> next{0};
-  auto run_worker = [&]() {
-    FlbScheduler scheduler(opts.flb);
-    Schedule buffer(1, 0);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= requests.size()) break;
-      process(scheduler, buffer, *requests[i].graph, requests[i].num_procs,
-              opts.keep_schedules, results[i]);
-      results[i].latency_ms = results[i].run_ms;  // batch: no queueing
-    }
-  };
-
-  const std::size_t workers = std::min(opts.num_threads, requests.size());
-  if (workers == 1) {
-    run_worker();  // run on the caller's thread — the sequential baseline
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(run_worker);
-  for (std::thread& t : pool) t.join();
-  return results;
-}
 
 ScheduleService::ScheduleService(Options opts) : opts_(std::move(opts)) {
   FLB_REQUIRE(opts_.num_threads >= 1,
@@ -119,8 +56,13 @@ void ScheduleService::worker_loop() {
       slot = &results_[job.id];
       queue_space_.notify_one();
     }
-    process(scheduler, buffer, *job.graph, job.num_procs,
-            opts_.keep_schedules, *slot);
+    const auto t0 = std::chrono::steady_clock::now();
+    scheduler.run_into(*job.graph, job.num_procs, buffer);
+    const auto t1 = std::chrono::steady_clock::now();
+    slot->digest = schedule_digest(buffer);
+    slot->makespan = buffer.makespan();
+    slot->run_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (opts_.keep_schedules) slot->schedule = buffer;
     slot->latency_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - job.submitted)
                            .count();

@@ -1,6 +1,6 @@
-// flb::serve tests: the concurrent batch driver and streaming service must
-// be byte-identical to sequential FLB at every thread count, and the serving
-// digest must agree with the pinned pre-refactor goldens.
+// flb::serve tests: the scheduling service must be byte-identical to
+// sequential FLB at every worker count, and the serving digest must agree
+// with the pinned pre-refactor goldens.
 
 #include "flb/serve/serve.hpp"
 
@@ -18,8 +18,8 @@
 namespace flb {
 namespace {
 
-// The batch corpus from the issue: the paper's Figure-1 example plus eight
-// graphs from the deterministic fuzz registry, with varied processor counts.
+// The request corpus: the paper's Figure-1 example plus eight graphs from
+// the deterministic fuzz registry, with varied processor counts.
 struct Corpus {
   std::vector<TaskGraph> graphs;
   std::vector<ProcId> procs;
@@ -68,93 +68,32 @@ TEST(ServeDigestTest, RunIntoIsBitIdenticalToRun) {
   }
 }
 
-TEST(BatchDeterminismTest, BatchEqualsSequentialAtEveryThreadCount) {
-  const Corpus c = make_corpus();
-  const std::vector<std::uint64_t> expected = sequential_digests(c);
-
-  std::vector<serve::ScheduleRequest> requests;
-  for (std::size_t i = 0; i < c.graphs.size(); ++i)
-    requests.push_back({&c.graphs[i], c.procs[i]});
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    serve::BatchOptions opts;
-    opts.num_threads = threads;
-    std::vector<serve::ScheduleResult> results =
-        serve::schedule_batch(requests, opts);
-    ASSERT_EQ(results.size(), expected.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].digest, expected[i])
-          << "request " << i << " diverged at " << threads << " threads";
-      EXPECT_GT(results[i].makespan, 0.0);
-      EXPECT_FALSE(results[i].schedule.has_value());
-    }
-  }
-}
-
-TEST(BatchDeterminismTest, KeepSchedulesReturnsValidSchedules) {
-  const Corpus c = make_corpus();
-  std::vector<serve::ScheduleRequest> requests;
-  for (std::size_t i = 0; i < c.graphs.size(); ++i)
-    requests.push_back({&c.graphs[i], c.procs[i]});
-
-  serve::BatchOptions opts;
-  opts.num_threads = 2;
-  opts.keep_schedules = true;
-  std::vector<serve::ScheduleResult> results =
-      serve::schedule_batch(requests, opts);
-  ASSERT_EQ(results.size(), requests.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].schedule.has_value());
-    const Schedule& s = *results[i].schedule;
-    EXPECT_EQ(schedule_digest(s), results[i].digest);
-    EXPECT_EQ(s.makespan(), results[i].makespan);
-    EXPECT_TRUE(validate_schedule(c.graphs[i], s).empty())
-        << test::violations_to_string(c.graphs[i], s);
-  }
-}
-
-TEST(BatchDeterminismTest, EmptyBatchIsFine) {
-  std::vector<serve::ScheduleRequest> requests;
-  EXPECT_TRUE(serve::schedule_batch(requests).empty());
-}
-
-// A zero-processor request is the caller's error. It is rejected with
-// flb::Error on the caller's thread before any request runs: thrown on a
-// worker thread it would end the process instead.
-TEST(BatchDeterminismTest, RejectsZeroProcessorRequest) {
-  const Corpus c = make_corpus();
-  std::vector<serve::ScheduleRequest> requests;
-  for (std::size_t i = 0; i < c.graphs.size(); ++i)
-    requests.push_back({&c.graphs[i], c.procs[i]});
-  requests[3].num_procs = 0;
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    serve::BatchOptions opts;
-    opts.num_threads = threads;
-    EXPECT_THROW((void)serve::schedule_batch(requests, opts), Error)
-        << threads << " threads";
-  }
-}
-
 TEST(ScheduleServiceTest, DrainCompletesEverythingIdentically) {
   const Corpus c = make_corpus();
   const std::vector<std::uint64_t> expected = sequential_digests(c);
 
-  serve::ScheduleService::Options opts;
-  opts.num_threads = 4;
-  serve::ScheduleService service(opts);
-  for (std::size_t i = 0; i < c.graphs.size(); ++i)
-    EXPECT_EQ(service.submit(c.graphs[i], c.procs[i]), i);
-  service.drain();
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    serve::ScheduleService::Options opts;
+    opts.num_threads = threads;
+    serve::ScheduleService service(opts);
+    for (std::size_t i = 0; i < c.graphs.size(); ++i)
+      EXPECT_EQ(service.submit(c.graphs[i], c.procs[i]), i);
+    service.drain();
 
-  serve::ServiceStats st = service.stats();
-  EXPECT_EQ(st.submitted, c.graphs.size());
-  EXPECT_EQ(st.completed, c.graphs.size());
-  ASSERT_EQ(service.size(), c.graphs.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(service.result(i).digest, expected[i]) << "request " << i;
-    EXPECT_GE(service.result(i).latency_ms, service.result(i).run_ms);
+    serve::ServiceStats st = service.stats();
+    EXPECT_EQ(st.submitted, c.graphs.size());
+    EXPECT_EQ(st.completed, c.graphs.size());
+    ASSERT_EQ(service.size(), c.graphs.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const serve::ScheduleResult& r = service.result(i);
+      EXPECT_EQ(r.digest, expected[i])
+          << "request " << i << " diverged at " << threads << " workers";
+      EXPECT_GT(r.makespan, 0.0);
+      EXPECT_GE(r.latency_ms, r.run_ms);
+      EXPECT_FALSE(r.schedule.has_value());
+    }
+    service.close();
   }
-  service.close();
 }
 
 TEST(ScheduleServiceTest, TinyQueueEngagesBackpressure) {
@@ -214,16 +153,27 @@ TEST(ScheduleServiceTest, RejectsZeroProcessorRequest) {
 }
 
 TEST(ScheduleServiceTest, KeepSchedulesOption) {
-  TaskGraph g = paper_example_graph();
+  const Corpus c = make_corpus();
   serve::ScheduleService::Options opts;
-  opts.num_threads = 1;
+  opts.num_threads = 2;
   opts.keep_schedules = true;
   serve::ScheduleService service(opts);
-  (void)service.submit(g, 2);
+  for (std::size_t i = 0; i < c.graphs.size(); ++i)
+    (void)service.submit(c.graphs[i], c.procs[i]);
   service.drain();
+  // Request 0 is the paper example on two processors.
   ASSERT_TRUE(service.result(0).schedule.has_value());
   EXPECT_EQ(schedule_digest(*service.result(0).schedule),
             5113259804641662334ull);
+  for (std::size_t i = 0; i < c.graphs.size(); ++i) {
+    const serve::ScheduleResult& r = service.result(i);
+    ASSERT_TRUE(r.schedule.has_value()) << "request " << i;
+    const Schedule& s = *r.schedule;
+    EXPECT_EQ(schedule_digest(s), r.digest) << "request " << i;
+    EXPECT_EQ(s.makespan(), r.makespan) << "request " << i;
+    EXPECT_TRUE(validate_schedule(c.graphs[i], s).empty())
+        << test::violations_to_string(c.graphs[i], s);
+  }
   service.close();
 }
 
