@@ -7,19 +7,9 @@
 namespace flb {
 
 std::vector<TaskId> topological_order(const TaskGraph& g) {
-  const TaskId n = g.num_tasks();
-  std::vector<std::size_t> indeg(n);
-  std::vector<TaskId> order;
-  order.reserve(n);
-  for (TaskId t = 0; t < n; ++t) {
-    indeg[t] = g.in_degree(t);
-    if (indeg[t] == 0) order.push_back(t);
-  }
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (const Adj& a : g.successors(order[i]))
-      if (--indeg[a.node] == 0) order.push_back(a.node);
-  }
-  FLB_ASSERT(order.size() == n);
+  std::vector<TaskId> order(g.num_tasks());
+  std::vector<std::uint32_t> indeg(g.num_tasks());
+  topological_order_into(g, order, indeg);
   return order;
 }
 
