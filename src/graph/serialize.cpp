@@ -21,9 +21,6 @@ void write_text(std::ostream& os, const TaskGraph& g) {
     os << "e " << e.from << " " << e.to << " " << e.comm << "\n";
 }
 
-namespace {
-
-// Next non-comment, non-blank line; false at EOF.
 bool next_line(std::istream& is, std::string& line) {
   while (std::getline(is, line)) {
     std::size_t i = line.find_first_not_of(" \t\r");
@@ -33,8 +30,6 @@ bool next_line(std::istream& is, std::string& line) {
   }
   return false;
 }
-
-}  // namespace
 
 TaskGraph read_text(std::istream& is) {
   std::string line;
@@ -75,8 +70,9 @@ TaskGraph read_text(std::istream& is) {
     }
   }
 
+  // The builder grows with the lines actually read, never with the
+  // header's counts, so an oversized count fails as a truncated list.
   TaskGraphBuilder b;
-  b.reserve(num_tasks, num_edges);
   b.set_name(name);
 
   for (std::size_t i = 0; i < num_tasks; ++i) {

@@ -5,24 +5,11 @@
 #include <sstream>
 #include <vector>
 
+#include "flb/graph/serialize.hpp"
 #include "flb/util/error.hpp"
 #include "flb/util/rng.hpp"
 
 namespace flb {
-
-namespace {
-
-bool next_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    std::size_t i = line.find_first_not_of(" \t\r");
-    if (i == std::string::npos) continue;
-    if (line[i] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 TaskGraph read_stg(std::istream& is, const WorkloadParams& params) {
   std::string line;
@@ -33,13 +20,19 @@ TaskGraph read_stg(std::istream& is, const WorkloadParams& params) {
     FLB_REQUIRE(static_cast<bool>(ls >> n) && n > 0,
                 "read_stg: first line must be the positive task count");
   }
+  // Ids 0 .. n + 1 must all be valid TaskIds; checked before n + 2 is
+  // formed, so a count near the top of std::size_t cannot wrap it.
+  FLB_REQUIRE(n <= kInvalidTask - 2,
+              "read_stg: task count " + std::to_string(n) +
+                  " does not fit the 32-bit task ids");
   const std::size_t total = n + 2;  // dummy source and sink included
 
+  // Rows grow as lines are read, so a header count alone allocates nothing.
   struct Row {
     double cost;
     std::vector<std::size_t> preds;
   };
-  std::vector<Row> rows(total);
+  std::vector<Row> rows;
   double total_cost = 0.0;
 
   for (std::size_t i = 0; i < total; ++i) {
@@ -57,14 +50,23 @@ TaskGraph read_stg(std::istream& is, const WorkloadParams& params) {
     FLB_REQUIRE(std::isfinite(cost), "read_stg: non-finite processing time "
                                      "on task line '" + line + "'");
     FLB_REQUIRE(cost >= 0.0, "read_stg: negative processing time");
-    rows[i].cost = cost;
+    // Checked before the list is sized: distinct predecessors precede the
+    // task, so there are at most i of them.
+    FLB_REQUIRE(npred <= i,
+                "read_stg: task " + std::to_string(id) + " lists " +
+                    std::to_string(npred) + " predecessors, but only " +
+                    std::to_string(i) +
+                    " task ids precede it (a predecessor id must precede "
+                    "the task)");
     total_cost += cost;
-    rows[i].preds.resize(npred);
+    Row& row = rows.emplace_back();
+    row.cost = cost;
+    row.preds.resize(npred);
     for (std::size_t k = 0; k < npred; ++k) {
-      FLB_REQUIRE(static_cast<bool>(ls >> rows[i].preds[k]),
+      FLB_REQUIRE(static_cast<bool>(ls >> row.preds[k]),
                   "read_stg: task " + std::to_string(id) + " lists " +
                       std::to_string(npred) + " predecessors but fewer given");
-      FLB_REQUIRE(rows[i].preds[k] < i,
+      FLB_REQUIRE(row.preds[k] < i,
                   "read_stg: predecessor id must precede the task (STG files "
                   "are topologically ordered)");
     }

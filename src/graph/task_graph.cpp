@@ -39,11 +39,6 @@ Cost TaskGraph::ccr() const {
   return avg_comm / avg_comp;
 }
 
-void TaskGraphBuilder::reserve(std::size_t n, std::size_t m) {
-  comp_.reserve(n);
-  edges_.reserve(m);
-}
-
 TaskId TaskGraphBuilder::add_task(Cost comp) {
   FLB_REQUIRE(std::isfinite(comp), "add_task: computation cost must be finite");
   FLB_REQUIRE(comp >= 0.0, "add_task: computation cost must be non-negative");

@@ -34,4 +34,11 @@ std::string to_text(const TaskGraph& g);
 /// Convenience: parse from a string.
 TaskGraph from_text(const std::string& text);
 
+/// Read the next line that is neither blank nor a comment (first non-blank
+/// character '#') into `line`; false at end of input. Every line-oriented
+/// text reader of the library reads through it: the format above, STG
+/// (graph/stg.hpp), schedule text (sched/export.hpp) and fault plans
+/// (sim/faults.hpp).
+bool next_line(std::istream& is, std::string& line);
+
 }  // namespace flb

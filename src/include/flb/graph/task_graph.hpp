@@ -155,9 +155,6 @@ class TaskGraphBuilder {
  public:
   TaskGraphBuilder() = default;
 
-  /// Pre-reserve for n tasks and m edges (optional).
-  void reserve(std::size_t n, std::size_t m);
-
   /// Add a task with computation cost `comp` (>= 0); returns its id.
   TaskId add_task(Cost comp);
 

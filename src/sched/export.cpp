@@ -9,6 +9,7 @@
 #include <string_view>
 #include <system_error>
 
+#include "flb/graph/serialize.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -127,20 +128,6 @@ void write_schedule_text(std::ostream& os, const Schedule& s) {
   }
 }
 
-namespace {
-
-bool next_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    std::size_t i = line.find_first_not_of(" \t\r");
-    if (i == std::string::npos) continue;
-    if (line[i] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 Schedule read_schedule_text(std::istream& is) {
   std::string line;
   FLB_REQUIRE(next_line(is, line), "read_schedule_text: empty input");
@@ -162,10 +149,14 @@ Schedule read_schedule_text(std::istream& is) {
     if (key == "procs") {
       FLB_REQUIRE(static_cast<bool>(ls >> procs) && procs >= 1,
                   "read_schedule_text: malformed procs line");
+      FLB_REQUIRE(procs < kInvalidProc,
+                  "read_schedule_text: processor count out of range");
       have_procs = true;
     } else if (key == "tasks") {
       FLB_REQUIRE(static_cast<bool>(ls >> tasks),
                   "read_schedule_text: malformed tasks line");
+      FLB_REQUIRE(tasks < kInvalidTask,
+                  "read_schedule_text: task count out of range");
       have_tasks = true;
     } else {
       FLB_REQUIRE(false,

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "flb/graph/serialize.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/util/error.hpp"
 
@@ -18,16 +19,6 @@
 namespace flb {
 
 namespace {
-
-bool next_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    const std::size_t i = line.find_first_not_of(" \t\r");
-    if (i == std::string::npos) continue;
-    if (line[i] == '#') continue;
-    return true;
-  }
-  return false;
-}
 
 [[noreturn]] void bad_line(const std::string& line, const char* why) {
   throw Error("read_fault_plan: " + std::string(why) + " in line '" + line +
