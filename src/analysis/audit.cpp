@@ -38,24 +38,6 @@ constexpr const char* kRepairProvenance = "audit-repair-provenance";
 constexpr const char* kResultConsistency = "audit-result-consistency";
 constexpr const char* kSummary = "audit-summary";
 
-/// Mutable state the diagnostics of one audit run accumulate into (same
-/// shape as the schedule linter's sink).
-class Sink {
- public:
-  explicit Sink(LintReport& report) : report_(report) {}
-
-  Diagnostic& emit(const char* rule, Severity severity) {
-    Diagnostic d;
-    d.rule = rule;
-    d.severity = severity;
-    report_.diagnostics.push_back(std::move(d));
-    return report_.diagnostics.back();
-  }
-
- private:
-  LintReport& report_;
-};
-
 bool near(double a, double b) {
   return std::fabs(a - b) <= kTimeTolerance;
 }
@@ -122,14 +104,14 @@ bool alive_at(const std::vector<std::vector<std::pair<Cost, Cost>>>& windows,
 // --- audit-event-order ------------------------------------------------------
 
 void event_order_rule(const TaskGraph& g, const RuntimeResult& result,
-                      Sink& sink) {
+                      LintReport& report) {
   const ProcId procs = result.schedule.num_procs();
   const TaskId n = g.num_tasks();
   const std::vector<SimEvent>& events = result.events;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const SimEvent& ev = events[i];
     auto bad = [&](const std::string& what) {
-      Diagnostic& d = sink.emit(kEventOrder, Severity::kError);
+      Diagnostic& d = report.emit(kEventOrder, Severity::kError);
       d.step = i;
       d.message = "event " + std::to_string(i) + " (" +
                   kind_name(ev.kind) + "): " + what;
@@ -179,7 +161,7 @@ void event_order_rule(const TaskGraph& g, const RuntimeResult& result,
     if (i == 0) continue;
     const SimEvent& prev = events[i - 1];
     if (ev.key() < prev.key()) {
-      Diagnostic& d = sink.emit(kEventOrder, Severity::kError);
+      Diagnostic& d = report.emit(kEventOrder, Severity::kError);
       d.step = i;
       d.expected = prev.time;
       d.actual = ev.time;
@@ -191,7 +173,7 @@ void event_order_rule(const TaskGraph& g, const RuntimeResult& result,
                "log breaks digest stability and every consumer that replays "
                "it in order";
     } else if (ev.key() == prev.key()) {
-      Diagnostic& d = sink.emit(kEventOrder, Severity::kError);
+      Diagnostic& d = report.emit(kEventOrder, Severity::kError);
       d.step = i;
       d.message = "event " + std::to_string(i) + " duplicates the key of "
                   "its predecessor (" + kind_name(ev.kind) + " at " +
@@ -205,7 +187,7 @@ void event_order_rule(const TaskGraph& g, const RuntimeResult& result,
 // --- audit-liveness-pairing -------------------------------------------------
 
 void liveness_pairing_rule(const ResolvedFaults& resolved,
-                           const RuntimeResult& result, Sink& sink) {
+                           const RuntimeResult& result, LintReport& report) {
   const ProcId procs = result.schedule.num_procs();
   std::multiset<std::pair<ProcId, Cost>> want_failures;
   std::multiset<std::pair<ProcId, Cost>> want_rejoins;
@@ -228,7 +210,7 @@ void liveness_pairing_rule(const ResolvedFaults& resolved,
     if (it != want.end()) {
       want.erase(it);
     } else {
-      Diagnostic& d = sink.emit(kLivenessPairing, Severity::kError);
+      Diagnostic& d = report.emit(kLivenessPairing, Severity::kError);
       d.proc = ev.proc;
       d.actual = ev.time;
       d.message = std::string(fail ? "failure" : "rejoin") + " of p" +
@@ -241,7 +223,7 @@ void liveness_pairing_rule(const ResolvedFaults& resolved,
     seq[ev.proc].push_back({ev.time, boot ? 1 : 0});
   }
   for (const auto& [proc, time] : want_failures) {
-    Diagnostic& d = sink.emit(kLivenessPairing, Severity::kError);
+    Diagnostic& d = report.emit(kLivenessPairing, Severity::kError);
     d.proc = proc;
     d.expected = time;
     d.message = "resolved failure of p" + std::to_string(proc) + " at " +
@@ -251,7 +233,7 @@ void liveness_pairing_rule(const ResolvedFaults& resolved,
              "tampered with";
   }
   for (const auto& [proc, time] : want_rejoins) {
-    Diagnostic& d = sink.emit(kLivenessPairing, Severity::kError);
+    Diagnostic& d = report.emit(kLivenessPairing, Severity::kError);
     d.proc = proc;
     d.expected = time;
     d.message = "resolved rejoin of p" + std::to_string(proc) + " at " +
@@ -266,7 +248,7 @@ void liveness_pairing_rule(const ResolvedFaults& resolved,
     Cost prev = -kInfiniteTime;
     for (const auto& [time, is_rejoin] : seq[p]) {
       if (is_rejoin != expect) {
-        Diagnostic& d = sink.emit(kLivenessPairing, Severity::kError);
+        Diagnostic& d = report.emit(kLivenessPairing, Severity::kError);
         d.proc = p;
         d.actual = time;
         d.message = std::string(is_rejoin != 0 ? "rejoin" : "failure") +
@@ -279,7 +261,7 @@ void liveness_pairing_rule(const ResolvedFaults& resolved,
         continue;  // keep the expected phase: one orphan, one diagnostic
       }
       if (time <= prev) {
-        Diagnostic& d = sink.emit(kLivenessPairing, Severity::kError);
+        Diagnostic& d = report.emit(kLivenessPairing, Severity::kError);
         d.proc = p;
         d.actual = time;
         d.message = "kill/rejoin events of p" + std::to_string(p) +
@@ -296,7 +278,7 @@ void liveness_pairing_rule(const ResolvedFaults& resolved,
 // --- audit-partition-pairing ------------------------------------------------
 
 void partition_pairing_rule(const std::vector<LinkOutage>& outages,
-                            const RuntimeResult& result, Sink& sink) {
+                            const RuntimeResult& result, LintReport& report) {
   const ProcId procs = result.schedule.num_procs();
   using Link = std::pair<ProcId, ProcId>;
   std::multiset<std::tuple<ProcId, ProcId, Cost>> want_cuts;
@@ -317,7 +299,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
     if (it != want.end()) {
       want.erase(it);
     } else {
-      Diagnostic& d = sink.emit(kPartitionPairing, Severity::kError);
+      Diagnostic& d = report.emit(kPartitionPairing, Severity::kError);
       d.proc = ev.proc;
       d.actual = ev.time;
       d.message = std::string(cut ? "link-partitioned" : "link-healed") +
@@ -331,7 +313,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
     seq[{ev.proc, ev.proc2}].push_back({ev.time, heal ? 1 : 0});
   }
   for (const auto& [a, b, time] : want_cuts) {
-    Diagnostic& d = sink.emit(kPartitionPairing, Severity::kError);
+    Diagnostic& d = report.emit(kPartitionPairing, Severity::kError);
     d.proc = a;
     d.expected = time;
     d.message = "resolved partition of p" + std::to_string(a) + "~p" +
@@ -341,7 +323,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
              "outage windows";
   }
   for (const auto& [a, b, time] : want_heals) {
-    Diagnostic& d = sink.emit(kPartitionPairing, Severity::kError);
+    Diagnostic& d = report.emit(kPartitionPairing, Severity::kError);
     d.proc = a;
     d.expected = time;
     d.message = "resolved heal of p" + std::to_string(a) + "~p" +
@@ -356,7 +338,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
     Cost prev = -kInfiniteTime;
     for (const auto& [time, is_heal] : entries) {
       if (is_heal != expect) {
-        Diagnostic& d = sink.emit(kPartitionPairing, Severity::kError);
+        Diagnostic& d = report.emit(kPartitionPairing, Severity::kError);
         d.proc = link.first;
         d.actual = time;
         d.message = std::string(is_heal != 0 ? "heal" : "cut") + " of p" +
@@ -370,7 +352,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
         continue;
       }
       if (time <= prev) {
-        Diagnostic& d = sink.emit(kPartitionPairing, Severity::kError);
+        Diagnostic& d = report.emit(kPartitionPairing, Severity::kError);
         d.proc = link.first;
         d.actual = time;
         d.message = "cut/heal events of p" + std::to_string(link.first) +
@@ -389,7 +371,7 @@ void partition_pairing_rule(const std::vector<LinkOutage>& outages,
 
 void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
                          const std::vector<LinkOutage>& outages,
-                         const RuntimeResult& result, Sink& sink) {
+                         const RuntimeResult& result, LintReport& report) {
   const ProcId procs = result.schedule.num_procs();
   const TaskId n = g.num_tasks();
 
@@ -404,7 +386,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
     ++drops;
     logged_pairs.insert({ev.task, ev.task2});
     auto bad = [&](const std::string& what, const std::string& hint) {
-      Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
+      Diagnostic& d = report.emit(kPartitionDrop, Severity::kError);
       d.task = ev.task;
       d.proc = ev.proc;
       d.step = i;
@@ -461,7 +443,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
     if (fate.dropped) {
       const Cost expected = finish + fate.retry_delay;
       if (!near(ev.time, expected)) {
-        Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
+        Diagnostic& d = report.emit(kPartitionDrop, Severity::kError);
         d.task = ev.task;
         d.proc = ev.proc;
         d.step = i;
@@ -508,7 +490,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
       continue;
     }
     if (!near(ev.time, send_start)) {
-      Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
+      Diagnostic& d = report.emit(kPartitionDrop, Severity::kError);
       d.task = ev.task;
       d.proc = ev.proc;
       d.step = i;
@@ -524,7 +506,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
 
   const SimResult& ex = result.execution;
   if (drops != ex.dropped_messages) {
-    Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
+    Diagnostic& d = report.emit(kPartitionDrop, Severity::kError);
     d.expected = static_cast<Cost>(ex.dropped_messages);
     d.actual = static_cast<Cost>(drops);
     d.message = "the log records " + std::to_string(drops) +
@@ -533,7 +515,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
     d.hint = "every permanent loss emits exactly one kMessageDropped event";
   }
   if (partition_drops != ex.partition_dropped) {
-    Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
+    Diagnostic& d = report.emit(kPartitionDrop, Severity::kError);
     d.expected = static_cast<Cost>(ex.partition_dropped);
     d.actual = static_cast<Cost>(partition_drops);
     d.message = "the log implies " + std::to_string(partition_drops) +
@@ -545,7 +527,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
   std::multiset<std::pair<TaskId, TaskId>> executed_pairs(
       ex.dropped_edges.begin(), ex.dropped_edges.end());
   if (logged_pairs != executed_pairs) {
-    Diagnostic& d = sink.emit(kPartitionDrop, Severity::kError);
+    Diagnostic& d = report.emit(kPartitionDrop, Severity::kError);
     d.message = "the (producer, consumer) pairs of the drop events disagree "
                 "with SimResult::dropped_edges";
     d.hint = "dropped_edges and the kMessageDropped events describe the "
@@ -557,7 +539,7 @@ void partition_drop_rule(const TaskGraph& g, const FaultPlan& world,
 
 void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
                            const RuntimeResult& result,
-                           const AuditOptions& opt, Sink& sink) {
+                           const AuditOptions& opt, LintReport& report) {
   const ProcId procs = result.schedule.num_procs();
   const std::vector<BeliefEvent>& beliefs = result.beliefs;
   std::vector<int> level(procs, 0);
@@ -565,7 +547,7 @@ void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
   for (std::size_t i = 0; i < beliefs.size(); ++i) {
     const BeliefEvent& b = beliefs[i];
     auto bad = [&](const std::string& what, const std::string& hint) {
-      Diagnostic& d = sink.emit(kBeliefCausality, Severity::kError);
+      Diagnostic& d = report.emit(kBeliefCausality, Severity::kError);
       d.proc = b.proc;
       d.step = i;
       d.message = "belief " + std::to_string(i) + " (p" +
@@ -584,7 +566,7 @@ void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
       continue;
     }
     if (b.time < prev) {
-      Diagnostic& d = sink.emit(kBeliefCausality, Severity::kError);
+      Diagnostic& d = report.emit(kBeliefCausality, Severity::kError);
       d.proc = b.proc;
       d.step = i;
       d.expected = prev;
@@ -634,7 +616,7 @@ void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
       if (i >= stream.size() || stream[i].key() != b.key() ||
           !near(stream[i].last_heard, b.last_heard) ||
           !near(stream[i].score, b.score)) {
-        Diagnostic& d = sink.emit(kBeliefCausality, Severity::kError);
+        Diagnostic& d = report.emit(kBeliefCausality, Severity::kError);
         d.proc = b.proc;
         d.step = i;
         d.actual = b.time;
@@ -660,7 +642,7 @@ void belief_causality_rule(const FaultPlan& world, const FailureDetector& det,
       for (std::uint64_t k = 1; k <= kmax && !audible; ++k)
         audible = near(det.arrival(b.proc, k), b.time);
       if (!audible) {
-        Diagnostic& d = sink.emit(kBeliefCausality, Severity::kError);
+        Diagnostic& d = report.emit(kBeliefCausality, Severity::kError);
         d.proc = b.proc;
         d.step = i;
         d.actual = b.time;
@@ -680,7 +662,7 @@ void quorum_soundness_rule(
     const FailureDetector& det,
     const std::vector<std::vector<std::pair<Cost, Cost>>>& down,
     const std::vector<LinkOutage>& outages, const RuntimeResult& result,
-    const AuditOptions& opt, Sink& sink) {
+    const AuditOptions& opt, LintReport& report) {
   const ProcId procs = result.schedule.num_procs();
   const std::vector<BeliefEvent>& beliefs = result.beliefs;
   Cost horizon = 0.0;
@@ -713,7 +695,7 @@ void quorum_soundness_rule(
       if (level >= need) ++concurring;
     }
     if (concurring < opt.quorum) {
-      Diagnostic& d = sink.emit(kQuorumSoundness, Severity::kError);
+      Diagnostic& d = report.emit(kQuorumSoundness, Severity::kError);
       d.proc = b.proc;
       d.step = i;
       d.expected = static_cast<Cost>(opt.quorum);
@@ -733,7 +715,8 @@ void quorum_soundness_rule(
 // --- audit-checkpoint-provenance --------------------------------------------
 
 void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
-                                const RuntimeResult& result, Sink& sink) {
+                                const RuntimeResult& result,
+                                LintReport& report) {
   const TaskId n = g.num_tasks();
   const std::vector<Cost> bl = bottom_levels(g);
   // Last kill event per task — SimResult::checkpointed keeps the last
@@ -744,7 +727,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
     if (ev.kind != SimEventKind::kTaskKilled || ev.task >= n) continue;
     last_kill[ev.task] = i;
     auto bad = [&](const std::string& what, const std::string& hint) {
-      Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
+      Diagnostic& d = report.emit(kCheckpointProvenance, Severity::kError);
       d.task = ev.task;
       d.proc = ev.proc;
       d.step = i;
@@ -766,7 +749,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
         std::isfinite(result.durations[ev.task]))
       bound = std::max(bound, result.durations[ev.task]);
     if (ev.value > bound + kTimeTolerance) {
-      Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
+      Diagnostic& d = report.emit(kCheckpointProvenance, Severity::kError);
       d.task = ev.task;
       d.proc = ev.proc;
       d.step = i;
@@ -794,7 +777,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
                               : 0.0;
     if (last_kill[t] == static_cast<std::size_t>(-1)) {
       if (recorded > kTimeTolerance) {
-        Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
+        Diagnostic& d = report.emit(kCheckpointProvenance, Severity::kError);
         d.task = t;
         d.actual = recorded;
         d.message = "t" + std::to_string(t) + " records " +
@@ -808,7 +791,7 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
     }
     const SimEvent& ev = result.events[last_kill[t]];
     if (!near(ev.value, recorded)) {
-      Diagnostic& d = sink.emit(kCheckpointProvenance, Severity::kError);
+      Diagnostic& d = report.emit(kCheckpointProvenance, Severity::kError);
       d.task = t;
       d.step = last_kill[t];
       d.expected = recorded;
@@ -826,14 +809,14 @@ void checkpoint_provenance_rule(const TaskGraph& g, const FaultPlan& world,
 // --- audit-repair-provenance ------------------------------------------------
 
 void repair_provenance_rule(const RuntimeResult& result,
-                            const AuditOptions& opt, Sink& sink) {
+                            const AuditOptions& opt, LintReport& report) {
   std::set<std::tuple<Cost, int, ProcId, TaskId, TaskId, ProcId>> log_keys;
   for (const SimEvent& ev : result.events) log_keys.insert(ev.key());
   Cost prev_horizon = -kInfiniteTime;
   for (std::size_t i = 0; i < result.repairs.size(); ++i) {
     const RepairInvocation& inv = result.repairs[i];
     auto bad = [&](const std::string& what, const std::string& hint) {
-      Diagnostic& d = sink.emit(kRepairProvenance, Severity::kError);
+      Diagnostic& d = report.emit(kRepairProvenance, Severity::kError);
       d.step = i;
       d.message = "repair " + std::to_string(i) + " (observed at " +
                   format_compact(inv.observed_at) + "): " + what;
@@ -903,10 +886,10 @@ void repair_provenance_rule(const RuntimeResult& result,
 
 void result_consistency_rule(const FaultPlan& world,
                              const RuntimeResult& result,
-                             const AuditOptions& opt, Sink& sink) {
+                             const AuditOptions& opt, LintReport& report) {
   auto bad = [&](const std::string& what, const std::string& hint,
                  Cost expected, Cost actual) {
-    Diagnostic& d = sink.emit(kResultConsistency, Severity::kError);
+    Diagnostic& d = report.emit(kResultConsistency, Severity::kError);
     d.expected = expected;
     d.actual = actual;
     d.message = what;
@@ -1008,12 +991,11 @@ LintReport audit_runtime(const TaskGraph& g, const FaultPlan& world,
                          const runtime::RuntimeResult& result,
                          const AuditOptions& options) {
   LintReport report;
-  Sink sink(report);
   const ProcId procs = result.schedule.num_procs();
   const TaskId n = g.num_tasks();
 
   if (result.schedule.num_tasks() != n || procs == 0) {
-    Diagnostic& d = sink.emit(kConfig, Severity::kError);
+    Diagnostic& d = report.emit(kConfig, Severity::kError);
     d.message = "the result's schedule does not describe the audited graph "
                 "(task count or processor count mismatch)";
     d.hint = "audit the RuntimeResult against the graph and plan of the "
@@ -1021,27 +1003,27 @@ LintReport audit_runtime(const TaskGraph& g, const FaultPlan& world,
     return report;
   }
   if (!std::isfinite(options.debounce) || options.debounce < 0.0) {
-    Diagnostic& d = sink.emit(kConfig, Severity::kError);
+    Diagnostic& d = report.emit(kConfig, Severity::kError);
     d.actual = options.debounce;
     d.message = "the debounce window must be finite and non-negative";
     d.hint = "pass the RuntimeOptions::debounce the episode actually used";
     return report;
   }
   if (options.use_gossip && !options.use_detector) {
-    Diagnostic& d = sink.emit(kConfig, Severity::kError);
+    Diagnostic& d = report.emit(kConfig, Severity::kError);
     d.message = "gossip mode implies detector mode";
     d.hint = "use_gossip refines how beliefs are aggregated; without "
              "use_detector there is no belief stream to aggregate";
   }
   const bool detector_ok = options.use_detector && world.heartbeat.enabled();
   if (options.use_detector && !world.heartbeat.enabled()) {
-    Diagnostic& d = sink.emit(kConfig, Severity::kError);
+    Diagnostic& d = report.emit(kConfig, Severity::kError);
     d.message = "detector mode requires the plan's heartbeat section";
     d.hint = "an episode cannot have consumed beliefs from a plan that "
              "emits no heartbeats (heartbeat.period > 0)";
   }
   if (options.use_gossip && options.quorum < 1) {
-    Diagnostic& d = sink.emit(kConfig, Severity::kError);
+    Diagnostic& d = report.emit(kConfig, Severity::kError);
     d.actual = static_cast<Cost>(options.quorum);
     d.message = "the gossip quorum must be >= 1";
     d.hint = "FailureDetector::quorum_beliefs requires a positive quorum";
@@ -1050,22 +1032,22 @@ LintReport audit_runtime(const TaskGraph& g, const FaultPlan& world,
   const ResolvedFaults resolved = resolve_faults(world);
   const std::vector<LinkOutage> outages = resolve_partitions(world);
 
-  event_order_rule(g, result, sink);
-  liveness_pairing_rule(resolved, result, sink);
-  partition_pairing_rule(outages, result, sink);
-  partition_drop_rule(g, world, outages, result, sink);
-  checkpoint_provenance_rule(g, world, result, sink);
-  repair_provenance_rule(result, options, sink);
+  event_order_rule(g, result, report);
+  liveness_pairing_rule(resolved, result, report);
+  partition_pairing_rule(outages, result, report);
+  partition_drop_rule(g, world, outages, result, report);
+  checkpoint_provenance_rule(g, world, result, report);
+  repair_provenance_rule(result, options, report);
   if (detector_ok) {
     const FailureDetector det(world, procs);
-    belief_causality_rule(world, det, result, options, sink);
+    belief_causality_rule(world, det, result, options, report);
     if (options.use_gossip && options.quorum >= 1)
       quorum_soundness_rule(det, down_windows(resolved, procs), outages,
-                            result, options, sink);
+                            result, options, report);
   }
-  result_consistency_rule(world, result, options, sink);
+  result_consistency_rule(world, result, options, report);
 
-  Diagnostic& d = sink.emit(kSummary, Severity::kInfo);
+  Diagnostic& d = report.emit(kSummary, Severity::kInfo);
   d.message = std::to_string(result.events.size()) + " events, " +
               std::to_string(result.beliefs.size()) + " beliefs, " +
               std::to_string(result.repairs.size()) +

@@ -44,23 +44,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Mutable state the diagnostics of one lint run accumulate into.
-class Sink {
- public:
-  explicit Sink(LintReport& report) : report_(report) {}
-
-  Diagnostic& emit(const char* rule, Severity severity) {
-    Diagnostic d;
-    d.rule = rule;
-    d.severity = severity;
-    report_.diagnostics.push_back(std::move(d));
-    return report_.diagnostics.back();
-  }
-
- private:
-  LintReport& report_;
-};
-
 const char* feasibility_rule(Violation::Kind kind) {
   switch (kind) {
     case Violation::Kind::kUnscheduledTask: return "unscheduled-task";
@@ -77,9 +60,9 @@ const char* feasibility_rule(Violation::Kind kind) {
 // --- Feasibility tier ------------------------------------------------------
 
 void emit_violations(const std::vector<Violation>& violations,
-                     const Schedule& s, Sink& sink) {
+                     const Schedule& s, LintReport& report) {
   for (const Violation& v : violations) {
-    Diagnostic& d = sink.emit(feasibility_rule(v.kind), Severity::kError);
+    Diagnostic& d = report.emit(feasibility_rule(v.kind), Severity::kError);
     d.task = v.task;
     if (v.task != kInvalidTask && v.task < s.num_tasks() &&
         s.is_scheduled(v.task))
@@ -95,7 +78,7 @@ void emit_violations(const std::vector<Violation>& violations,
 // bandwidth that does not exist at that moment; the executing machine would
 // reroute, delay or drop the transfer instead.
 void partition_rules(const TaskGraph& g, const Schedule& s,
-                     const LintOptions& opt, Sink& sink) {
+                     const LintOptions& opt, LintReport& report) {
   if (opt.faults == nullptr || opt.faults->partitions.empty()) return;
   const std::vector<LinkOutage> outages = resolve_partitions(*opt.faults);
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
@@ -107,7 +90,7 @@ void partition_rules(const TaskGraph& g, const Schedule& s,
       const ProcId to = s.proc(out.node);
       if (to == from) continue;
       if (!link_partitioned(outages, from, to, send)) continue;
-      Diagnostic& d = sink.emit("partitioned-link", Severity::kError);
+      Diagnostic& d = report.emit("partitioned-link", Severity::kError);
       d.task = out.node;
       d.proc = to;
       d.actual = send;
@@ -140,7 +123,7 @@ Cost data_ready(const TaskGraph& g, const Schedule& s,
 }
 
 void quality_rules(const TaskGraph& g, const Schedule& s,
-                   const platform::CostModel& model, Sink& sink) {
+                   const platform::CostModel& model, LintReport& report) {
   // idle-gap: a processor sits idle in front of a task whose inputs were
   // already usable there — a list scheduler respecting the ETF criterion
   // never leaves such a gap.
@@ -155,7 +138,7 @@ void quality_rules(const TaskGraph& g, const Schedule& s,
                                   : std::max(ready, prev);
         if (earliest != kUndefinedTime &&
             start > earliest + kTimeTolerance) {
-          Diagnostic& d = sink.emit("idle-gap", Severity::kWarn);
+          Diagnostic& d = report.emit("idle-gap", Severity::kWarn);
           d.task = t;
           d.proc = p;
           d.expected = earliest;
@@ -190,7 +173,7 @@ void quality_rules(const TaskGraph& g, const Schedule& s,
     const Cost duration = s.finish(t) - s.start(t);
     const Cost slot = s.earliest_gap(q, local_ready, duration);
     if (slot <= s.start(t) + kTimeTolerance) {
-      Diagnostic& d = sink.emit("remote-placement", Severity::kWarn);
+      Diagnostic& d = report.emit("remote-placement", Severity::kWarn);
       d.task = t;
       d.proc = s.proc(t);
       d.expected = slot;
@@ -209,7 +192,7 @@ void quality_rules(const TaskGraph& g, const Schedule& s,
   // locate schedules worth a second look.
   if (s.complete()) {
     const Cost bound = makespan_lower_bound(g, s.num_procs());
-    Diagnostic& d = sink.emit("makespan-lower-bound", Severity::kInfo);
+    Diagnostic& d = report.emit("makespan-lower-bound", Severity::kInfo);
     d.expected = bound;
     d.actual = s.makespan();
     d.message = "makespan " + format_compact(s.makespan()) +
@@ -228,12 +211,12 @@ class TraceReplay {
  public:
   TraceReplay(const TaskGraph& g, const Schedule& s,
               const std::vector<FlbTraceRow>& rows,
-              const platform::CostModel& model, Sink& sink)
+              const platform::CostModel& model, LintReport& report)
       : g_(g),
         s_(s),
         rows_(rows),
         model_(model),
-        sink_(sink),
+        report_(report),
         num_procs_(s.num_procs()),
         placed_(g.num_tasks(), false),
         proc_(g.num_tasks(), kInvalidProc),
@@ -315,7 +298,8 @@ class TraceReplay {
   }
 
   Diagnostic& consistency(std::size_t step) {
-    Diagnostic& d = sink_.emit("trace-schedule-consistency", Severity::kError);
+    Diagnostic& d =
+        report_.emit("trace-schedule-consistency", Severity::kError);
     d.step = step;
     d.hint = "the trace must reproduce the final schedule bit-for-bit and "
              "in a precedence-respecting order; re-capture it with "
@@ -366,7 +350,7 @@ class TraceReplay {
     const FlbTraceRow& row = rows_[i];
     const Cost ready = eff_prt(row.proc);
     if (row.start + kTimeTolerance < ready) {
-      Diagnostic& d = sink_.emit("prt-monotone", Severity::kError);
+      Diagnostic& d = report_.emit("prt-monotone", Severity::kError);
       d.step = i;
       d.task = row.task;
       d.proc = row.proc;
@@ -405,7 +389,7 @@ class TraceReplay {
     const bool expect_ep =
         ep != kInvalidProc && model_.alive(ep) && lmt >= eff_prt(ep);
     if (expect_ep != row.ep_type) {
-      Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
+      Diagnostic& d = report_.emit("ep-classification", Severity::kError);
       d.step = i;
       d.task = t;
       d.proc = ep;
@@ -426,7 +410,7 @@ class TraceReplay {
 
     if (expect_ep) {
       if (row.proc != ep) {
-        Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
+        Diagnostic& d = report_.emit("ep-classification", Severity::kError);
         d.step = i;
         d.task = t;
         d.proc = row.proc;
@@ -445,7 +429,7 @@ class TraceReplay {
         emt = std::max(emt, arrival_at(in, ep));
       const Cost expected = std::max(emt, eff_prt(ep));
       if (std::abs(row.start - expected) > kTimeTolerance) {
-        Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
+        Diagnostic& d = report_.emit("ep-classification", Severity::kError);
         d.step = i;
         d.task = t;
         d.proc = ep;
@@ -468,7 +452,7 @@ class TraceReplay {
     for (ProcId p = 0; p < num_procs_; ++p)
       if (model_.alive(p)) min_prt = std::min(min_prt, eff_prt(p));
     if (eff_prt(row.proc) > min_prt + kTimeTolerance) {
-      Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
+      Diagnostic& d = report_.emit("ep-classification", Severity::kError);
       d.step = i;
       d.task = t;
       d.proc = row.proc;
@@ -485,7 +469,7 @@ class TraceReplay {
     }
     const Cost expected = std::max(lmt, eff_prt(row.proc));
     if (std::abs(row.start - expected) > kTimeTolerance) {
-      Diagnostic& d = sink_.emit("ep-classification", Severity::kError);
+      Diagnostic& d = report_.emit("ep-classification", Severity::kError);
       d.step = i;
       d.task = t;
       d.proc = row.proc;
@@ -518,7 +502,7 @@ class TraceReplay {
         }
       }
       if (best + kTimeTolerance < row.start) {
-        Diagnostic& d = sink_.emit("etf-conformance", Severity::kError);
+        Diagnostic& d = report_.emit("etf-conformance", Severity::kError);
         d.step = i;
         d.task = c;
         d.proc = where;
@@ -549,7 +533,7 @@ class TraceReplay {
   const Schedule& s_;
   const std::vector<FlbTraceRow>& rows_;
   const platform::CostModel& model_;
-  Sink& sink_;
+  LintReport& report_;
   ProcId num_procs_;
   std::vector<bool> placed_;
   std::vector<ProcId> proc_;
@@ -559,6 +543,13 @@ class TraceReplay {
 };
 
 }  // namespace
+
+Diagnostic& LintReport::emit(const char* rule, Severity severity) {
+  Diagnostic& d = diagnostics.emplace_back();
+  d.rule = rule;
+  d.severity = severity;
+  return d;
+}
 
 std::size_t LintReport::count(Severity s) const {
   std::size_t n = 0;
@@ -617,10 +608,9 @@ LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const platform::CostModel& model,
                          const LintOptions& options) {
   LintReport report;
-  Sink sink(report);
-  emit_violations(validate_schedule(g, s), s, sink);
-  partition_rules(g, s, options, sink);
-  if (options.quality) quality_rules(g, s, model, sink);
+  emit_violations(validate_schedule(g, s), s, report);
+  partition_rules(g, s, options, report);
+  if (options.quality) quality_rules(g, s, model, report);
   return report;
 }
 
@@ -629,10 +619,9 @@ LintReport lint_schedule(const TaskGraph& g, const Schedule& s,
                          const platform::CostModel& model,
                          const LintOptions& options) {
   LintReport report;
-  Sink sink(report);
-  emit_violations(validate_schedule(g, s, durations), s, sink);
-  partition_rules(g, s, options, sink);
-  if (options.quality) quality_rules(g, s, model, sink);
+  emit_violations(validate_schedule(g, s, durations), s, report);
+  partition_rules(g, s, options, report);
+  if (options.quality) quality_rules(g, s, model, report);
   return report;
 }
 
@@ -641,14 +630,13 @@ LintReport lint_flb(const TaskGraph& g, const Schedule& s,
                     const platform::CostModel& model,
                     const LintOptions& options) {
   LintReport report;
-  Sink sink(report);
-  emit_violations(validate_schedule(g, s), s, sink);
-  partition_rules(g, s, options, sink);
+  emit_violations(validate_schedule(g, s), s, report);
+  partition_rules(g, s, options, report);
   if (options.theorems) {
-    TraceReplay replay(g, s, rows, model, sink);
+    TraceReplay replay(g, s, rows, model, report);
     replay.run();
   }
-  if (options.quality) quality_rules(g, s, model, sink);
+  if (options.quality) quality_rules(g, s, model, report);
   return report;
 }
 

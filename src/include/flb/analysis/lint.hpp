@@ -80,8 +80,13 @@ struct LintOptions {
 };
 
 /// The linter's result: all diagnostics in detection order plus summaries.
+/// The schedule linter and the episode auditor both report through it.
 struct LintReport {
   std::vector<Diagnostic> diagnostics;
+
+  /// Append a finding of `rule` at `severity` and return it for the rule
+  /// to fill in (the reference is valid until the next emit).
+  Diagnostic& emit(const char* rule, Severity severity);
 
   [[nodiscard]] std::size_t count(Severity s) const;
   [[nodiscard]] std::size_t errors() const { return count(Severity::kError); }
