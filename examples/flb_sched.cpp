@@ -64,9 +64,10 @@ TaskGraph load_graph(const CliArgs& args) {
 SimNetwork parse_network(const std::string& name) {
   if (name == "free") return SimNetwork::kContentionFree;
   if (name == "single-port") return SimNetwork::kSinglePortSend;
-  if (name == "single-port-recv") return SimNetwork::kSinglePortSendRecv;
-  FLB_REQUIRE(false, "unknown --sim model '" + name +
-                         "' (free | single-port | single-port-recv)");
+  FLB_REQUIRE(name == "single-port-recv",
+              "unknown --sim model '" + name +
+                  "' (free | single-port | single-port-recv)");
+  return SimNetwork::kSinglePortSendRecv;
 }
 
 int run(int argc, char** argv) {

@@ -42,9 +42,9 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   if (name == "DSC-LLB") return std::make_unique<DscLlbScheduler>();
   if (name == "DLS") return std::make_unique<DlsScheduler>();
   if (name == "HLFET") return std::make_unique<HlfetScheduler>();
-  if (name == "ISH")
-    return std::make_unique<HlfetScheduler>(/*insertion=*/true);
-  FLB_REQUIRE(false, "make_scheduler: unknown algorithm '" + name + "'");
+  FLB_REQUIRE(name == "ISH",
+              "make_scheduler: unknown algorithm '" + name + "'");
+  return std::make_unique<HlfetScheduler>(/*insertion=*/true);
 }
 
 }  // namespace flb

@@ -106,16 +106,15 @@ TaskGraph make_workload(const std::string& name, std::size_t target_tasks,
     }
     return cholesky_graph(best_t, params);
   }
-  if (name == "Random") {
-    auto width = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               std::sqrt(static_cast<double>(target_tasks) / 2.0))));
-    auto layers = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               static_cast<double>(target_tasks) / static_cast<double>(width))));
-    return random_layered_graph(layers, width, 0.3, params);
-  }
-  FLB_REQUIRE(false, "make_workload: unknown workload '" + name + "'");
+  FLB_REQUIRE(name == "Random",
+              "make_workload: unknown workload '" + name + "'");
+  auto width = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(
+             std::sqrt(static_cast<double>(target_tasks) / 2.0))));
+  auto layers = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(
+             static_cast<double>(target_tasks) / static_cast<double>(width))));
+  return random_layered_graph(layers, width, 0.3, params);
 }
 
 }  // namespace flb
