@@ -74,12 +74,12 @@ echo "== semantic lint (flb_lint)"
   done
 } | tee "$out/lint_report.txt"
 
-# Scheduling-as-a-service throughput: DAGs/sec and latency percentiles of
-# the arena-backed batch driver vs worker threads, with the chained digest
-# column asserting (in-process) that every thread count is byte-identical
-# to sequential FLB. Speedup depends on available cores — see
-# docs/serving.md for the honest single-core caveat.
-echo "== bench_throughput (scheduling-as-a-service batch driver)"
+# Scheduling-as-a-service throughput: DAGs/sec and scheduling-time
+# percentiles of the arena-backed ScheduleService vs worker threads, with
+# the chained digest column asserting (in-process) that every worker count
+# is byte-identical to sequential FLB. Speedup depends on available cores
+# — see docs/serving.md for the caveat.
+echo "== bench_throughput (scheduling-as-a-service worker pool)"
 "$build/bench/bench_throughput" | tee "$out/bench_throughput.txt"
 echo
 
