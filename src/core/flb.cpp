@@ -26,12 +26,15 @@ using core::TaskKey;
 /// O(V(log W + log P) + E) bound operation-for-operation.
 ///
 /// A newly ready EP task is not filed into those heaps right away. It waits
-/// on its enabling processor's unfiled list until that processor next
-/// receives a task — the only event that can demote it — and the list's
-/// minimum stands in for it when candidate (a) is chosen. Most EP tasks are
-/// demoted at that first flush, and those go straight to the non-EP heap
-/// without ever entering the EP heaps. Every list keeps the same members and
-/// the same minimum as with eager filing, so every decision is unchanged.
+/// on its enabling processor's unfiled list, and the list's minimum stands
+/// in for it when candidate (a) is chosen. Each time that processor
+/// receives a task — the only event that can demote it — the list is
+/// flushed: members whose LMT fell below the new PRT go to the non-EP heap,
+/// the chosen task leaves, and the rest stay on the list. Only a member
+/// that survives core::kMaxUnfiledFlushes flushes is filed into the EP
+/// heaps, so a task is visited at most that many times and the list work
+/// stays O(V). Every list keeps the same members and the same minimum as
+/// with eager filing, so every decision is unchanged.
 ///
 /// All working state — the SoA ready-task arrays and the five heaps — lives
 /// in a caller-owned core::Scratch whose arena is reset (not reallocated)
@@ -232,9 +235,10 @@ class Engine {
   // PRT(p) just grew when p received `placed`: EP tasks enabled by p whose
   // LMT fell below PRT(p) no longer satisfy the EP condition and move to the
   // non-EP list. Filed tasks are tested in ascending LMT order, so that scan
-  // stops at the first survivor. Then p's unfiled list is flushed: each
-  // member is demoted or filed into both EP heaps (`placed`, if it was
-  // unfiled, is skipped).
+  // stops at the first survivor. Then p's unfiled list is flushed: `placed`
+  // (if it was unfiled) leaves, each other member is demoted, filed into
+  // both EP heaps at its kMaxUnfiledFlushes-th survived flush, or kept, and
+  // the list minimum is recomputed over the kept members.
   void update_task_lists(ProcId p, TaskId placed) {
     const Cost ready = prt(p);
     while (!s_.lmt_ep_heap.empty(p)) {
@@ -244,19 +248,35 @@ class Engine {
       s_.emt_ep_heap.erase(t);
       demote(t);
     }
-    for (TaskId t = s_.unfiled_head[p]; t != kInvalidTask;
-         t = s_.unfiled_next[t]) {
-      if (t == placed) continue;
-      if (s_.lmt[t] < ready) {
+    TaskId tail = kInvalidTask;
+    TaskId min = kInvalidTask;
+    TaskId t = s_.unfiled_head[p];
+    s_.unfiled_head[p] = kInvalidTask;
+    while (t != kInvalidTask) {
+      const TaskId next = s_.unfiled_next[t];
+      ++stats_.unfiled_visits;
+      if (t == placed) {
+        // Placed on p this step: it leaves the list.
+      } else if (s_.lmt[t] < ready) {
         demote(t);
-      } else {
+      } else if (++s_.unfiled_flushes[t] == core::kMaxUnfiledFlushes) {
         s_.emt_ep_heap.push(p, t, emt_key_of(t));
         s_.lmt_ep_heap.push(p, t, task_key(s_.lmt[t], t));
+        ++stats_.ep_filed;
+      } else {
+        if (tail == kInvalidTask) {
+          s_.unfiled_head[p] = t;
+        } else {
+          s_.unfiled_next[tail] = t;
+        }
+        tail = t;
+        if (min == kInvalidTask || emt_key_of(t) < emt_key_of(min)) min = t;
       }
+      t = next;
     }
-    s_.unfiled_head[p] = kInvalidTask;
-    s_.unfiled_tail[p] = kInvalidTask;
-    s_.unfiled_min[p] = kInvalidTask;
+    if (tail != kInvalidTask) s_.unfiled_next[tail] = kInvalidTask;
+    s_.unfiled_tail[p] = tail;
+    s_.unfiled_min[p] = min;
   }
 
   void demote(TaskId t) {
@@ -265,14 +285,14 @@ class Engine {
   }
 
   // Refresh p's priorities: in the global processor list (keyed by PRT) and
-  // in the active processor list. p's unfiled list is empty here (it was
-  // just flushed), so its EP head is the EMT heap's.
+  // in the active processor list. p's unfiled list may still hold members
+  // after its flush, so its EP head is ep_head(p).
   void update_proc_lists(ProcId p) {
     s_.all_procs.push_or_update(p, {prt(p), p});
-    if (s_.emt_ep_heap.empty(p)) {
+    if (s_.emt_ep_heap.empty(p) && s_.unfiled_head[p] == kInvalidTask) {
       if (s_.active_procs.contains(p)) s_.active_procs.erase(p);
     } else {
-      set_active_priority(p, static_cast<TaskId>(s_.emt_ep_heap.top(p)));
+      set_active_priority(p, ep_head(p));
     }
   }
 
@@ -354,6 +374,7 @@ class Engine {
     // EP: append t to ep's unfiled list. Only a new head of ep's EP tasks
     // can move ep's active key.
     s_.unfiled_next[t] = kInvalidTask;
+    s_.unfiled_flushes[t] = 0;
     if (s_.unfiled_tail[ep] == kInvalidTask) {
       s_.unfiled_head[ep] = t;
     } else {

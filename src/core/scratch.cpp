@@ -18,7 +18,8 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
                  2 * DaryHeapForest<TaskKey>::footprint(v) +
                  2 * DaryIndexedHeap<ProcKey>::footprint(p) +
                  3 * Arena::footprint<TaskId>(p) +
-                 2 * Arena::footprint<Cost>(p));
+                 2 * Arena::footprint<Cost>(p) +
+                 Arena::footprint<std::uint8_t>(v));
 
   tie = arena_.alloc<Cost>(v);
   lmt = arena_.alloc<Cost>(v);
@@ -36,6 +37,7 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   unfiled_min = arena_.alloc<TaskId>(p, kInvalidTask);
   proc_est = arena_.alloc<Cost>(p);
   proc_arrival = arena_.alloc<Cost>(p);
+  unfiled_flushes = arena_.alloc<std::uint8_t>(v);
 }
 
 }  // namespace flb::core

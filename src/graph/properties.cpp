@@ -3,18 +3,21 @@
 #include <algorithm>
 
 #include "flb/util/error.hpp"
+#include "level_sweep.hpp"
 
 namespace flb {
 
 std::vector<TaskId> topological_order(const TaskGraph& g) {
   std::vector<TaskId> order(g.num_tasks());
   std::vector<std::uint32_t> indeg(g.num_tasks());
-  topological_order_into(g, order, indeg);
+  const std::size_t ordered = topological_order_into(g, order, indeg);
+  FLB_ASSERT(ordered == g.num_tasks());
   return order;
 }
 
-void topological_order_into(const TaskGraph& g, std::span<TaskId> order,
-                            std::span<std::uint32_t> indeg) {
+std::size_t topological_order_into(const TaskGraph& g,
+                                   std::span<TaskId> order,
+                                   std::span<std::uint32_t> indeg) {
   const TaskId n = g.num_tasks();
   FLB_ASSERT(order.size() == n && indeg.size() == n);
   std::size_t filled = 0;
@@ -26,24 +29,15 @@ void topological_order_into(const TaskGraph& g, std::span<TaskId> order,
     for (const Adj& a : g.successors(order[i]))
       if (--indeg[a.node] == 0) order[filled++] = a.node;
   }
-  FLB_ASSERT(filled == n);
+  return filled;
 }
 
 void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
                         std::span<TaskId> order,
                         std::span<std::uint32_t> indeg) {
-  const TaskId n = g.num_tasks();
-  FLB_ASSERT(bl.size() == n);
-  topological_order_into(g, order, indeg);
-  // Same arithmetic as the levels TaskGraphBuilder::build stores, so
-  // results are bit-identical to TaskGraph::bottom_levels().
-  for (std::size_t i = n; i-- > 0;) {
-    TaskId t = order[i];
-    Cost best = 0.0;
-    for (const Adj& a : g.successors(t))
-      best = std::max(best, bl[a.node] + a.comm);
-    bl[t] = g.comp(t) + best;
-  }
+  const std::size_t ordered = topological_order_into(g, order, indeg);
+  FLB_ASSERT(ordered == g.num_tasks());
+  detail::sweep_bottom_levels(g, order, bl);
 }
 
 std::vector<Cost> bottom_levels(const TaskGraph& g) {

@@ -6,7 +6,9 @@
 #include <limits>
 #include <string>
 
+#include "flb/graph/properties.hpp"
 #include "flb/util/error.hpp"
+#include "level_sweep.hpp"
 
 namespace flb {
 
@@ -114,31 +116,14 @@ TaskGraph TaskGraphBuilder::build() && {
     g.pred_[pcur[e.to]++] = {e.from, e.comm};
   }
 
-  // Acyclicity check via Kahn's algorithm.
-  std::vector<std::size_t> indeg(n);
-  for (TaskId t = 0; t < n; ++t) indeg[t] = g.in_degree(static_cast<TaskId>(t));
-  std::vector<TaskId> queue;
-  queue.reserve(n);
-  for (TaskId t = 0; t < n; ++t)
-    if (indeg[t] == 0) queue.push_back(t);
-  std::size_t seen = 0;
-  while (seen < queue.size()) {
-    TaskId t = queue[seen++];
-    for (const Adj& a : g.successors(t))
-      if (--indeg[a.node] == 0) queue.push_back(a.node);
-  }
-  FLB_REQUIRE(seen == n, "build: the task graph contains a cycle");
-
-  // Bottom levels over the reverse of that order, with the arithmetic of
-  // bottom_levels_into.
-  g.bottom_levels_.assign(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    const TaskId t = queue[i];
-    Cost best = 0.0;
-    for (const Adj& a : g.successors(t))
-      best = std::max(best, g.bottom_levels_[a.node] + a.comm);
-    g.bottom_levels_[t] = g.comp_[t] + best;
-  }
+  // Acyclicity check: Kahn's algorithm orders every task of a DAG. The
+  // stored bottom levels are the sweep bottom_levels_into runs over it.
+  std::vector<TaskId> order(n);
+  std::vector<std::uint32_t> indeg(n);
+  FLB_REQUIRE(topological_order_into(g, order, indeg) == n,
+              "build: the task graph contains a cycle");
+  g.bottom_levels_.resize(n);
+  detail::sweep_bottom_levels(g, order, g.bottom_levels_);
 
   return g;
 }

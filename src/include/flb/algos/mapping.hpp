@@ -34,6 +34,26 @@ Schedule schedule_with_fixed_assignment(const TaskGraph& g,
                                         const std::vector<ProcId>& proc_of,
                                         ProcId num_procs);
 
+/// schedule_with_fixed_assignment for many assignments of one graph: the
+/// bottom-level task order depends on the graph alone, so it is computed
+/// once, at construction, and each retime_into() only re-times along it
+/// (O(V + E)). The local-search improvers (sched/improve.hpp) evaluate
+/// every candidate through one. `g` must outlive the retimer.
+class FixedAssignmentRetimer {
+ public:
+  explicit FixedAssignmentRetimer(const TaskGraph& g);
+
+  /// Write schedule_with_fixed_assignment(g, proc_of, num_procs) into
+  /// `out`, re-dimensioned with its capacity kept. Throws flb::Error on
+  /// the same inputs as that function.
+  void retime_into(const std::vector<ProcId>& proc_of, ProcId num_procs,
+                   Schedule& out) const;
+
+ private:
+  const TaskGraph& g_;
+  std::vector<TaskId> order_;
+};
+
 /// Round-robin cluster mapping: cluster c -> processor c mod P.
 Schedule wrap_map(const TaskGraph& g, const Clustering& clustering,
                   ProcId num_procs);

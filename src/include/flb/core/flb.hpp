@@ -24,9 +24,9 @@
 ///
 ///   (a) the EP-type task with minimum EST(t, EP(t)) on its enabling
 ///       processor — found via a per-processor heap of enabled EP tasks
-///       keyed by EMT (plus a list of those that became ready since the
-///       processor's last placement, filed when it next receives a task)
-///       and a heap of *active* processors keyed by min EST;
+///       keyed by EMT (plus a list of those not yet filed there, flushed
+///       each time the processor receives a task) and a heap of *active*
+///       processors keyed by min EST;
 ///   (b) the non-EP-type task with minimum LMT on the processor that
 ///       becomes idle the earliest — found via a global non-EP task heap
 ///       keyed by LMT and a global processor heap keyed by PRT.
@@ -65,6 +65,12 @@ struct FlbStats {
   std::size_t non_ep_selections = 0;   ///< steps that chose the non-EP pair
   std::size_t ep_demotions = 0;        ///< EP tasks re-classified as non-EP
   std::size_t tasks_classified_ep = 0; ///< ready tasks first classified EP
+  /// EP tasks filed into the EP heaps: those that survived
+  /// core::kMaxUnfiledFlushes flushes on their unfiled list.
+  std::size_t ep_filed = 0;
+  /// Unfiled-list members visited at flushes: at most
+  /// core::kMaxUnfiledFlushes per task classified EP.
+  std::size_t unfiled_visits = 0;
   std::size_t max_ready = 0;           ///< peak ready-set size (<= width W)
   /// push, pop, erase and update calls on the engine's five heaps,
   /// set-up included: the per-step heap traffic behind the

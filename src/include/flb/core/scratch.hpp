@@ -23,13 +23,15 @@
 /// time at serving volume (visible as FLB losing to MCP in
 /// bench_complexity_scaling despite the better asymptotics).
 ///
-/// An EP task enabled by processor q is *unfiled* until q next receives a
-/// task: it waits on q's intrusive list (head, tail, next links) instead of
-/// in the two EP heaps, and q's list minimum by EMT key stands in for it
-/// when candidate (a) is chosen. When q's ready time moves, the engine
-/// flushes the list: members whose LMT fell below it go to the non-EP
-/// heap, the rest are filed into the EP heaps. A task demoted at its first
-/// flush never touches the EP heaps at all.
+/// An EP task enabled by processor q starts *unfiled*: it waits on q's
+/// intrusive list (head, tail, next links) instead of in the two EP heaps,
+/// and q's list minimum by EMT key stands in for it when candidate (a) is
+/// chosen. Each time q's ready time moves, the engine flushes the list:
+/// members whose LMT fell below it go to the non-EP heap, the rest stay on
+/// the list with one more flush counted (one byte per task), and the list
+/// minimum is recomputed. A member is filed into the EP heaps only when it
+/// survives its kMaxUnfiledFlushes-th flush, so most EP tasks never touch
+/// those heaps at all.
 ///
 /// A Scratch owns one monotonic Arena and re-carves every structure out of
 /// it in prepare(), called at the top of each run. prepare() reserves the
@@ -56,6 +58,24 @@ using TaskKey = std::tuple<Cost, Cost, TaskId>;
 
 /// Processor-list key: (time, processor id).
 using ProcKey = std::pair<Cost, ProcId>;
+
+/// Flushes an EP task may survive on its enabling processor's unfiled list
+/// before the engine files it into the two EP heaps. A member is visited
+/// once per flush and leaves at its kMaxUnfiledFlushes-th visit at the
+/// latest, so the flushes of a run visit at most kMaxUnfiledFlushes times
+/// as many members as there are EP tasks: O(V) list work, inside the
+/// O(V(log W + log P) + E) bound.
+///
+/// Flushes survived before leaving the list, over 470,441 EP tasks of LU,
+/// Laplace, Stencil, FFT, Gauss and Random at V~2000, CCR 0.2, 1, 5 and
+/// 10, P 2, 4, 8, 16 and 32, seeds 1 and 7919 (cumulative share):
+///
+///   survived   0      1      3      7      15     16     20     27
+///   share      47.3%  60.4%  72.8%  87.3%  97.8%  98.4%  99.8%  100%
+///
+/// So 2.2% of those EP tasks are filed, and none on the paper's V~2000 LU,
+/// Laplace and Stencil cases at CCR 0.2 and 5, P 8 and 32.
+inline constexpr std::uint8_t kMaxUnfiledFlushes = 16;
 
 class Scratch {
  public:
@@ -85,6 +105,7 @@ class Scratch {
   std::span<Cost> emt_ep;     ///< EMT on the enabling processor
   std::span<std::uint32_t> unscheduled_preds;  ///< pending predecessor count
   std::span<TaskId> unfiled_next;  ///< next member of the same unfiled list
+  std::span<std::uint8_t> unfiled_flushes;  ///< flushes survived unfiled
 
   // -- Unfiled EP lists (parallel arrays indexed by processor id) ---------
   std::span<TaskId> unfiled_head;  ///< first member (kInvalidTask = empty)

@@ -34,10 +34,14 @@ namespace flb {
 std::vector<TaskId> topological_order(const TaskGraph& g);
 
 /// Allocation-free topological_order() writing into caller storage: `order`
-/// and `indeg` must both have size num_tasks(). Same order as the vector
-/// flavour. `indeg` is scratch, clobbered.
-void topological_order_into(const TaskGraph& g, std::span<TaskId> order,
-                            std::span<std::uint32_t> indeg);
+/// and `indeg` must both have size num_tasks(). Returns how many tasks it
+/// ordered: num_tasks() for a DAG, fewer when the adjacency has a cycle
+/// (only TaskGraphBuilder::build, which rejects it, can see one). The
+/// ordered prefix of `order` is the vector flavour's order. `indeg` is
+/// scratch, clobbered.
+std::size_t topological_order_into(const TaskGraph& g,
+                                   std::span<TaskId> order,
+                                   std::span<std::uint32_t> indeg);
 
 /// The order in which a ready list with static keys hands out g's tasks:
 /// each step takes the ready task with the least key_of(t), the smaller id
@@ -78,9 +82,10 @@ std::vector<TaskId> priority_order(const TaskGraph& g, KeyOf&& key_of) {
 std::vector<Cost> bottom_levels(const TaskGraph& g);
 
 /// Recompute the bottom levels into caller storage, without allocating:
-/// `bl`, `order` and `indeg` must all have size num_tasks(). Identical
-/// arithmetic (and therefore bit-identical results) to the stored levels.
-/// `order` and `indeg` are scratch, clobbered.
+/// `bl`, `order` and `indeg` must all have size num_tasks(). It runs the
+/// sweep TaskGraphBuilder::build stores its levels with, over
+/// topological_order_into(), so results are bit-identical to
+/// TaskGraph::bottom_levels(). `order` and `indeg` are scratch, clobbered.
 void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
                         std::span<TaskId> order,
                         std::span<std::uint32_t> indeg);

@@ -83,8 +83,8 @@ class TaskGraph {
 
   /// Bottom level of every task, indexed by task id: comp(t) plus the
   /// longest (communication + computation) path from t to an exit task.
-  /// Bit-identical to bottom_levels_into (graph/properties.hpp), which
-  /// performs the same arithmetic over the same successor lists.
+  /// Bit-identical to bottom_levels_into (graph/properties.hpp): build()
+  /// stores them with the sweep that function runs.
   [[nodiscard]] std::span<const Cost> bottom_levels() const {
     return bottom_levels_;
   }

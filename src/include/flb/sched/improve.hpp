@@ -20,8 +20,9 @@ namespace flb {
 
 /// Options for improve_schedule.
 struct ImproveOptions {
-  /// Hard cap on schedule re-evaluations (each is one O(V log W + E) list
-  /// scheduling run); bounds worst-case cost on large instances.
+  /// Hard cap on schedule re-evaluations (each re-times the assignment
+  /// along one task order computed per call, O(V + E)); bounds worst-case
+  /// cost on large instances.
   std::size_t max_evaluations = 20000;
 };
 

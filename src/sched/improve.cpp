@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "flb/algos/mapping.hpp"
@@ -34,11 +35,16 @@ ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
   std::vector<ProcId> assignment(n);
   for (TaskId t = 0; t < n; ++t) assignment[t] = s.proc(t);
 
-  Schedule current = schedule_with_fixed_assignment(g, assignment, procs);
+  // One task order for every evaluation; candidates are re-timed into one
+  // buffer, which trades places with the incumbent when it wins.
+  const FixedAssignmentRetimer retimer(g);
+  Schedule current(procs, n);
+  retimer.retime_into(assignment, procs, current);
   ImproveResult result{std::move(current), 0.0, 0.0, 0, 1};
   result.initial_makespan = result.schedule.makespan();
   result.final_makespan = result.initial_makespan;
   if (procs == 1 || n == 0) return result;
+  Schedule candidate(procs, n);
 
   for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
     // Sweep tasks in descending finish time of the current schedule: the
@@ -60,11 +66,10 @@ ImproveResult improve_schedule(const TaskGraph& g, const Schedule& s,
         if (p == original) continue;
         if (result.evaluations >= options.max_evaluations) break;
         assignment[t] = p;
-        Schedule candidate =
-            schedule_with_fixed_assignment(g, assignment, procs);
+        retimer.retime_into(assignment, procs, candidate);
         ++result.evaluations;
         if (candidate.makespan() < result.final_makespan - 1e-12) {
-          result.schedule = std::move(candidate);
+          std::swap(result.schedule, candidate);
           result.final_makespan = result.schedule.makespan();
           ++result.moves;
           improved_this_pass = true;
@@ -94,10 +99,13 @@ ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
   std::vector<ProcId> assignment(n);
   for (TaskId t = 0; t < n; ++t) assignment[t] = s.proc(t);
 
-  Schedule current = schedule_with_fixed_assignment(g, assignment, procs);
+  const FixedAssignmentRetimer retimer(g);
+  Schedule current(procs, n);
+  retimer.retime_into(assignment, procs, current);
   Cost current_len = current.makespan();
   ImproveResult result{std::move(current), current_len, current_len, 0, 1};
   if (procs == 1 || n == 0 || options.iterations == 0) return result;
+  Schedule candidate(procs, n);
 
   Rng rng(options.seed);
   const double t0 =
@@ -115,7 +123,7 @@ ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
     if (new_p >= old_p) ++new_p;  // uniform over the other processors
 
     assignment[t] = new_p;
-    Schedule candidate = schedule_with_fixed_assignment(g, assignment, procs);
+    retimer.retime_into(assignment, procs, candidate);
     ++result.evaluations;
     Cost len = candidate.makespan();
     double delta = static_cast<double>(len - current_len);
@@ -126,7 +134,7 @@ ImproveResult anneal_schedule(const TaskGraph& g, const Schedule& s,
       ++result.moves;
       if (len < result.final_makespan - 1e-12) {
         result.final_makespan = len;
-        result.schedule = std::move(candidate);
+        std::swap(result.schedule, candidate);
       }
     } else {
       assignment[t] = old_p;

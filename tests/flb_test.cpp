@@ -178,10 +178,11 @@ TEST(Flb, TieBetweenPairsPrefersNonEp) {
 // The observer's snapshot is the engine's exact ready set at every step:
 // each ready task appears once, on its enabling processor's EP list when
 // LMT >= PRT there and on the non-EP list otherwise, in list-key order. An
-// EP task waits outside the EP heaps until its enabling processor next
-// receives a task, so this pins that the snapshot still sees it. The
-// Theorem-3 tests see a missing task only when it is the global argmin:
-// leaving out any other task does not change their oracle's minimum.
+// EP task waits outside the EP heaps, on its enabling processor's unfiled
+// list, for up to core::kMaxUnfiledFlushes of that processor's placements,
+// so this pins that the snapshot still sees it. The Theorem-3 tests see a
+// missing task only when it is the global argmin: leaving out any other
+// task does not change their oracle's minimum.
 void expect_exact_snapshots(const TaskGraph& g, ProcId procs) {
   const std::vector<Cost> bl = bottom_levels(g);
   std::size_t steps = 0;
@@ -232,6 +233,15 @@ void expect_exact_snapshots(const TaskGraph& g, ProcId procs) {
   EXPECT_EQ(steps, g.num_tasks());
 }
 
+// Cholesky at V~300, CCR 10 on two processors keeps EP tasks on their
+// unfiled lists long enough that some are filed into the EP heaps.
+TaskGraph long_stay_graph() {
+  WorkloadParams params;
+  params.ccr = 10.0;
+  params.seed = 1;
+  return make_workload("Cholesky", 300, params);
+}
+
 TEST(Flb, StepSnapshotIsTheExactReadySet) {
   for (std::size_t i = 0; i < 24; ++i)
     for (ProcId procs : {2u, 3u, 7u})
@@ -240,6 +250,11 @@ TEST(Flb, StepSnapshotIsTheExactReadySet) {
   params.ccr = 5.0;
   params.seed = 1;
   expect_exact_snapshots(make_workload("LU", 2000, params), 16);
+  // The families whose unfiled lists survive the most flushes, and the
+  // input that runs the filing fallback.
+  expect_exact_snapshots(make_workload("Laplace", 2000, params), 8);
+  expect_exact_snapshots(make_workload("Stencil", 2000, params), 8);
+  expect_exact_snapshots(long_stay_graph(), 2);
 }
 
 FlbStats stats_of(const TaskGraph& g, ProcId procs) {
@@ -247,6 +262,14 @@ FlbStats stats_of(const TaskGraph& g, ProcId procs) {
   Schedule s = FlbScheduler().run_instrumented(g, procs, nullptr, &stats);
   EXPECT_TRUE(is_valid_schedule(g, s));
   return stats;
+}
+
+// Each unfiled-list member leaves at its kMaxUnfiledFlushes-th visit at
+// the latest, and a task is filed at most once.
+void expect_bounded_list_work(const FlbStats& stats) {
+  EXPECT_LE(stats.unfiled_visits,
+            std::size_t{core::kMaxUnfiledFlushes} * stats.tasks_classified_ep);
+  EXPECT_LE(stats.ep_filed, stats.tasks_classified_ep);
 }
 
 TEST(Flb, StatsAreConsistent) {
@@ -260,24 +283,37 @@ TEST(Flb, StatsAreConsistent) {
   EXPECT_GE(stats.max_ready, 1u);
   // Every demoted task was first classified EP.
   EXPECT_LE(stats.ep_demotions, stats.tasks_classified_ep);
+  expect_bounded_list_work(stats);
 
-  // The heap-operation count is exact: it repeats, and resuming an empty
-  // prefix on the paper's machine runs the same steps.
+  // The heap-operation and list-visit counts are exact: they repeat, and
+  // resuming an empty prefix on the paper's machine runs the same steps.
   FlbStats again;
   (void)flb.run_instrumented(g, 4, nullptr, &again);
   EXPECT_EQ(again.heap_ops, stats.heap_ops);
+  EXPECT_EQ(again.unfiled_visits, stats.unfiled_visits);
   platform::CostModel clique = platform::CostModel::clique(4);
   FlbStats resumed;
   (void)flb.resume(g, Schedule(4, g.num_tasks()), clique, &resumed);
   EXPECT_EQ(resumed.heap_ops, stats.heap_ops);
   EXPECT_EQ(resumed.ep_demotions, stats.ep_demotions);
+  EXPECT_EQ(resumed.ep_filed, stats.ep_filed);
+  EXPECT_EQ(resumed.unfiled_visits, stats.unfiled_visits);
 
   // Pinned per-step heap traffic: a change to it shows up here.
-  EXPECT_EQ(stats_of(paper_example_graph(), 2).heap_ops, 31u);
+  const FlbStats paper = stats_of(paper_example_graph(), 2);
+  EXPECT_EQ(paper.heap_ops, 27u);
+  expect_bounded_list_work(paper);
   WorkloadParams params;
   params.ccr = 0.2;
   params.seed = 1;
-  EXPECT_EQ(stats_of(make_workload("LU", 2000, params), 8).heap_ops, 6999u);
+  const FlbStats lu = stats_of(make_workload("LU", 2000, params), 8);
+  EXPECT_EQ(lu.heap_ops, 6431u);
+  expect_bounded_list_work(lu);
+
+  // A member that survives kMaxUnfiledFlushes flushes is filed.
+  const FlbStats long_stay = stats_of(long_stay_graph(), 2);
+  EXPECT_GT(long_stay.ep_filed, 0u);
+  expect_bounded_list_work(long_stay);
 }
 
 TEST(Flb, MaxReadyNeverExceedsWidth) {
