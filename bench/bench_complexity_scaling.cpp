@@ -11,17 +11,28 @@
 // Reported as time ratios between successive sizes; a ratio near the size
 // ratio (2.0) indicates linear scaling. Each sweep also prints FLB's exact
 // heap operations per task (FlbStats::heap_ops over V): the per-step work
-// behind its O(log W + log P) step, which should stay flat in V and P.
+// behind its O(log W + log P) step, which should stay flat in V and P. The
+// timings are informational; a run fails only on an infeasible schedule or
+// on a heap count above kMaxHeapOpsPerTask.
 
 #include <map>
+#include <string>
 
 #include "bench_common.hpp"
 #include "flb/core/flb.hpp"
+#include "flb/util/error.hpp"
 
 namespace {
 
+// FLB's heap operations are bounded per task, whatever V and P: a task
+// enters and leaves the non-EP heap at most once (2) and both EP heaps at
+// most once (4); each step updates the processor heap once and the active
+// heap at most once (2), and classifying a task EP updates the active heap
+// at most once more (1). The processor heap also takes P pushes at start.
+constexpr std::size_t kMaxHeapOpsPerTask = 9;
+
 // FLB's push, pop, erase and update calls per task on Stencil, mean over
-// the seeds.
+// the seeds. Throws when a run exceeds the bound above.
 double flb_heap_ops_per_task(std::size_t tasks, flb::ProcId procs,
                              std::size_t repeats) {
   double total = 0.0;
@@ -31,6 +42,10 @@ double flb_heap_ops_per_task(std::size_t tasks, flb::ProcId procs,
     flb::TaskGraph g = flb::make_workload("Stencil", tasks, params);
     flb::FlbStats stats;
     (void)flb::FlbScheduler().run_instrumented(g, procs, nullptr, &stats);
+    FLB_REQUIRE(stats.heap_ops <= kMaxHeapOpsPerTask * g.num_tasks() + procs,
+                "FLB made " + std::to_string(stats.heap_ops) +
+                    " heap operations on " + g.name() + " at P=" +
+                    std::to_string(procs) + ", above its per-task bound");
     total += static_cast<double>(stats.heap_ops) /
              static_cast<double>(g.num_tasks());
   }
